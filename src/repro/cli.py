@@ -51,6 +51,7 @@ from .circuits import (
     sequential_benchmark_entry,
 )
 from .io import load_bench, load_blif, save_bench, save_blif, save_verilog
+from .obs import metrics as obs_metrics
 from .obs import runlog as obs_runlog
 from .obs import trace_span
 from .spec import parse_eps_list
@@ -769,6 +770,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                               key=lambda kv: -kv[1]):
         share = min(total / wall, 1.0) * 100 if wall > 0 else 0.0
         print(f"{name:<44s} {total * 1e3:>8.2f}ms {share:>6.1f}%")
+    try:
+        registry = obs_metrics.get_registry()
+        rows = registry.value("compiled_pass.coefficient_rows",
+                              circuit=circuit.name)
+        groups = registry.value("compiled_pass.correlated_groups",
+                                circuit=circuit.name)
+    except KeyError:  # no correlated plan was compiled in this process
+        pass
+    else:
+        print(f"correlated plan: {rows} coefficient rows in {groups} "
+              f"batched groups")
     print()
     for response in responses:
         telemetry = response.telemetry or {}

@@ -4,15 +4,16 @@ Every module gets its logger through :func:`get_logger` (namespaced under
 ``repro.``); the CLI calls :func:`configure` with the ``-v`` count.  By
 default the ``repro`` logger carries a ``NullHandler`` — a library must
 never print unless asked — and ``configure`` attaches exactly one stream
-handler no matter how many times it runs.
+handler no matter how many times it runs; :func:`reset` detaches it.
 """
 
 from __future__ import annotations
 
 import logging
+import sys
 from typing import Optional
 
-__all__ = ["get_logger", "configure", "verbosity_to_level"]
+__all__ = ["get_logger", "configure", "reset", "verbosity_to_level"]
 
 _ROOT_NAME = "repro"
 _FORMAT = "%(asctime)s %(levelname)-7s %(name)s: %(message)s"
@@ -23,6 +24,23 @@ _DATEFMT = "%H:%M:%S"
 _handler: Optional[logging.Handler] = None
 
 logging.getLogger(_ROOT_NAME).addHandler(logging.NullHandler())
+
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes to whatever ``sys.stderr`` is when a record is emitted.
+
+    Binding the stream at ``configure`` time would keep a replaced stderr
+    (a test's capture buffer, a redirected CLI run) alive in the handler;
+    a thread logging after that stream was closed — e.g. a serve worker
+    finishing its last request — then hits "I/O operation on closed file".
+    """
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
 
 
 def get_logger(name: Optional[str] = None) -> logging.Logger:
@@ -56,12 +74,23 @@ def configure(verbosity: int = 0, stream=None) -> logging.Logger:
     global _handler
     root = logging.getLogger(_ROOT_NAME)
     level = verbosity_to_level(verbosity)
-    if _handler is None:
-        _handler = logging.StreamHandler(stream)
+    if _handler is None or stream is not None:
+        reset()
+        _handler = (_StderrHandler() if stream is None
+                    else logging.StreamHandler(stream))
         _handler.setFormatter(logging.Formatter(_FORMAT, datefmt=_DATEFMT))
         root.addHandler(_handler)
-    elif stream is not None:
-        _handler.setStream(stream)
     _handler.setLevel(level)
     root.setLevel(level)
     return root
+
+
+def reset() -> None:
+    """Detach the handler :func:`configure` installed and restore the
+    ``repro`` logger's default level."""
+    global _handler
+    root = logging.getLogger(_ROOT_NAME)
+    if _handler is not None:
+        root.removeHandler(_handler)
+        _handler = None
+    root.setLevel(logging.NOTSET)

@@ -40,13 +40,19 @@ per-pair coefficient state into an integer-indexed *coefficient row table*:
   classification and canonical pair ordering as the scalar engine) assigns
   every reachable ``(wire, event, wire, event)`` pair a row index;
 * at run time the rows live in one dense ``(rows, E)`` matrix ``C`` —
-  same-wire rows read a wire's propagated state, expansion rows execute a
+  same-wire rows read a wire's propagated state, expansion rows run a
   pre-lowered Fig. 4 program — evaluated in a level schedule that
   guarantees every child row and every fanin state is final before use;
 * gates whose transitions reference only the constant-1 row run through
-  the batched independence kernel unchanged; the remainder execute
-  per-gate programs whose elementwise arithmetic (clamp/cap for clamp/cap)
-  mirrors the scalar ``_correlated_transition`` over the trailing eps axis.
+  the batched independence kernel unchanged; the remaining gates and all
+  expansion rows are lowered to op *skeletons* with their state slots,
+  coefficient rows and weights pulled out as operands, and grouped by
+  (level, wave, skeleton).  A *wave* is the dependency depth among the
+  expansion rows of one level.  Each group gathers its operands into
+  ``(R, E)`` arrays, runs the skeleton once — elementwise arithmetic
+  mirroring the scalar ``_correlated_transition`` clamp for clamp — and
+  scatters its ``R`` results with one fancy assignment, so the kernel's
+  dispatch cost scales with the group count, not the row count.
 
 :class:`~repro.reliability.single_pass.SinglePassAnalyzer` dispatches to
 one of the two kernels in **all** modes, keeping the scalar engine as a
@@ -743,153 +749,170 @@ _validated_specs = validate_sweep_specs
 
 
 @dataclass
-class _CorrGateProgram:
-    """One gate whose transition math references nontrivial coefficient rows.
+class _CorrGroup:
+    """Same-shape correlated programs of one level and wave, run as one op.
 
-    ``vprogs`` holds one ``(weight, b, fetch, perts)`` tuple per active
-    error-free input vector, in ascending-vector order (the scalar
+    A member is either a correlation-corrected gate (it writes its node's
+    ``p01``/``p10`` state) or the Fig. 4 expansion of one coefficient row
+    (it writes that row of ``C``).  Members share ``shape`` — the lowered
+    op skeleton — and differ only in the operands it names, so the kernel
+    gathers every member's operands into ``(R, E)`` arrays and runs the
+    skeleton once for all ``R`` members.
+
+    ``shape`` is ``("gate", has0, has1, vprogs)`` or
+    ``("expand", ea, has_side, vprogs)``, where ``has*`` records a nonzero
+    side weight total and ``vprogs`` holds one ``(b, fetch, perts)`` per
+    active error-free input vector, in ascending-vector order (the scalar
     accumulation order):
 
-    * ``fetch`` — ``(position, fanin_slot, is10)`` state reads;
-    * ``perts`` — ``(flip_ops, pair_rows, nf_ops)`` per output-flipping
-      perturbation: flip positions with their conditioning coefficient row
-      (-1 when none), the capped pairwise rows among the flips, and the
-      non-flipping positions with their coefficient-row scale chains.
+    * ``fetch`` — ``(position, state operand)`` reads;
+    * ``perts`` — ``(flip_ops, pair_ops, nf_ops)`` per output-flipping
+      perturbation: flip positions with their conditioning row operand
+      (-1 when none), the capped pairwise row operands among the flips,
+      and the non-flipping positions with their row-operand scale chains.
+
+    Coefficient rows equal to the constant 1.0 are dropped from the
+    skeleton (multiplying by an exact 1.0 is the identity, and every cap
+    they could trigger is already implied by the running invariants).
     """
 
-    slot: int
-    eps_row: int
-    k: int
-    w_side0: float
-    w_side1: float
-    vprogs: List[tuple]
+    shape: tuple
+    #: Node slot (gate) or coefficient row (expansion) written, shape (R,).
+    targets: np.ndarray
+    #: Rows into the (gates, E) local-failure matrices, shape (R,).
+    eps_rows: np.ndarray
+    #: State reads as flat indices ``event * nodes + slot`` into the
+    #: ``(2 * nodes, E)`` state, shape (n_s, R); an expansion's last two
+    #: are the marginal of ``a`` and the probability of ``b``.
+    state: np.ndarray
+    #: Coefficient rows read, shape (n_c, R).
+    rows: np.ndarray
+    #: Per-vector weights followed by the side totals (gate: W(0), W(1);
+    #: expansion: W(ea)), shape (n_w, R, 1).
+    weights: np.ndarray
 
 
-@dataclass
-class _ExpandProgram:
-    """One coefficient row: the Fig. 4 expansion of pair ``(a, ea | b, eb)``.
-
-    Mirrors :meth:`ErrorCorrelationEngine._expand` elementwise: run the
-    conditioned transition programs of the side-``ea`` input vectors of
-    ``a``'s gate, fold in the local failure channel, divide by ``a``'s
-    marginal and apply the feasibility/overflow caps.
-    """
-
-    row: int
-    a_slot: int
-    ea: int
-    b_slot: int
-    eb: int
-    eps_row: int
-    k: int
-    w_side: float
-    vprogs: List[tuple]
-
-
-def _flip_probability(k: int, fetch: tuple, perts: tuple,
-                      p01: np.ndarray, p10: np.ndarray,
-                      C: np.ndarray) -> np.ndarray:
-    """Total output-flip probability of one input vector, shape (E,).
+def _group_flip(fetch: tuple, perts: tuple, S: np.ndarray,
+                Cg: np.ndarray) -> np.ndarray:
+    """Total output-flip probability of one input vector, shape (R, E).
 
     Elementwise replica of the scalar ``_correlated_transition`` summed
     over the vector's perturbations: identical operation order, with
-    ``np.minimum``/``np.maximum`` standing in for the scalar clamps and
-    caps, so the two paths agree to float rounding.  Coefficient rows equal
-    to the constant 1.0 are dropped at plan-build time (multiplying by an
-    exact 1.0 is the identity, and every cap they could trigger is already
-    implied by the running invariants).
+    ``np.minimum`` standing in for the scalar clamps and caps, so the two
+    paths agree to float rounding.  ``S`` / ``Cg`` are the group's
+    gathered state and coefficient operands, shape (n, R, E).
     """
-    p = [None] * k
-    for t, slot, is10 in fetch:
-        p[t] = p10[slot] if is10 else p01[slot]
+    p = {t: S[s] for t, s in fetch}
     total = None
-    for flip_ops, pair_rows, nf_ops in perts:
+    for flip_ops, pair_ops, nf_ops in perts:
         term = None
-        if pair_rows:
+        if pair_ops:
             min_flip = None
-            for t, cr in flip_ops:
+            for t, c in flip_ops:
                 pt = p[t]
-                if cr >= 0:
-                    pt = np.minimum(pt * C[cr], 1.0)
+                if c >= 0:
+                    pt = np.minimum(pt * Cg[c], 1.0)
                 if term is None:
                     term = pt
                     min_flip = pt
                 else:
                     term = term * pt
                     min_flip = np.minimum(min_flip, pt)
-            for r in pair_rows:
-                term = np.minimum(term * C[r], 1e12)
+            for c in pair_ops:
+                term = np.minimum(term * Cg[c], 1e12)
             # Feasibility: the joint of all flips cannot exceed any single
             # flip probability (same cap as the scalar pass).
             term = np.minimum(term, min_flip)
         else:
-            for t, cr in flip_ops:
+            for t, c in flip_ops:
                 pt = p[t]
-                if cr >= 0:
-                    pt = np.minimum(pt * C[cr], 1.0)
+                if c >= 0:
+                    pt = np.minimum(pt * Cg[c], 1.0)
                 term = pt if term is None else term * pt
-        for t, rows in nf_ops:
+        for t, cs in nf_ops:
             pt = p[t]
-            if rows:
-                scale = C[rows[0]]
-                for r in rows[1:]:
-                    scale = np.minimum(scale * C[r], 1e12)
+            if cs:
+                scale = Cg[cs[0]]
+                for c in cs[1:]:
+                    scale = np.minimum(scale * Cg[c], 1e12)
                 pt = np.minimum(pt * scale, 1.0)
             term = term * (1.0 - pt)
         total = term if total is None else total + term
     return total
 
 
-def _eval_corr_gate(gp: _CorrGateProgram, p01: np.ndarray, p10: np.ndarray,
-                    C: np.ndarray, e01g: np.ndarray,
-                    e10g: np.ndarray) -> None:
-    """Propagate one correlated gate over the eps axis (state update)."""
-    pw0 = None
-    pw1 = None
-    for wv, b, fetch, perts in gp.vprogs:
-        contrib = wv * np.minimum(
-            1.0, _flip_probability(gp.k, fetch, perts, p01, p10, C))
-        if b:
-            pw1 = contrib if pw1 is None else pw1 + contrib
+def _eval_corr_group(g: _CorrGroup, P: np.ndarray, C: np.ndarray,
+                     e01: np.ndarray, e10: np.ndarray) -> None:
+    """Run one group's skeleton over all its members and scatter results.
+
+    ``P`` is the ``(2, nodes, E)`` state (``P[0]`` = p01, ``P[1]`` =
+    p10).  Members never read each other's outputs (the schedule puts
+    dependent rows in later waves) and no op reduces across members or
+    eps columns, so each element sees the scalar op sequence.  Members are
+    chunked so the gathered operands stay under ``_CHUNK_ELEMENTS``.
+    """
+    n_eps = P.shape[-1]
+    flat = P.reshape(-1, n_eps)
+    kind, flag_a, flag_b, vprogs = g.shape
+    n_members = g.targets.shape[0]
+    step = max(1, _CHUNK_ELEMENTS
+               // max(1, (g.state.shape[0] + g.rows.shape[0]) * n_eps))
+    for start in range(0, n_members, step):
+        sl = slice(start, start + step)
+        S = flat[g.state[:, sl]]                # (n_s, R, E)
+        Cg = C[g.rows[:, sl]]                   # (n_c, R, E)
+        W = g.weights[:, sl]                    # (n_w, R, 1)
+        e01g = e01[g.eps_rows[sl]]
+        e10g = e10[g.eps_rows[sl]]
+        targets = g.targets[sl]
+        pw = [None, None]
+        for i, (b, fetch, perts) in enumerate(vprogs):
+            contrib = W[i] * np.minimum(1.0, _group_flip(fetch, perts, S, Cg))
+            pw[b] = contrib if pw[b] is None else pw[b] + contrib
+        if kind == "gate":
+            if pw[0] is not None and flag_a:
+                r0 = np.minimum(pw[0] / W[-2], 1.0)
+                P[0][targets] = r0 * (1.0 - e10g) + (1.0 - r0) * e01g
+            else:
+                P[0][targets] = e01g
+            if pw[1] is not None and flag_b:
+                r1 = np.minimum(pw[1] / W[-1], 1.0)
+                P[1][targets] = r1 * (1.0 - e01g) + (1.0 - r1) * e10g
+            else:
+                P[1][targets] = e10g
+            continue
+        ea = flag_a
+        local = e01g if ea == 0 else e10g
+        if pw[ea] is not None and flag_b:
+            r = np.minimum(pw[ea] / W[-1], 1.0)
+            conditional = local + r * ((1.0 - e01g) - e10g)
+            conditional = np.minimum(np.maximum(conditional, 0.0), 1.0)
         else:
-            pw0 = contrib if pw0 is None else pw0 + contrib
-    if pw0 is not None and gp.w_side0 > 0.0:
-        r0 = np.minimum(pw0 / gp.w_side0, 1.0)
-        p01[gp.slot] = r0 * (1.0 - e10g) + (1.0 - r0) * e01g
-    else:
-        p01[gp.slot] = e01g
-    if pw1 is not None and gp.w_side1 > 0.0:
-        r1 = np.minimum(pw1 / gp.w_side1, 1.0)
-        p10[gp.slot] = r1 * (1.0 - e01g) + (1.0 - r1) * e10g
-    else:
-        p10[gp.slot] = e10g
+            conditional = local
+        marginal = S[-2]
+        p_b = S[-1]
+        # Degenerate lanes (zero/denormal marginals) read 1.0 exactly as the
+        # scalar engine's early returns; `where` keeps their divisions safe.
+        valid = (marginal > 1e-300) & (p_b > 0.0)
+        coef = conditional / np.where(valid, marginal, 1.0)
+        cap = 1.0 / np.where(valid, np.maximum(marginal, p_b), 1.0)
+        coef = np.minimum(coef, cap)
+        coef = np.maximum(0.0, np.minimum(coef, 1e9))
+        C[targets] = np.where(valid, coef, 1.0)
 
 
-def _eval_expand(xp: _ExpandProgram, p01: np.ndarray, p10: np.ndarray,
-                 C: np.ndarray, e01g: np.ndarray, e10g: np.ndarray) -> None:
-    """Fill one expansion coefficient row for every eps point."""
-    pw = None
-    for wv, fetch, perts in xp.vprogs:
-        contrib = wv * np.minimum(
-            1.0, _flip_probability(xp.k, fetch, perts, p01, p10, C))
-        pw = contrib if pw is None else pw + contrib
-    local = e01g if xp.ea == 0 else e10g
-    if pw is not None and xp.w_side > 0.0:
-        r = np.minimum(pw / xp.w_side, 1.0)
-        conditional = local + r * ((1.0 - e01g) - e10g)
-        conditional = np.minimum(np.maximum(conditional, 0.0), 1.0)
-    else:
-        conditional = local
-    marginal = (p01 if xp.ea == 0 else p10)[xp.a_slot]
-    p_b = (p01 if xp.eb == 0 else p10)[xp.b_slot]
-    # Degenerate lanes (zero/denormal marginals) read 1.0 exactly as the
-    # scalar engine's early returns; `where` keeps their divisions safe.
-    valid = (marginal > 1e-300) & (p_b > 0.0)
-    coef = conditional / np.where(valid, marginal, 1.0)
-    cap = 1.0 / np.where(valid, np.maximum(marginal, p_b), 1.0)
-    coef = np.minimum(coef, cap)
-    coef = np.maximum(0.0, np.minimum(coef, 1e9))
-    C[xp.row] = np.where(valid, coef, 1.0)
+def _group_arrays(shape: tuple, members: List[tuple]) -> _CorrGroup:
+    """Stack ``(target, eps_row, state, rows, weights)`` members."""
+    targets, eps_rows, state, rows, weights = zip(*members)
+    return _CorrGroup(
+        shape=shape,
+        targets=np.asarray(targets, dtype=np.intp),
+        eps_rows=np.asarray(eps_rows, dtype=np.intp),
+        state=np.ascontiguousarray(np.asarray(state, dtype=np.intp).T),
+        rows=np.ascontiguousarray(np.asarray(rows, dtype=np.intp).T),
+        weights=np.ascontiguousarray(
+            np.asarray(weights, dtype=np.float64).T[:, :, None]),
+    )
 
 
 class CompiledCorrelatedPass:
@@ -941,6 +964,8 @@ class CompiledCorrelatedPass:
                             circuit=circuit.name)
             obs_metrics.set_gauge("compiled_pass.coefficient_rows",
                                   self.n_rows, circuit=circuit.name)
+            obs_metrics.set_gauge("compiled_pass.correlated_groups",
+                                  self.num_corr_groups, circuit=circuit.name)
 
     # -- plan construction ---------------------------------------------
     def _compile(self, input_errors, max_arity, cache_dir,
@@ -996,9 +1021,11 @@ class CompiledCorrelatedPass:
                 self._pending.append((self.n_rows, key))
                 self.n_rows += 1
 
+        st = self.structure
+        # Corrected-gate group members, keyed (level, shape).
+        gate_members: Dict[tuple, List[tuple]] = {}
         try:
             plain_gates: List[str] = []
-            corr_progs: List[Tuple[int, _CorrGateProgram]] = []
             for gate in gates:
                 node = circuit.node(gate)
                 if node.arity > max_arity:
@@ -1008,12 +1035,18 @@ class CompiledCorrelatedPass:
                 prog = self._gate_program(gate, node)
                 if prog is None:
                     plain_gates.append(gate)
-                else:
-                    corr_progs.append((circuit.level(gate), prog))
-            expand_progs: List[_ExpandProgram] = []
+                    continue
+                shape, state, rows, wts = prog
+                gate_members.setdefault((st.level[gate], shape), []).append(
+                    (self.index[gate], self._gate_row[gate], state, rows,
+                     wts))
+            expansions: List[tuple] = []
             while self._pending:
                 row, (a, ea, b, eb) = self._pending.popleft()
-                expand_progs.append(self._expand_program(row, a, ea, b, eb))
+                expansions.append((self.index[a], max(st.level[a],
+                                                      st.level[b]),
+                                   row, self._gate_row[a],
+                                   self._expand_program(a, ea, b, eb)))
         except CompiledPassUnsupported:
             if cache_dir is not None and cached_plan is None:
                 store_correlation_plan(cache_dir, circuit,
@@ -1027,44 +1060,61 @@ class CompiledCorrelatedPass:
                        for (a, ea, b, eb) in sorted(self._row_index)])
 
         # -- level schedule --------------------------------------------
-        # Per level: plain groups, then correlated gates (state of level L
-        # is final after these), then same-wire rows (state reads only),
-        # then expansion rows sorted child-before-parent (a child pair's
-        # canonical later wire is strictly topologically earlier).
-        st = self.structure
+        # Per level: plain groups, then corrected-gate groups (state of
+        # level L is final after these), then the level's same-wire rows
+        # as one batch (state reads only), then the expansion waves.  An
+        # expansion row reads rows of lower levels, or rows of its own
+        # level whose canonical later wire is strictly topologically
+        # earlier; visiting rows in that wire order gives each row its
+        # wave (one past the deepest same-level row it reads) in one pass.
+        n_nodes = len(order)
         plain_levels = _lower_plain_groups(
             circuit, self.weights, self.index, self._gate_row,
             plain_gates, max_arity)
-        corr_by_level: Dict[int, List[_CorrGateProgram]] = {}
-        for level, prog in corr_progs:
-            corr_by_level.setdefault(level, []).append(prog)
-        same_by_level: Dict[int, List[Tuple[int, int, int, int]]] = {}
+        gate_groups: Dict[int, List[_CorrGroup]] = {}
+        for (lv, shape), members in gate_members.items():
+            gate_groups.setdefault(lv, []).append(
+                _group_arrays(shape, members))
+        same_by_level: Dict[int, Tuple[List[int], List[int]]] = {}
         for row, slot, ev, wire in self._same_rows:
-            same_by_level.setdefault(st.level[wire], []).append(
-                (row, slot, ev, st.topo_pos[wire]))
-        for rows in same_by_level.values():
-            rows.sort(key=lambda r: (r[3], r[2]))
-        expand_by_level: Dict[int, List[tuple]] = {}
-        for xp in expand_progs:
-            a = self.node_names[xp.a_slot]
-            b = self.node_names[xp.b_slot]
-            lv = max(st.level[a], st.level[b])
-            expand_by_level.setdefault(lv, []).append(
-                (st.topo_pos[a], xp.ea, st.topo_pos[b], xp.eb, xp))
-        for items in expand_by_level.values():
-            items.sort(key=lambda it: it[:4])
+            rows, flat = same_by_level.setdefault(st.level[wire], ([], []))
+            rows.append(row)
+            flat.append(ev * n_nodes + slot)
+        expand_members: Dict[tuple, List[tuple]] = {}
+        wave_of: Dict[int, Tuple[int, int]] = {}
+        expansions.sort(key=lambda x: x[0])
+        for _, lv, row, eps_row, (shape, state, rows, wts) in expansions:
+            wave = 0
+            for r in rows:
+                seen = wave_of.get(r)
+                if seen is not None and seen[0] == lv and seen[1] >= wave:
+                    wave = seen[1] + 1
+            wave_of[row] = (lv, wave)
+            expand_members.setdefault((lv, wave, shape), []).append(
+                (row, eps_row, state, rows, wts))
+        waves: Dict[int, List[List[_CorrGroup]]] = {}
+        for (lv, wave, shape), members in expand_members.items():
+            level_waves = waves.setdefault(lv, [])
+            while len(level_waves) <= wave:
+                level_waves.append([])
+            level_waves[wave].append(_group_arrays(shape, members))
         self._schedule: List[tuple] = []
-        for lv in sorted(set(plain_levels) | set(corr_by_level)
-                         | set(same_by_level) | set(expand_by_level)):
+        for lv in sorted(set(plain_levels) | set(gate_groups)
+                         | set(same_by_level) | set(waves)):
+            same = same_by_level.get(lv)
             self._schedule.append((
                 tuple(plain_levels.get(lv, ())),
-                tuple(corr_by_level.get(lv, ())),
-                tuple((r, s, e) for r, s, e, _ in same_by_level.get(lv, ())),
-                tuple(it[4] for it in expand_by_level.get(lv, ())),
+                tuple(gate_groups.get(lv, ())),
+                None if same is None else (np.asarray(same[0], dtype=np.intp),
+                                           np.asarray(same[1], dtype=np.intp)),
+                tuple(tuple(groups) for groups in waves.get(lv, ())),
             ))
+        #: Batched correlated ops per sweep: corrected-gate groups,
+        #: same-wire level batches and expansion groups.
+        self.num_corr_groups = (sum(map(len, gate_groups.values()))
+                                + len(same_by_level) + len(expand_members))
 
         self.n_pair_rows = len(self._row_index)
-        self.num_corr_gates = len(corr_progs)
         items = sorted(self._row_index.items())
         #: Canonical pair keys, sorted by wire ids (the deterministic
         #: iteration contract of ErrorCorrelationEngine.coefficient_items).
@@ -1133,90 +1183,118 @@ class CompiledCorrelatedPass:
         return active, errfree
 
     def _vector_program(self, fanins, events, perts,
-                        cond: Optional[Tuple[str, int]]):
-        """Lower one input vector's perturbations to row-indexed programs.
+                        cond: Optional[Tuple[str, int]],
+                        state: List[int], rows: List[int]):
+        """Lower one input vector's perturbations onto operand lists.
 
-        Returns ``(fetch, pert_progs, nontrivial)`` where ``nontrivial``
-        reports whether any referenced coefficient row differs from the
-        constant 1.0 (a gate whose vectors are all trivial runs on the
-        batched independence kernel instead).
+        Appends the vector's state reads to ``state`` (flat ``event *
+        nodes + slot`` indices) and its coefficient-row reads to ``rows``,
+        and returns ``(fetch, pert_progs)`` naming them by list position
+        (see :class:`_CorrGroup`).  Operands are numbered by fanin
+        position, never by row value, so two vectors with the same
+        lowering and the same constant-1.0 pattern get the same skeleton.
+        A row read is kept iff it differs from the constant 1.0 row, so a
+        gate whose vectors leave ``rows`` empty runs on the batched
+        independence kernel instead.
         """
         pair_memo: Dict[Tuple[int, int], int] = {}
 
+        def operand(r: int) -> int:
+            if r == ROW_ONE:
+                return -1
+            rows.append(r)
+            return len(rows) - 1
+
         def prow(i: int, j: int) -> int:
             pkey = (i, j) if i < j else (j, i)
-            r = pair_memo.get(pkey)
-            if r is None:
-                r = self._row_of(fanins[pkey[0]], events[pkey[0]],
-                                 fanins[pkey[1]], events[pkey[1]])
-                pair_memo[pkey] = r
-            return r
+            c = pair_memo.get(pkey)
+            if c is None:
+                c = operand(self._row_of(fanins[pkey[0]], events[pkey[0]],
+                                         fanins[pkey[1]], events[pkey[1]]))
+                pair_memo[pkey] = c
+            return c
 
         cond_memo: Dict[int, int] = {}
 
         def crow(t: int) -> int:
-            r = cond_memo.get(t)
-            if r is None:
-                r = self._row_of(fanins[t], events[t], cond[0], cond[1])
-                cond_memo[t] = r
-            return r
+            c = cond_memo.get(t)
+            if c is None:
+                c = operand(self._row_of(fanins[t], events[t],
+                                         cond[0], cond[1]))
+                cond_memo[t] = c
+            return c
 
         pert_progs = []
         positions = set()
         for flips, nonflips in perts:
             flip_ops = []
             for t in flips:
-                cr = -1
-                if cond is not None:
-                    c = crow(t)
-                    if c != ROW_ONE:
-                        cr = c
-                flip_ops.append((t, cr))
+                flip_ops.append((t, -1 if cond is None else crow(t)))
                 positions.add(t)
-            pair_rows = []
+            pair_ops = []
             n = len(flips)
             for ai in range(n):
                 for bi in range(ai + 1, n):
-                    r = prow(flips[ai], flips[bi])
-                    if r != ROW_ONE:
-                        pair_rows.append(r)
+                    c = prow(flips[ai], flips[bi])
+                    if c >= 0:
+                        pair_ops.append(c)
             nf_ops = []
             for t in nonflips:
-                rows = []
+                chain = []
                 if cond is not None:
                     c = crow(t)
-                    if c != ROW_ONE:
-                        rows.append(c)
+                    if c >= 0:
+                        chain.append(c)
                 for u in flips:
-                    r = prow(t, u)
-                    if r != ROW_ONE:
-                        rows.append(r)
-                nf_ops.append((t, tuple(rows)))
+                    c = prow(t, u)
+                    if c >= 0:
+                        chain.append(c)
+                nf_ops.append((t, tuple(chain)))
                 positions.add(t)
-            pert_progs.append((tuple(flip_ops), tuple(pair_rows),
+            pert_progs.append((tuple(flip_ops), tuple(pair_ops),
                                tuple(nf_ops)))
-        nontrivial = (any(r != ROW_ONE for r in pair_memo.values())
-                      or any(r != ROW_ONE for r in cond_memo.values()))
-        fetch = tuple((t, self.index[fanins[t]], events[t] == EVENT_1TO0)
-                      for t in sorted(positions))
-        return fetch, tuple(pert_progs), nontrivial
+        n_nodes = len(self.node_names)
+        fetch = []
+        for t in sorted(positions):
+            fetch.append((t, len(state)))
+            state.append((n_nodes if events[t] == EVENT_1TO0 else 0)
+                         + self.index[fanins[t]])
+        return tuple(fetch), tuple(pert_progs)
 
-    def _gate_program(self, gate: str, node) -> Optional[_CorrGateProgram]:
-        """Lower one gate's correlated transition; None when vacuous."""
-        k = node.arity
-        truth = truth_table(node.gate_type, k)
-        w = [float(x) for x in self.weights.weights[gate]]
+    def _lower_vectors(self, node, w, side: Optional[int],
+                       cond: Optional[Tuple[str, int]]):
+        """Lower the active vectors of one gate instance (only those with
+        error-free output ``side`` when given).
+
+        Returns ``(vprogs, state, rows, weights)``: the skeleton entries
+        of :class:`_CorrGroup` and the operand lists they index.
+        """
+        truth = truth_table(node.gate_type, node.arity)
         active, errfree = self._instance_masks(node, w)
-        lowered = correlated_transition_lowering(truth, k, active, errfree)
-        nontrivial = False
+        lowered = correlated_transition_lowering(truth, node.arity, active,
+                                                 errfree)
+        state: List[int] = []
+        rows: List[int] = []
         vprogs = []
+        weights = []
         for v, b, events, perts in lowered:
-            fetch, pert_progs, used = self._vector_program(
-                node.fanins, events, perts, cond=None)
-            nontrivial = nontrivial or used
-            vprogs.append((w[v], b, fetch, pert_progs))
-        if not nontrivial:
+            if side is not None and b != side:
+                continue
+            fetch, pert_progs = self._vector_program(
+                node.fanins, events, perts, cond, state, rows)
+            vprogs.append((b, fetch, pert_progs))
+            weights.append(w[v])
+        return tuple(vprogs), state, rows, weights
+
+    def _gate_program(self, gate: str, node) -> Optional[tuple]:
+        """Lower one gate's correlated transition to ``(shape, state, rows,
+        weights)``; None when it references no nontrivial row."""
+        w = [float(x) for x in self.weights.weights[gate]]
+        vprogs, state, rows, weights = self._lower_vectors(node, w, None,
+                                                           None)
+        if not rows:
             return None
+        truth = truth_table(node.gate_type, node.arity)
         w0 = 0.0
         w1 = 0.0
         for v, wv in enumerate(w):
@@ -1224,35 +1302,27 @@ class CompiledCorrelatedPass:
                 w1 += wv
             else:
                 w0 += wv
-        return _CorrGateProgram(slot=self.index[gate],
-                                eps_row=self._gate_row[gate],
-                                k=k, w_side0=w0, w_side1=w1, vprogs=vprogs)
+        weights += [w0, w1]
+        return ("gate", w0 > 0.0, w1 > 0.0, vprogs), state, rows, weights
 
-    def _expand_program(self, row: int, a: str, ea: int,
-                        b: str, eb: int) -> _ExpandProgram:
-        """Lower one coefficient row's Fig. 4 expansion program."""
+    def _expand_program(self, a: str, ea: int, b: str, eb: int) -> tuple:
+        """Lower coefficient row ``(a, ea | b, eb)``'s Fig. 4 expansion to
+        ``(shape, state, rows, weights)``: the conditioned transition
+        programs of the side-``ea`` input vectors of ``a``'s gate."""
         node = self.circuit.node(a)
-        k = node.arity
-        truth = truth_table(node.gate_type, k)
+        truth = truth_table(node.gate_type, node.arity)
         w = [float(x) for x in self.weights.weights[a]]
-        active, errfree = self._instance_masks(node, w)
-        lowered = correlated_transition_lowering(truth, k, active, errfree)
         side = 0 if ea == 0 else 1
         w_side = 0.0
         for v, wv in enumerate(w):
             if truth[v] == side:
                 w_side += wv
-        vprogs = []
-        for v, b_out, events, perts in lowered:
-            if b_out != side:
-                continue
-            fetch, pert_progs, _ = self._vector_program(
-                node.fanins, events, perts, cond=(b, eb))
-            vprogs.append((w[v], fetch, pert_progs))
-        return _ExpandProgram(row=row, a_slot=self.index[a], ea=ea,
-                              b_slot=self.index[b], eb=eb,
-                              eps_row=self._gate_row[a], k=k,
-                              w_side=w_side, vprogs=vprogs)
+        vprogs, state, rows, weights = self._lower_vectors(node, w, side,
+                                                           (b, eb))
+        n_nodes = len(self.node_names)
+        state += [ea * n_nodes + self.index[a], eb * n_nodes + self.index[b]]
+        weights.append(w_side)
+        return ("expand", side, w_side > 0.0, vprogs), state, rows, weights
 
     # -- execution ------------------------------------------------------
     def run(self, eps: EpsilonSpec,
@@ -1269,36 +1339,45 @@ class CompiledCorrelatedPass:
         n_nodes = len(self.node_names)
         n_points = len(specs)
         with trace_span("compiled_pass.run_sweep_correlated",
-                        circuit=self.circuit.name, points=n_points):
-            e01 = _eps_matrix(self.gate_names, specs)
+                        circuit=self.circuit.name, points=n_points,
+                        groups=self.num_corr_groups):
+            # A 1-point sweep runs as two identical columns: einsum sums a
+            # size-1 trailing axis in another order, and column j of any
+            # sweep must equal the 1-point run at its eps exactly.
+            width = max(n_points, 2)
+            e01 = _eps_matrix(self.gate_names, specs * (width // n_points))
             e10 = (e01 if eps10_list is None
-                   else _eps_matrix(self.gate_names, eps10_list))
-            p01 = np.zeros((n_nodes, n_points), dtype=np.float64)
-            p10 = np.zeros((n_nodes, n_points), dtype=np.float64)
+                   else _eps_matrix(self.gate_names,
+                                    eps10_list * (width // n_points)))
+            P = np.zeros((2, n_nodes, width), dtype=np.float64)
+            p01, p10 = P
+            flat = P.reshape(2 * n_nodes, width)
             for slot, ep in self.input_error_rows:
                 p01[slot] = ep.p01
                 p10[slot] = ep.p10
-            C = np.empty((self.n_rows, n_points), dtype=np.float64)
+            C = np.empty((self.n_rows, width), dtype=np.float64)
             C[ROW_ONE] = 1.0
             C[ROW_ZERO] = 0.0
-            for plain_groups, corr_gates, same_rows, expand_rows \
-                    in self._schedule:
+            for plain_groups, gate_groups, same, waves in self._schedule:
                 for group in plain_groups:
                     _eval_group(group, p01, p10,
                                 e01[group.eps_rows], e10[group.eps_rows])
-                for gp in corr_gates:
-                    _eval_corr_gate(gp, p01, p10, C,
-                                    e01[gp.eps_row], e10[gp.eps_row])
-                for row, slot, ev in same_rows:
-                    pval = (p01 if ev == 0 else p10)[slot]
+                for g in gate_groups:
+                    _eval_corr_group(g, P, C, e01, e10)
+                if same is not None:
+                    rows, state = same
+                    pval = flat[state]
                     big = pval > 1e-9
-                    C[row] = np.where(
+                    C[rows] = np.where(
                         big,
                         np.minimum(1.0 / np.where(big, pval, 1.0), 1e9),
                         np.where(pval > 0.0, 1e9, 1.0))
-                for xp in expand_rows:
-                    _eval_expand(xp, p01, p10, C,
-                                 e01[xp.eps_row], e10[xp.eps_row])
+                for wave in waves:
+                    for g in wave:
+                        _eval_corr_group(g, P, C, e01, e10)
+            if width != n_points:
+                p01, p10 = P[:, :, :n_points].copy()
+                C = C[:, :n_points]
             per_output = ((1.0 - self.output_prob1)[:, None]
                           * p01[self.output_slots]
                           + self.output_prob1[:, None]

@@ -3,6 +3,15 @@
 import pytest
 
 from repro.circuit import Circuit, CircuitBuilder, GateType
+from repro.obs import logging as obs_logging
+
+
+@pytest.fixture(autouse=True)
+def _detach_repro_logging():
+    """Undo any ``-v`` logging set-up a test made, so a later test's serve
+    thread never logs through it."""
+    yield
+    obs_logging.reset()
 
 
 @pytest.fixture

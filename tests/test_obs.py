@@ -1,13 +1,16 @@
 """Tests for the observability subsystem (repro.obs)."""
 
+import io
 import json
 import logging
+import sys
 import threading
 
 import pytest
 
 from repro import obs
 from repro.circuits import c17
+from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
 from repro.obs import runlog as obs_runlog
 from repro.obs import trace as obs_trace
@@ -462,6 +465,30 @@ class TestLogging:
         assert root2 is root
         assert len(root.handlers) == n_handlers
         assert root.level == logging.DEBUG
+
+    def test_thread_logging_after_capture_stream_closed(self, monkeypatch,
+                                                        capsys):
+        """A handler installed under a since-closed stderr must not raise
+        "Logging error" when a (serve) thread logs later."""
+        captured = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", captured)
+        obs.configure_logging(1)
+        monkeypatch.undo()
+        captured.close()
+        worker = threading.Thread(target=get_logger("engine.serve").info,
+                                  args=("late serve-thread record",))
+        worker.start()
+        worker.join()
+        err = capsys.readouterr().err
+        assert "Logging error" not in err
+        assert "late serve-thread record" in err
+
+    def test_reset_detaches_handler(self):
+        root = obs.configure_logging(1)
+        n_handlers = len(root.handlers)
+        obs_logging.reset()
+        assert len(root.handlers) == n_handlers - 1
+        assert root.level == logging.NOTSET
 
 
 class TestRunlog:
