@@ -220,8 +220,7 @@ def _analyze_steady_state(args: argparse.Namespace, seq) -> int:
         weight_method=args.weights, seed=args.seed,
         max_correlation_level_gap=args.level_gap,
         compiled=args.compiled,
-        weights_cache_dir=args.weights_cache,
-        backend=None if args.backend == "auto" else args.backend)
+        weights_cache_dir=args.weights_cache)
     points = []
     for eps in _eps_list(args.eps):
         t0 = time.perf_counter()
@@ -272,7 +271,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             max_correlation_level_gap=args.level_gap,
             compiled=args.compiled,
             weights_cache_dir=args.weights_cache,
-            backend=None if args.backend == "auto" else args.backend,
             frames=args.frames, outputs=outputs)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
@@ -376,8 +374,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         circuit, seed=args.seed,
         max_correlation_level_gap=args.level_gap,
         compiled=args.compiled,
-        weights_cache_dir=args.weights_cache,
-        backend=None if args.backend == "auto" else args.backend)
+        weights_cache_dir=args.weights_cache)
     eps_values = [args.max_eps * i / (args.points - 1)
                   for i in range(args.points)]
     if analyzer.uses_compiled and args.jobs > 1:
@@ -513,11 +510,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 def _make_engine(args: argparse.Namespace) -> "AnalysisEngine":
     from .engine import AnalysisEngine
-    if getattr(args, "backend", "auto") != "auto":
-        # Process-wide: every session's kernels (and the cross-circuit
-        # tensor batches) resolve through this default.
-        from .backend import set_default_backend
-        set_default_backend(args.backend)
     state_dir = getattr(args, "state_dir", None)
     # A state directory doubles as the warm artifact store: unless the
     # weight cache is pointed elsewhere, replicas sharing one --state-dir
@@ -850,14 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(keyed by circuit structure + estimator "
                             "parameters)")
 
-    def add_backend(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--backend", default="auto",
-                       choices=["auto", "numpy", "cupy", "torch"],
-                       help="array backend for the vectorized independence "
-                            "kernel ('auto' follows REPRO_ARRAY_BACKEND, "
-                            "else numpy); an absent library falls back to "
-                            "numpy with a warning")
-
     p = sub.add_parser("analyze", help="single-pass reliability analysis")
     add_common(p)
     p.add_argument("--eps", default="0.05",
@@ -887,7 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_compiled(p)
     add_jobs(p)
     add_weights_cache(p)
-    add_backend(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("mc", help="Monte Carlo fault-injection baseline")
@@ -912,7 +895,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_compiled(p)
     add_jobs(p)
     add_weights_cache(p)
-    add_backend(p)
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("testability",
@@ -983,7 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "doubles as the weight cache when "
                             "--weights-cache is unset")
         add_weights_cache(p)
-        add_backend(p)
         add_obs(p)
 
     p = sub.add_parser("serve",

@@ -18,6 +18,7 @@ warms back up from disk instead of re-estimating.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -104,6 +105,27 @@ def resolve_analysis_circuit(ref: CircuitRef,
     return resolved
 
 
+#: Integer session options and their smallest accepted value (``None``
+#: means any integer).  A negative level gap or pair budget would
+#: silently drop every correlation pair instead of failing the request.
+_INT_MINIMUM: Dict[str, Optional[int]] = {
+    "n_patterns": 1,
+    "seed": None,
+    "max_correlation_pairs": 0,
+    "max_correlation_level_gap": 0,
+}
+
+
+def _checked_int(key: str, value: Any, minimum: Optional[int]) -> int:
+    """``value`` as an int, or a :class:`ValueError` naming option ``key``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{key} must be >= {minimum}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     """The eps-independent knobs that key a session.
@@ -122,9 +144,6 @@ class SessionConfig:
     max_correlation_level_gap: Optional[int] = None
     compiled: str = "auto"
     weights_cache_dir: Optional[str] = None
-    #: Array-backend name for the independence kernel (``None``/"auto"
-    #: follows the process default — see :func:`repro.backend.get_backend`).
-    backend: Optional[str] = None
     #: Time-frame count for sequential circuits (None = combinational).
     #: Part of the session key: ``(circuit, frames)`` pairs get distinct
     #: sessions, since the unrolled netlists differ structurally.
@@ -138,8 +157,7 @@ class SessionConfig:
     #: Option names :meth:`from_options` understands (plus aliases).
     FIELDS = ("weight_method", "n_patterns", "seed", "input_probs",
               "max_correlation_pairs", "max_correlation_level_gap",
-              "compiled", "weights_cache_dir", "backend", "frames",
-              "outputs")
+              "compiled", "weights_cache_dir", "frames", "outputs")
 
     @classmethod
     def from_options(cls, options: Mapping[str, Any]) -> "SessionConfig":
@@ -149,7 +167,8 @@ class SessionConfig:
         aliases ``weights`` (→ ``weight_method``) and ``level_gap``
         (→ ``max_correlation_level_gap``).  Unknown keys raise
         :class:`ValueError` so typos in request files surface instead of
-        silently running with defaults.
+        silently running with defaults, and so do non-integer or
+        out-of-range integer options.
         """
         aliases = {"weights": "weight_method",
                    "level_gap": "max_correlation_level_gap"}
@@ -164,6 +183,8 @@ class SessionConfig:
                 value = int(value)
                 if value < 1:
                     raise ValueError(f"frames must be >= 1, got {value}")
+            if name in _INT_MINIMUM and value is not None:
+                value = _checked_int(key, value, _INT_MINIMUM[name])
             if name == "outputs" and value is not None:
                 if isinstance(value, str):
                     value = [value]
@@ -185,7 +206,6 @@ class SessionConfig:
             "max_correlation_level_gap": self.max_correlation_level_gap,
             "compiled": self.compiled,
             "weights_cache_dir": self.weights_cache_dir,
-            "backend": self.backend,
             "frames": self.frames,
             "outputs": list(self.outputs) if self.outputs else None,
         }

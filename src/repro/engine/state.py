@@ -148,8 +148,12 @@ def load_engine_state(engine, state_dir: str) -> Dict[str, Any]:
                     raise ValueError("state entry missing or corrupt")
                 ws_manifest, arrays = loaded
                 workspace = CircuitWorkspace.from_state(ws_manifest, arrays)
-                config = SessionConfig.from_options(entry.get("config")
-                                                    or {})
+                options = dict(entry.get("config") or {})
+                # Manifests written before the array-backend option was
+                # removed carry ``"backend": null``; drop it so those
+                # sessions still restore.
+                options.pop("backend", None)
+                config = SessionConfig.from_options(options)
                 session = CircuitSession(workspace.circuit, config)
                 session.adopt_workspace(workspace)
                 engine._edit_sessions[name] = session

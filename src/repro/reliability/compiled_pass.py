@@ -391,23 +391,17 @@ class CompiledSinglePass:
         lowering materializes every float array in this dtype and the
         kernel allocates its accumulators from it, so a ``float32`` plan
         runs the whole sweep in float32 — no silent float64 up-cast.
-    backend:
-        Array-backend name resolved through :func:`repro.backend.
-        get_backend` at sweep time (``None``/"auto" follows the process
-        default / ``REPRO_ARRAY_BACKEND``; numpy when unset).
     """
 
     def __init__(self, circuit: Circuit,
                  weights: WeightData,
                  input_errors: Optional[Mapping[str, ErrorProbability]] = None,
                  max_arity: int = MAX_COMPILED_ARITY,
-                 dtype: np.dtype = np.float64,
-                 backend: Optional[str] = None):
+                 dtype: np.dtype = np.float64):
         circuit.validate()
         self.circuit = circuit
         self.weights = weights
         self.dtype = np.dtype(dtype)
-        self.backend = backend
         with trace_span("compiled_pass.compile", circuit=circuit.name):
             order = circuit.topological_order()
             self.node_names: List[str] = order
@@ -533,29 +527,19 @@ class CompiledSinglePass:
                                              eps10_specs)
         n_nodes = len(self.node_names)
         n_points = len(specs)
-        from ..backend import get_backend
-        bk = get_backend(self.backend)
         with trace_span("compiled_pass.run_sweep", circuit=self.circuit.name,
-                        points=n_points, backend=bk.name):
+                        points=n_points):
             e01 = self._eps_matrix(specs)
             e10 = e01 if eps10_list is None else self._eps_matrix(eps10_list)
-            if not bk.is_numpy:
-                e01 = bk.asarray(e01)
-                e10 = e01 if eps10_list is None else bk.asarray(e10)
-            p01 = bk.zeros((n_nodes, n_points), dtype=self.dtype)
-            p10 = bk.zeros((n_nodes, n_points), dtype=self.dtype)
+            p01 = np.zeros((n_nodes, n_points), dtype=self.dtype)
+            p10 = np.zeros((n_nodes, n_points), dtype=self.dtype)
             for slot, ep in self.input_error_rows:
                 p01[slot] = ep.p01
                 p10[slot] = ep.p10
             for level_groups in self.levels:
                 for group in level_groups:
-                    rows = (group.eps_rows if bk.is_numpy
-                            else bk.index_array(group.eps_rows))
-                    _eval_group(group, p01, p10, e01[rows], e10[rows], bk)
-            if not bk.is_numpy:
-                bk.synchronize()
-                p01 = bk.to_numpy(p01)
-                p10 = bk.to_numpy(p10)
+                    _eval_group(group, p01, p10,
+                                e01[group.eps_rows], e10[group.eps_rows])
             per_output = ((1.0 - self.output_prob1)[:, None]
                           * p01[self.output_slots]
                           + self.output_prob1[:, None]
@@ -581,27 +565,15 @@ class CompiledSinglePass:
         )
 
 
-def _eval_group(group: _OpGroup, p01, p10, e01, e10, bk=None) -> None:
+def _eval_group(group: _OpGroup, p01: np.ndarray, p10: np.ndarray,
+                e01: np.ndarray, e10: np.ndarray) -> None:
     """Evaluate one (truth, arity) gate batch over the eps axis.
 
     Mutates ``p01`` / ``p10`` in place at ``group.slots`` (with
     ``group.circ`` selecting the leading circuit axis of a tensor-pass
     state).  ``e01`` / ``e10`` are the group's local failure
-    probabilities, shape (m, E).  ``bk`` is a :mod:`repro.backend`
-    instance; ``None`` (and the numpy backend) takes the allocation-free
-    in-place path, other backends a generic path over the same algebra
-    with the group's host arrays mirrored on device per call (zero-copy
-    on CPU backends).
+    probabilities, shape (m, E).
     """
-    if bk is None or bk.is_numpy:
-        _eval_group_numpy(group, p01, p10, e01, e10)
-    else:
-        _eval_group_generic(group, p01, p10, e01, e10, bk)
-
-
-def _eval_group_numpy(group: _OpGroup, p01: np.ndarray, p10: np.ndarray,
-                      e01: np.ndarray, e10: np.ndarray) -> None:
-    """The numpy (default) evaluation of one gate batch."""
     if group.circ is None:
         f01 = p01[group.fanin_slots]        # (m, k, E)
         f10 = p10[group.fanin_slots]
@@ -665,65 +637,6 @@ def _eval_group_numpy(group: _OpGroup, p01: np.ndarray, p10: np.ndarray,
     else:
         p01[group.circ, group.slots] = out01
         p10[group.circ, group.slots] = out10
-
-
-def _eval_group_generic(group: _OpGroup, p01, p10, e01, e10, bk) -> None:
-    """Backend-generic evaluation: same algebra through the bk façade.
-
-    Values match the numpy path to float rounding on any IEEE backend —
-    ``where``-guarded division replaces ``np.divide(..., where=)`` and
-    out-of-place ``minimum``/``clip`` replace the in-place forms, all
-    value-identical rewrites.
-    """
-    dtype = group.w_masked0.dtype
-    fanin_idx = bk.index_array(group.fanin_slots)
-    slot_idx = bk.index_array(group.slots)
-    if group.circ is None:
-        f01 = p01[fanin_idx]                # (m, k, E)
-        f10 = p10[fanin_idx]
-    else:
-        circ_idx = bk.index_array(group.circ)
-        f01 = p01[circ_idx[:, None], fanin_idx]
-        f10 = p10[circ_idx[:, None], fanin_idx]
-    bits = bk.asarray(group.bits)
-    flip_mask = bk.asarray(group.flip_mask)
-    wm0 = bk.asarray(group.w_masked0)
-    wm1 = bk.asarray(group.w_masked1)
-    n_vec = group.bits.shape[0]             # V = 2**k
-    m, k, n_eps = f01.shape
-
-    pw0 = bk.empty((m, n_eps), dtype=dtype)
-    pw1 = bk.empty((m, n_eps), dtype=dtype)
-    rows = max(1, _CHUNK_ELEMENTS // max(1, n_vec * n_vec * n_eps))
-    for start in range(0, m, rows):
-        sl = slice(start, min(m, start + rows))
-        pv = bk.where(bits[:, None, :, None], f10[None, sl], f01[None, sl])
-        r = bk.ones((n_vec, pv.shape[1], 1, n_eps), dtype=dtype)
-        for t in range(k):
-            pt = pv[:, :, t, None, :]
-            r = bk.concatenate((r * (1.0 - pt), r * pt), axis=2)
-        if group.flip_mask.ndim == 3:
-            flip = bk.einsum("vmue,mvu->vme", r, flip_mask[sl])
-        else:
-            flip = bk.einsum("vmue,vu->vme", r, flip_mask)
-        flip = bk.minimum(flip, 1.0)
-        pw0[sl] = bk.einsum("vm,vme->me", wm0[:, sl], flip)
-        pw1[sl] = bk.einsum("vm,vme->me", wm1[:, sl], flip)
-
-    w0 = bk.asarray(group.w_side0)[:, None]
-    w1 = bk.asarray(group.w_side1)[:, None]
-    r0 = bk.where(w0 > 0.0, pw0 / bk.where(w0 > 0.0, w0, 1.0), 0.0)
-    r1 = bk.where(w1 > 0.0, pw1 / bk.where(w1 > 0.0, w1, 1.0), 0.0)
-    r0 = bk.clip(r0, 0.0, 1.0)
-    r1 = bk.clip(r1, 0.0, 1.0)
-    out01 = r0 * (1.0 - e10) + (1.0 - r0) * e01
-    out10 = r1 * (1.0 - e01) + (1.0 - r1) * e10
-    if group.circ is None:
-        p01[slot_idx] = out01
-        p10[slot_idx] = out10
-    else:
-        p01[circ_idx, slot_idx] = out01
-        p10[circ_idx, slot_idx] = out10
 
 
 # ======================================================================

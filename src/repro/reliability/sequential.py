@@ -133,8 +133,7 @@ class SequentialAnalyzer:
                  max_correlation_level_gap: Optional[int] = None,
                  input_probs: Optional[Mapping[str, float]] = None,
                  compiled: str = "auto",
-                 weights_cache_dir: Optional[str] = None,
-                 backend: Optional[str] = None):
+                 weights_cache_dir: Optional[str] = None):
         seq.validate()
         self.seq = seq
         self.use_correlation = use_correlation
@@ -159,8 +158,7 @@ class SequentialAnalyzer:
             max_correlation_level_gap=max_correlation_level_gap,
             input_probs=probs,
             compiled="off" if use_correlation else compiled,
-            weights_cache_dir=weights_cache_dir,
-            backend=backend)
+            weights_cache_dir=weights_cache_dir)
 
     @property
     def core_analyzer(self) -> SinglePassAnalyzer:

@@ -232,11 +232,6 @@ class SinglePassAnalyzer:
         arity, or a correlated pair count beyond
         ``max_correlation_pairs`` (where the scalar engine degrades
         per-query instead of refusing).
-    backend:
-        Array-backend name for the independence kernel (see
-        :func:`repro.backend.get_backend`); ``None``/"auto" follows the
-        process default.  The correlated kernel and the scalar path are
-        numpy-only and ignore it.
     dtype:
         Accumulator precision of the independence kernel (default
         ``float64``; a float32 plan sweeps entirely in float32).
@@ -259,7 +254,6 @@ class SinglePassAnalyzer:
                  input_probs: Optional[Mapping[str, float]] = None,
                  compiled: str = "auto",
                  weights_cache_dir: Optional[str] = None,
-                 backend: Optional[str] = None,
                  dtype: np.dtype = np.float64,
                  frames: Optional[int] = None,
                  outputs: Optional[Sequence[str]] = None):
@@ -292,7 +286,6 @@ class SinglePassAnalyzer:
         self.max_correlation_level_gap = max_correlation_level_gap
         self.compiled = compiled
         self.weights_cache_dir = weights_cache_dir
-        self.backend = backend
         self.dtype = np.dtype(dtype)
         if frames is not None and frames < 1:
             raise ValueError(f"frames must be >= 1, got {frames}")
@@ -323,7 +316,7 @@ class SinglePassAnalyzer:
                     self._plan = CompiledSinglePass(
                         self.circuit, self.weights,
                         input_errors=self.input_errors,
-                        dtype=self.dtype, backend=self.backend)
+                        dtype=self.dtype)
             except CompiledPassUnsupported:
                 self._plan_unsupported = True
                 return None

@@ -35,9 +35,7 @@ Gate-level arithmetic is byte-for-byte the single-circuit kernel's —
 :func:`~repro.reliability.compiled_pass._eval_group` is shared, with the
 circuit column enabling 3-D fancy indexing — so per-circuit results
 match solo sweeps to float rounding (pinned ≤ 1e-10 over the full
-catalog by ``tests/test_tensor_pass.py``).  The kernel runs through the
-:mod:`repro.backend` façade like the single-circuit path, so the same
-merged schedule executes on numpy, CuPy, or torch.
+catalog by ``tests/test_tensor_pass.py``).
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend import get_backend
 from ..obs import metrics as obs_metrics
 from ..obs import trace_span
 from ..spec import EpsilonSpec, validate_sweep_specs
@@ -81,16 +78,12 @@ class TensorBatch:
         correlated kernel's coefficient rows are per-circuit state and
         do not batch).  Order is preserved: result ``i`` of
         :meth:`run_sweep` belongs to ``plans[i]``.
-    backend:
-        Array-backend name (see :func:`repro.backend.get_backend`);
-        ``None``/"auto" follows the process default.
     dtype:
         Override accumulator precision; default requires every plan to
         agree and uses that common dtype.
     """
 
     def __init__(self, plans: Sequence[CompiledSinglePass],
-                 backend: Optional[str] = None,
                  dtype: Optional[np.dtype] = None):
         if not plans:
             raise ValueError("TensorBatch requires at least one plan")
@@ -110,7 +103,6 @@ class TensorBatch:
             dtype = next(iter(dtypes))
         self.dtype = np.dtype(dtype)
         self.plans: List[CompiledSinglePass] = list(plans)
-        self.backend = backend
 
         with trace_span("tensor_pass.merge", circuits=len(self.plans)):
             self._merge()
@@ -248,9 +240,8 @@ class TensorBatch:
         n_eps = max(n_points)
         any_eps10 = any(e10 is not None for _, e10 in validated)
 
-        bk = get_backend(self.backend)
         with trace_span("tensor_pass", circuits=self.n_circuits,
-                        points=n_eps, backend=bk.name,
+                        points=n_eps,
                         pad_waste_rows=self.pad_waste_rows):
             e01 = np.empty((self.n_gate_rows, n_eps), dtype=self.dtype)
             e10 = (np.empty((self.n_gate_rows, n_eps), dtype=self.dtype)
@@ -273,13 +264,10 @@ class TensorBatch:
                     e10[off:end, :n_points[i]] = b10
                     if n_points[i] < n_eps:
                         e10[off:end, n_points[i]:] = b10[:, -1:]
-            if not bk.is_numpy:
-                e01 = bk.asarray(e01)
-                e10 = e01 if not any_eps10 else bk.asarray(e10)
 
-            p01 = bk.zeros((self.n_circuits, self.n_rows, n_eps),
+            p01 = np.zeros((self.n_circuits, self.n_rows, n_eps),
                            dtype=self.dtype)
-            p10 = bk.zeros((self.n_circuits, self.n_rows, n_eps),
+            p10 = np.zeros((self.n_circuits, self.n_rows, n_eps),
                            dtype=self.dtype)
             for i, plan in enumerate(plans):
                 for slot, ep in plan.input_error_rows:
@@ -287,13 +275,8 @@ class TensorBatch:
                     p10[i, slot] = ep.p10
             for level_groups in self.levels:
                 for group in level_groups:
-                    rows = (group.eps_rows if bk.is_numpy
-                            else bk.index_array(group.eps_rows))
-                    _eval_group(group, p01, p10, e01[rows], e10[rows], bk)
-            if not bk.is_numpy:
-                bk.synchronize()
-                p01 = bk.to_numpy(p01)
-                p10 = bk.to_numpy(p10)
+                    _eval_group(group, p01, p10,
+                                e01[group.eps_rows], e10[group.eps_rows])
 
             results: List[SweepResult] = []
             for i, plan in enumerate(plans):

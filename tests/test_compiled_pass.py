@@ -274,3 +274,40 @@ class TestParallelSweep:
         assert np.allclose(serial.p01, parallel.p01, atol=0.0)
         assert list(parallel.correlation_pairs) == \
             list(serial.correlation_pairs)
+
+
+# -- dtype threading (no silent float64 up-cast) -------------------------
+def test_float32_plan_stays_float32(reconvergent_circuit):
+    analyzer = SinglePassAnalyzer(reconvergent_circuit,
+                                  use_correlation=False,
+                                  dtype=np.float32)
+    plan = analyzer.plan
+    assert plan is not None and plan.dtype == np.float32
+    for level in plan.levels:
+        for group in level:
+            assert group.flip_mask.dtype == np.float32
+            assert group.w_masked0.dtype == np.float32
+            assert group.w_masked1.dtype == np.float32
+    sweep = plan.run_sweep([0.01, 0.05, 0.2])
+    assert sweep.p01.dtype == np.float32
+    assert sweep.p10.dtype == np.float32
+    assert sweep.per_output.dtype == np.float32
+
+
+def test_float32_parity_with_float64(reconvergent_circuit):
+    eps = [0.01, 0.05, 0.2]
+    s32 = SinglePassAnalyzer(reconvergent_circuit, use_correlation=False,
+                             dtype=np.float32).sweep(eps)
+    s64 = SinglePassAnalyzer(reconvergent_circuit,
+                             use_correlation=False).sweep(eps)
+    assert s64.p01.dtype == np.float64
+    np.testing.assert_allclose(s32.p01, s64.p01, atol=1e-6)
+    np.testing.assert_allclose(s32.per_output, s64.per_output, atol=1e-6)
+
+
+def test_compiled_pass_dtype_parameter(full_adder_circuit):
+    w = compute_weights(full_adder_circuit, method="exhaustive")
+    plan = CompiledSinglePass(full_adder_circuit, w, dtype=np.float32)
+    assert plan.dtype == np.float32
+    plan64 = CompiledSinglePass(full_adder_circuit, w)
+    assert plan64.dtype == np.float64

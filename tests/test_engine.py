@@ -81,6 +81,25 @@ class TestSubmit:
         assert not env["ok"]
         assert "neither a file nor a known benchmark" in env["error"]
 
+    @pytest.mark.parametrize("option,value,message", [
+        ("level_gap", -2, "level_gap must be >= 0"),
+        ("max_correlation_level_gap", -1,
+         "max_correlation_level_gap must be >= 0"),
+        ("max_correlation_pairs", -1, "max_correlation_pairs must be >= 0"),
+        ("n_patterns", 0, "n_patterns must be >= 1"),
+        ("n_patterns", -4, "n_patterns must be >= 1"),
+        ("n_patterns", 1.5, "n_patterns must be an integer"),
+        ("seed", "x", "seed must be an integer"),
+        ("seed", True, "seed must be an integer"),
+    ])
+    def test_bad_numeric_option_is_error_envelope(self, engine, option,
+                                                  value, message):
+        env = engine.submit({"op": "analyze", "circuit": "c17",
+                             "eps": 0.05,
+                             "options": {option: value}}).to_dict()
+        assert not env["ok"]
+        assert message in env["error"]
+
     @pytest.mark.parametrize("op,method", [
         ("analyze", "mc"), ("analyze", "closed-form"),
         ("analyze", "consolidated"), ("closed-form", "single-pass"),

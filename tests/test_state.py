@@ -176,6 +176,37 @@ class TestEngineStateFiles:
         finally:
             restored.close()
 
+    def test_legacy_backend_key_restores(self, tmp_path):
+        state_dir = str(tmp_path)
+        engine = AnalysisEngine(max_sessions=2, state_dir=state_dir)
+        try:
+            _edit(engine, "ws", EDITS_BY_KIND["set_eps"])
+            engine.save_state()
+            config = engine._edit_sessions["ws"].config
+        finally:
+            engine.close()
+        # Manifests from before the array-backend option was removed
+        # carry every old session field, "backend": null among them.
+        path = tmp_path / "engine-state.json"
+        manifest = json.loads(path.read_text())
+        for entry in manifest["sessions"]:
+            assert "backend" not in entry["config"]
+            entry["config"]["backend"] = None
+        path.write_text(json.dumps(manifest))
+        restored = AnalysisEngine(max_sessions=2, state_dir=state_dir)
+        try:
+            summary = restored.load_state()
+            assert summary["sessions"] == 1 and summary["errors"] == []
+            assert restored._edit_sessions["ws"].config == config
+            env = restored.submit({"op": "analyze", "circuit": "c17",
+                                   "eps": 0.05,
+                                   "options": {"backend": "numpy"}}
+                                  ).to_dict()
+            assert not env["ok"]
+            assert "unknown session option 'backend'" in env["error"]
+        finally:
+            restored.close()
+
     def test_wstate_corruption_is_a_miss(self, tmp_path):
         circuit = get_benchmark("c17")
         engine = AnalysisEngine(max_sessions=2, state_dir=str(tmp_path))
