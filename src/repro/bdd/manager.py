@@ -18,11 +18,19 @@ from __future__ import annotations
 import sys
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 _TERMINAL_VAR = sys.maxsize  # sorts after every real variable
 
 
 class BddSizeLimitError(RuntimeError):
-    """Raised when the unique table outgrows the configured node limit."""
+    """Raised when the unique table outgrows the configured node limit.
+
+    ``stage`` names the phase that hit the limit when the caller tags one
+    (the BDD weight tier uses ``"build"`` and ``"conjoin"``).
+    """
+
+    stage: Optional[str] = None
 
 
 class BddManager:
@@ -46,6 +54,8 @@ class BddManager:
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
         self._var_names: List[str] = []
+        # (var_probs, Pr[node = 1] table) of the last probabilities() call.
+        self._prob_memo: Optional[Tuple[List[float], np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Node construction
@@ -292,6 +302,48 @@ class BddManager:
 
         return walk(f)
 
+    def probabilities(self, var_probs: Sequence[float]) -> np.ndarray:
+        """Pr[node = 1] for every node id, in one sweep over the unique table.
+
+        Children are allocated before their parents and always test a later
+        variable, so visiting the variables last to first finds every child
+        done.  All nodes of one variable then take a single vectorized step
+        of :meth:`_prob`'s expression ``(1 - p) * P[lo] + p * P[hi]``; the
+        floats equal the per-root walk's exactly.
+
+        The returned (read-only) table is remembered with its ``var_probs``:
+        a later call with the same distribution sweeps only the nodes
+        allocated since, so evaluating a growing manager batch by batch
+        costs one pass over the table in total.
+        """
+        if len(var_probs) < self.num_vars:
+            raise ValueError("var_probs shorter than the variable count")
+        probs = [float(p) for p in var_probs[:self.num_vars]]
+        size = len(self._var)
+        table = np.empty(size)
+        if self._prob_memo is not None and self._prob_memo[0] == probs:
+            done = len(self._prob_memo[1])
+            if done == size:
+                return self._prob_memo[1]
+            table[:done] = self._prob_memo[1]
+        else:
+            done = 2
+            table[0], table[1] = 0.0, 1.0
+        var = np.array(self._var[done:], dtype=np.int64)
+        lo = np.array(self._lo[done:], dtype=np.int64)
+        hi = np.array(self._hi[done:], dtype=np.int64)
+        order = np.argsort(var, kind="stable")
+        bounds = np.zeros(self.num_vars + 1, dtype=np.int64)
+        np.cumsum(np.bincount(var, minlength=self.num_vars), out=bounds[1:])
+        for v in range(self.num_vars - 1, -1, -1):
+            rows = order[bounds[v]:bounds[v + 1]]
+            p = probs[v]
+            table[rows + done] = ((1.0 - p) * table[lo[rows]]
+                                  + p * table[hi[rows]])
+        table.flags.writeable = False
+        self._prob_memo = (probs, table)
+        return table
+
     def _pick_assignment(self, f: int) -> Optional[Dict[int, int]]:
         """One satisfying assignment (var index -> 0/1), or None if UNSAT."""
         if f == 0:
@@ -308,8 +360,9 @@ class BddManager:
         return assignment
 
     def clear_caches(self) -> None:
-        """Drop the operation cache (unique table is kept)."""
+        """Drop the operation and probability caches (unique table is kept)."""
         self._ite_cache.clear()
+        self._prob_memo = None
 
     # ------------------------------------------------------------------
     # Observability

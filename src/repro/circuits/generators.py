@@ -8,6 +8,7 @@ so benchmark results are reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import bisect
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -250,6 +251,12 @@ def random_circuit(n_inputs: int,
     types = [t for t, _ in mix]
     weights = np.array([w for _, w in mix], dtype=float)
     weights /= weights.sum()
+    # Gate types are drawn the way ``rng.choice(len(types), p=weights)``
+    # draws them (one uniform double against the normalised CDF), without
+    # its per-call validation: same indices, same RNG stream.
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    cdf_list = cdf.tolist()
 
     circuit = Circuit(name or f"rand_{n_inputs}x{n_gates}x{n_outputs}_s{seed}")
     nodes: List[str] = [circuit.add_input(f"pi{i}") for i in range(n_inputs)]
@@ -262,7 +269,7 @@ def random_circuit(n_inputs: int,
         return [n for n in pool if fanout[n] < max_fanout]
 
     for k in range(n_gates):
-        gate_type = types[int(rng.choice(len(types), p=weights))]
+        gate_type = types[bisect.bisect_right(cdf_list, rng.random())]
         arity = 1 if gate_type in (GateType.NOT, GateType.BUF) else 2
         chosen: List[str] = []
         # Drain unused nodes while we have more than we can expose as

@@ -10,7 +10,9 @@ SHA-256 digest over
 
 * the circuit's *structural hash* (topological ``name|type|fanins`` lines
   plus the input/output interface — see :func:`structural_hash`), and
-* the estimator parameters ``(method, seed, n_patterns, input_probs)``.
+* the estimator parameters ``(method, seed, n_patterns, input_probs)``,
+  plus ``bdd_node_limit`` for ``method="auto"`` (the limit decides whether
+  the auto tier's weights come out exact or sampled).
 
 Every entry embeds its full key manifest; :func:`load_weights` re-verifies
 it on read, so a stale file (e.g. a netlist edited in place under the same
@@ -42,7 +44,7 @@ import numpy as np
 from ..circuit import Circuit
 from ..obs import metrics as obs_metrics
 from ..obs import trace_span
-from .weights import WeightData
+from .weights import DEFAULT_BDD_NODE_LIMIT, WeightData
 
 #: Bump when the on-disk layout changes; old entries become misses.
 CACHE_FORMAT_VERSION = 1
@@ -124,7 +126,8 @@ def memory_tier() -> MemoryTier:
 
 def pin_weights(cache_dir: str, circuit: Circuit, method: str,
                 n_patterns: int, seed: int,
-                input_probs: Optional[Dict[str, float]] = None) -> str:
+                input_probs: Optional[Dict[str, float]] = None,
+                bdd_node_limit: int = DEFAULT_BDD_NODE_LIMIT) -> str:
     """Exempt one entry from memory-tier eviction; returns its path.
 
     Pinning does not load anything by itself — the next
@@ -134,7 +137,7 @@ def pin_weights(cache_dir: str, circuit: Circuit, method: str,
     """
     path = _entry_path(cache_dir,
                        cache_key(circuit, method, n_patterns, seed,
-                                 input_probs))
+                                 input_probs, bdd_node_limit))
     _MEMORY.pin(path)
     return path
 
@@ -163,23 +166,28 @@ def structural_hash(circuit: Circuit) -> str:
 
 
 def cache_key(circuit: Circuit, method: str, n_patterns: int, seed: int,
-              input_probs: Optional[Dict[str, float]] = None) -> str:
+              input_probs: Optional[Dict[str, float]] = None,
+              bdd_node_limit: int = DEFAULT_BDD_NODE_LIMIT) -> str:
     """Digest naming the cache entry for one (circuit, parameters) pair."""
     manifest = _manifest(structural_hash(circuit), method, n_patterns, seed,
-                         input_probs)
+                         input_probs, bdd_node_limit)
     return hashlib.sha256(manifest.encode()).hexdigest()
 
 
 def _manifest(circuit_hash: str, method: str, n_patterns: int, seed: int,
-              input_probs: Optional[Dict[str, float]]) -> str:
-    return json.dumps({
+              input_probs: Optional[Dict[str, float]],
+              bdd_node_limit: int) -> str:
+    fields = {
         "format": CACHE_FORMAT_VERSION,
         "circuit_hash": circuit_hash,
         "method": method,
         "n_patterns": int(n_patterns),
         "seed": int(seed),
         "input_probs": sorted((input_probs or {}).items()),
-    }, sort_keys=True)
+    }
+    if method == "auto":
+        fields["bdd_node_limit"] = int(bdd_node_limit)
+    return json.dumps(fields, sort_keys=True)
 
 
 def _entry_path(cache_dir: str, key: str) -> str:
@@ -254,7 +262,8 @@ def _atomic_savez(cache_dir: str, path: str,
 
 def load_weights(cache_dir: str, circuit: Circuit, method: str,
                  n_patterns: int, seed: int,
-                 input_probs: Optional[Dict[str, float]] = None
+                 input_probs: Optional[Dict[str, float]] = None,
+                 bdd_node_limit: int = DEFAULT_BDD_NODE_LIMIT
                  ) -> Optional[WeightData]:
     """Return the cached :class:`WeightData`, or None on miss.
 
@@ -263,7 +272,7 @@ def load_weights(cache_dir: str, circuit: Circuit, method: str,
     file-system errors of an *existing, healthy* directory propagate.
     """
     expected = _manifest(structural_hash(circuit), method, n_patterns,
-                         seed, input_probs)
+                         seed, input_probs, bdd_node_limit)
     key = hashlib.sha256(expected.encode()).hexdigest()
     path = _entry_path(cache_dir, key)
     resident = _MEMORY.get(path)
@@ -288,10 +297,11 @@ def load_weights(cache_dir: str, circuit: Circuit, method: str,
 def store_weights(cache_dir: str, circuit: Circuit, method: str,
                   n_patterns: int, seed: int,
                   input_probs: Optional[Dict[str, float]],
-                  data: WeightData) -> None:
+                  data: WeightData,
+                  bdd_node_limit: int = DEFAULT_BDD_NODE_LIMIT) -> None:
     """Atomically persist one weight computation."""
     manifest = _manifest(structural_hash(circuit), method, n_patterns, seed,
-                         input_probs)
+                         input_probs, bdd_node_limit)
     key = hashlib.sha256(manifest.encode()).hexdigest()
     os.makedirs(cache_dir, exist_ok=True)
     arrays = _encode_weight_archive(manifest, data)

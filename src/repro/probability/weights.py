@@ -23,11 +23,17 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..bdd import BddSizeLimitError, CircuitBdds, build_node_bdds
+from ..bdd import BddManager, BddSizeLimitError, CircuitBdds, build_node_bdds
 from ..circuit import Circuit
-from ..obs import trace_span
+from ..obs import get_logger, trace_span
+from ..obs import metrics as obs_metrics
 from ..sim import patterns
 from ..sim.simulator import exhaustive_simulate, simulate
+
+_log = get_logger("probability.weights")
+
+#: Node limit of the ``auto`` tier's BDD attempt (:func:`compute_weights`).
+DEFAULT_BDD_NODE_LIMIT = 500_000
 
 
 @dataclass
@@ -63,39 +69,64 @@ class WeightData:
 
 def bdd_weight_vectors(circuit: Circuit,
                        bdds: Optional[CircuitBdds] = None,
-                       input_probs: Optional[Dict[str, float]] = None
-                       ) -> WeightData:
+                       input_probs: Optional[Dict[str, float]] = None,
+                       manager: Optional[BddManager] = None) -> WeightData:
     """Exact weight vectors via BDDs (paper Sec. 4, symbolic route).
 
-    May raise :class:`~repro.bdd.BddSizeLimitError` on circuits whose BDDs
-    blow up; callers then fall back to :func:`sampled_weight_vectors`.
+    All symbolic work runs before any arithmetic: the node BDDs (built on
+    ``manager`` when ``bdds`` is not given), then every gate's fanin-literal
+    conjunctions, then one :meth:`~repro.bdd.BddManager.probabilities`
+    sweep over the unique table, from which signal probabilities and
+    weight entries are read by node id.  A circuit whose BDDs outgrow the
+    node limit therefore fails before computing a single probability.
+
+    May raise :class:`~repro.bdd.BddSizeLimitError`, tagged with the
+    ``stage`` (``"build"`` or ``"conjoin"``) that hit the limit; callers
+    then fall back to :func:`sampled_weight_vectors`.
     """
     with trace_span("weights.bdd", circuit=circuit.name):
-        if bdds is None:
-            with trace_span("weights.bdd.build"):
-                bdds = build_node_bdds(circuit)
+        stage = "build"
+        try:
+            if bdds is None:
+                with trace_span("weights.bdd.build"):
+                    bdds = build_node_bdds(circuit, manager)
+            stage = "conjoin"
+            with trace_span("weights.bdd.conjoin"):
+                roots = _literal_conjunctions(circuit, bdds)
+        except BddSizeLimitError as exc:
+            exc.stage = stage
+            raise
         probs = [0.5] * bdds.manager.num_vars
         if input_probs:
             for name, p in input_probs.items():
                 probs[bdds.var_index[name]] = p
-
-        signal_prob = {name: bdds[name].probability(probs)
-                       for name in circuit.topological_order()}
-        weights: Dict[str, np.ndarray] = {}
-        for gate in circuit.topological_gates():
-            fanins = circuit.fanins(gate)
-            k = len(fanins)
-            vec = np.zeros(1 << k)
-            for v in range(1 << k):
-                acc = None
-                for t, fi in enumerate(fanins):
-                    lit = bdds[fi] if (v >> t) & 1 else ~bdds[fi]
-                    acc = lit if acc is None else acc & lit
-                vec[v] = acc.probability(probs) if acc is not None else 1.0
-            weights[gate] = vec
+        with trace_span("weights.bdd.probability"):
+            table = bdds.manager.probabilities(probs)
+        names = circuit.topological_order()
+        signal = table[[bdds[name].node for name in names]].tolist()
+        weights = {gate: table[ids] for gate, ids in roots.items()}
         bdds.manager.publish_metrics()
-        return WeightData(weights=weights, signal_prob=signal_prob,
+        return WeightData(weights=weights,
+                          signal_prob=dict(zip(names, signal)),
                           source="bdd")
+
+
+def _literal_conjunctions(circuit: Circuit,
+                          bdds: CircuitBdds) -> Dict[str, np.ndarray]:
+    """Node ids of each gate's weight-vector functions, entry ``v`` the
+    conjunction of fanin ``t`` (bit ``t`` of ``v`` set) or its complement."""
+    true = bdds.manager.true
+    roots: Dict[str, np.ndarray] = {}
+    for gate in circuit.topological_gates():
+        fanins = [bdds[fi] for fi in circuit.fanins(gate)]
+        ids = np.empty(1 << len(fanins), dtype=np.int64)
+        for v in range(len(ids)):
+            acc = true
+            for t, f in enumerate(fanins):
+                acc = acc & (f if (v >> t) & 1 else ~f)
+            ids[v] = acc.node
+        roots[gate] = ids
+    return roots
 
 
 #: Soft cap on elements of one ``(2**k, k, words)`` selection tensor in
@@ -206,7 +237,7 @@ def compute_weights(circuit: Circuit,
                     method: str = "auto",
                     n_patterns: int = 1 << 16,
                     seed: int = 0,
-                    bdd_node_limit: int = 500_000,
+                    bdd_node_limit: int = DEFAULT_BDD_NODE_LIMIT,
                     input_probs: Optional[Dict[str, float]] = None,
                     cache_dir: Optional[str] = None) -> WeightData:
     """Pick a weight-vector estimator suited to the circuit size.
@@ -223,19 +254,21 @@ def compute_weights(circuit: Circuit,
 
     ``cache_dir``, when given, consults a persistent disk cache first
     (see :mod:`repro.probability.weight_cache`) keyed by the circuit's
-    structural hash plus ``(method, seed, n_patterns, input_probs)``;
-    stale or corrupt entries are recomputed and overwritten.
+    structural hash plus ``(method, seed, n_patterns, input_probs)``, and
+    ``bdd_node_limit`` for ``auto``; stale or corrupt entries are
+    recomputed and overwritten.
     """
     if cache_dir is not None:
         from . import weight_cache
         cached = weight_cache.load_weights(
-            cache_dir, circuit, method, n_patterns, seed, input_probs)
+            cache_dir, circuit, method, n_patterns, seed, input_probs,
+            bdd_node_limit)
         if cached is not None:
             return cached
         data = _compute_weights(circuit, method, n_patterns, seed,
                                 bdd_node_limit, input_probs)
         weight_cache.store_weights(cache_dir, circuit, method, n_patterns,
-                                   seed, input_probs, data)
+                                   seed, input_probs, data, bdd_node_limit)
         return data
     return _compute_weights(circuit, method, n_patterns, seed,
                             bdd_node_limit, input_probs)
@@ -262,11 +295,16 @@ def _compute_weights(circuit: Circuit, method: str, n_patterns: int,
         raise ValueError(f"unknown weight method {method!r}")
     if len(circuit.inputs) <= 20 and not input_probs:
         return exhaustive_weight_vectors(circuit)
+    manager = BddManager(node_limit=bdd_node_limit)
     try:
-        from ..bdd import BddManager
-        bdds = build_node_bdds(circuit, BddManager(node_limit=bdd_node_limit))
-        return bdd_weight_vectors(circuit, bdds=bdds,
-                                  input_probs=input_probs)
-    except BddSizeLimitError:
+        return bdd_weight_vectors(circuit, input_probs=input_probs,
+                                  manager=manager)
+    except BddSizeLimitError as exc:
+        manager.publish_metrics()
+        obs_metrics.inc("weights.fallback", reason="node_limit",
+                        stage=exc.stage, **{"from": "bdd", "to": "sampled"})
+        _log.info("%s: BDD weights passed the %d-node limit during %s; "
+                  "falling back to sampled weights", circuit.name,
+                  bdd_node_limit, exc.stage)
         return sampled_weight_vectors(circuit, n_patterns=n_patterns,
                                       seed=seed, input_probs=input_probs)

@@ -257,10 +257,10 @@ def _any_output_from_bdds(circuit: Circuit, bdds) -> Dict[str, float]:
     from ..bdd.ops import _gate_bdd
     cone_nodes = circuit.transitive_fanin(circuit.outputs)
     cone_set = set(cone_nodes)
-    result: Dict[str, float] = {}
+    differences: Dict[str, int] = {}
     for gate in circuit.topological_gates():
         if gate not in cone_set:
-            result[gate] = 0.0
+            differences[gate] = 0  # the FALSE node
             continue
         rebuilt = {gate: ~bdds[gate]}
         for name in cone_nodes:
@@ -276,5 +276,6 @@ def _any_output_from_bdds(circuit: Circuit, bdds) -> Dict[str, float]:
         acc = bdds.manager.false
         for out in circuit.outputs:
             acc = acc | (bdds[out] ^ rebuilt.get(out, bdds[out]))
-        result[gate] = acc.probability()
-    return result
+        differences[gate] = acc.node
+    table = bdds.manager.probabilities([0.5] * bdds.manager.num_vars)
+    return {gate: float(table[node]) for gate, node in differences.items()}

@@ -62,10 +62,10 @@ def bdd_observabilities(circuit: Circuit,
         fanout_sets[name] = downstream
 
     out_bdd = bdds[output]
-    result: Dict[str, float] = {}
+    differences: Dict[str, int] = {}
     for gate in targets:
         if gate not in cone_set:
-            result[gate] = 0.0
+            differences[gate] = 0  # the FALSE node
             continue
         affected = fanout_sets[gate]
         rebuilt = {gate: ~bdds[gate]}
@@ -76,8 +76,9 @@ def bdd_observabilities(circuit: Circuit,
             fanin_bdds = [rebuilt.get(f, bdds[f]) for f in node.fanins]
             rebuilt[name] = _gate_bdd(bdds.manager, node.gate_type, fanin_bdds)
         flipped_out = rebuilt.get(output, out_bdd)
-        result[gate] = (out_bdd ^ flipped_out).probability()
-    return result
+        differences[gate] = (out_bdd ^ flipped_out).node
+    table = bdds.manager.probabilities([0.5] * bdds.manager.num_vars)
+    return {gate: float(table[node]) for gate, node in differences.items()}
 
 
 def sampled_observabilities(circuit: Circuit,

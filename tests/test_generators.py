@@ -10,6 +10,7 @@ from repro.circuits import (
     equality_comparator,
     fig1_circuit,
     fig2_circuit,
+    get_benchmark,
     majority_voter,
     mux_tree,
     one_hot_decoder,
@@ -19,6 +20,7 @@ from repro.circuits import (
     sec_circuit,
 )
 from repro.circuits.generators import fanin_network
+from repro.probability.weight_cache import structural_hash
 
 
 class TestArithmetic:
@@ -176,6 +178,38 @@ class TestRandomCircuit:
     def test_validation(self):
         with pytest.raises(ValueError):
             random_circuit(1, 10, 2, seed=0)
+
+
+#: ``structural_hash`` of every ``random_circuit``-built preset, recorded
+#: when gate types were still drawn with ``rng.choice(..., p=weights)``:
+#: the CDF draw must reproduce those netlists exactly.
+RANDOM_PRESET_HASHES = {
+    "x2": "02bd173dcf187d0d53f401719a55343d8afdee8f24ea6f5e46a77c8902572950",
+    "cu": "bb5a247280c2835282ca6263678011904c2c30fce06c3b2258c25560cf078274",
+    "b9": "5600457f35bad2bc8227dddd026be9730cc4fc0f357dbbf1b661c0efd5f841f4",
+    "c432":
+        "7f634c0fac568a250c10deb4ed5d08bec937a647aa352d124c5e31ebc1f6678d",
+    "c880":
+        "21f9694410c25c7fcdf2fc19ed224e7035d5a287dd368f467279026f15d9a3be",
+    "c1908":
+        "0a0fd5da46e242465ee725b6911b5b1ad9436175cd27bb5f9c5eac8b18ffb3b2",
+    "c2670":
+        "55e7b9c118eeeacf66525cc265fdfa9c2b7a90dcfdd760ac2a0e174e2f35c223",
+    "frg2":
+        "de7ee2debcb2277798450e0ecf8acb3523202f63b05f16f5326e13a66f64cbb2",
+    "c3540":
+        "923aee4317543921b88db6d6d6b53ee0351890fda3dfeb5dc971c487c6a767fb",
+    "i10": "35cd78a01cbe12da69c6a3b82ee20835240f28d27da594565b2a140234e5b1e3",
+    "rand10k":
+        "325955f5e09934193baa5ed49d07a81188240c350fab1fa5165cc4406ba23561",
+    "rand50k":
+        "0ab029aa187965a9f1a7d3a4e24d017f23665fee98ae564e6fb7ab9ed2cee79c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_PRESET_HASHES))
+def test_random_presets_are_pinned(name):
+    assert structural_hash(get_benchmark(name)) == RANDOM_PRESET_HASHES[name]
 
 
 class TestSecCircuit:

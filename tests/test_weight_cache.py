@@ -80,6 +80,15 @@ class TestCacheKey:
         assert key not in keys
         assert len(keys) == len(variants)
 
+    def test_node_limit_keys_auto_entries_only(self):
+        circuit = c17()
+        auto = dict(method="auto", n_patterns=1 << 8, seed=0)
+        assert cache_key(circuit, **auto) != \
+            cache_key(circuit, **auto, bdd_node_limit=5_000_000)
+        sampled = dict(auto, method="sampled")
+        assert cache_key(circuit, **sampled) == \
+            cache_key(circuit, **sampled, bdd_node_limit=5_000_000)
+
 
 class TestRoundTrip:
     def test_miss_then_hit(self, tmp_path):
@@ -122,6 +131,23 @@ class TestRoundTrip:
         warm = compute_weights(circuit, method="sampled", n_patterns=1 << 8,
                                seed=0, input_probs=probs, cache_dir=cache)
         _assert_same_weights(cold, warm)
+
+
+    def test_auto_entry_not_served_across_node_limits(self, tmp_path):
+        # 1410 node-BDD nodes: sampled under a 100-node limit, exact BDD
+        # weights under the default one.
+        circuit = get_benchmark("b9_low_fanout")
+        cache = str(tmp_path / "wcache")
+        small = compute_weights(circuit, n_patterns=1 << 8,
+                                bdd_node_limit=100, cache_dir=cache)
+        assert small.source == "sampled"
+        default = compute_weights(circuit, n_patterns=1 << 8,
+                                  cache_dir=cache)
+        assert default.source == "bdd"
+        assert len(_entries(cache)) == 2
+        again = compute_weights(circuit, n_patterns=1 << 8,
+                                bdd_node_limit=100, cache_dir=cache)
+        _assert_same_weights(small, again)
 
 
 class TestCorruptionRecovery:
