@@ -132,13 +132,14 @@ def record_multicircuit(variant: str, circuits: int, points: int,
 
 
 def record_serve(mode: str, clients: int, requests: int, wall_s: float,
-                 rps: float, speedup_vs_threaded=None) -> None:
+                 rps: float, speedup_vs_serial=None) -> None:
     """Queue one timing row for ``BENCH_serve.json``.
 
     Rows follow the fixed schema
-    ``{mode, clients, requests, wall_s, rps, speedup_vs_threaded}``;
-    ``mode`` names the measured arm (``"threaded"`` / ``"async"``) and
-    ``speedup_vs_threaded`` is null for the threaded baseline itself.
+    ``{mode, clients, requests, wall_s, rps, speedup_vs_serial}``;
+    ``mode`` names the measured arm (``"serial"`` — one closed-loop
+    client — or ``"async"``) and ``speedup_vs_serial`` is null for the
+    serial baseline itself.
     """
     _serve_records.append({
         "mode": str(mode),
@@ -146,8 +147,8 @@ def record_serve(mode: str, clients: int, requests: int, wall_s: float,
         "requests": int(requests),
         "wall_s": float(wall_s),
         "rps": float(rps),
-        "speedup_vs_threaded": (None if speedup_vs_threaded is None
-                                else float(speedup_vs_threaded)),
+        "speedup_vs_serial": (None if speedup_vs_serial is None
+                              else float(speedup_vs_serial)),
     })
 
 

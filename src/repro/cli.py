@@ -517,13 +517,12 @@ def _make_engine(args: argparse.Namespace) -> "AnalysisEngine":
     return AnalysisEngine(
         max_sessions=args.max_sessions,
         weights_cache_dir=args.weights_cache or state_dir,
-        jobs=args.jobs,
         default_timeout_s=args.timeout,
         state_dir=state_dir)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .engine import serve_stream, serve_tcp, serve_tcp_threaded
+    from .engine import serve_stream, serve_tcp
     engine = _make_engine(args)
     if engine.state_dir:
         summary = engine.load_state()
@@ -550,13 +549,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 # crash-resume test) read the bound port from stdout.
                 print(f"serving on {host}:{bound_port}", flush=True)
 
-            if args.threaded:
-                serve_tcp_threaded(engine, host, port_num,
-                                   ready_callback=ready)
-            else:
-                serve_tcp(engine, host, port_num, ready_callback=ready,
-                          max_inflight=args.max_inflight,
-                          snapshot_interval=args.snapshot_interval)
+            serve_tcp(engine, host, port_num, ready_callback=ready,
+                      max_inflight=args.max_inflight,
+                      snapshot_interval=args.snapshot_interval)
         else:
             served = serve_stream(engine, sys.stdin, sys.stdout)
             log.info("served %d request(s)", served)
@@ -579,7 +574,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         raise SystemExit(f"no such requests file: {args.requests}")
     lines = path.read_text().splitlines()
     engine = _make_engine(args)
-    batch_kwargs = dict(jobs=args.jobs, state_dir=engine.state_dir,
+    batch_kwargs = dict(state_dir=engine.state_dir,
                         resume=args.resume,
                         checkpoint_every=args.checkpoint_every)
     try:
@@ -597,7 +592,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _render_top(address: str, stats: Dict[str, Any]) -> str:
-    """One ``repro top`` frame: header, per-op SLOs, caches, lanes."""
+    """One ``repro top`` frame: header, per-op SLOs, caches, admission."""
     rolling = stats.get("rolling", {})
     lines = [
         f"repro top — {address} — v{stats.get('version', '?')} — "
@@ -606,8 +601,7 @@ def _render_top(address: str, stats: Dict[str, Any]) -> str:
         f"sessions {stats.get('sessions', 0)}/{stats.get('max_sessions', 0)}"
         f" (+{stats.get('edit_sessions', 0)} named)   "
         f"hits {stats.get('session_hits', 0)}  "
-        f"misses {stats.get('session_misses', 0)}   "
-        f"lanes {stats.get('lanes', 0)}",
+        f"misses {stats.get('session_misses', 0)}",
     ]
     ops = rolling.get("ops", {})
     if ops:
@@ -637,15 +631,6 @@ def _render_top(address: str, stats: Dict[str, Any]) -> str:
             rate = ("-" if entry["hit_rate"] is None
                     else f"{entry['hit_rate'] * 100:.1f}%")
             lines.append(f"{tier:<12s} {entry['window']:>7d} {rate:>9s}")
-    lanes = rolling.get("lanes", {})
-    if lanes:
-        lines.append("")
-        lines.append(f"{'lane':<6s} {'requests':>9s} {'busy_s':>9s} "
-                     f"{'util':>6s}")
-        for lane, entry in lanes.items():
-            lines.append(f"{lane:<6s} {entry['requests']:>9d} "
-                         f"{entry['busy_s']:>9.3f} "
-                         f"{entry['utilization'] * 100:>5.1f}%")
     admission = stats.get("admission")
     if admission:
         lines.append("")
@@ -739,15 +724,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.weights_cache:
         options["weights_cache_dir"] = args.weights_cache
     engine = AnalysisEngine(max_sessions=4,
-                            weights_cache_dir=args.weights_cache,
-                            jobs=args.jobs)
+                            weights_cache_dir=args.weights_cache)
     t0 = time.perf_counter()
     try:
         responses = engine.submit_many(
             [{"op": "analyze", "circuit": args.circuit, "eps": [eps],
               "id": i, "options": dict(options)}
-             for i, eps in enumerate(eps_values)],
-            jobs=args.jobs)
+             for i, eps in enumerate(eps_values)])
     finally:
         engine.close()
     wall = time.perf_counter() - t0
@@ -755,7 +738,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     for response in failed:
         print(f"error: {response.error}", file=sys.stderr)
     print(f"# profile {circuit.name}: {len(eps_values)} eps point(s), "
-          f"{wall * 1e3:.1f} ms wall, jobs={args.jobs}")
+          f"{wall * 1e3:.1f} ms wall")
     print(f"{'phase':<44s} {'total':>10s} {'% wall':>7s}")
     tracer = obs.get_tracer()
     for name, total in sorted(tracer.phase_timings().items(),
@@ -780,7 +763,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
               f"ladder={telemetry.get('ladder')} "
               f"kernel={telemetry.get('kernel_ms')}ms "
               f"total={telemetry.get('total_ms')}ms "
-              f"lane={telemetry.get('lane')} "
               f"cache={telemetry.get('cache')}")
     out = args.trace_out or f"{Path(args.circuit).stem}.trace.json"
     tracer.write_chrome_trace(out)
@@ -952,9 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-sessions", type=int, default=8, metavar="N",
                        help="hot circuit sessions kept in the engine's "
                             "LRU registry")
-        p.add_argument("--jobs", type=int, default=0, metavar="N",
-                       help="worker-process lanes for fanning independent "
-                            "circuits out (0 = in-process)")
         p.add_argument("--timeout", type=float, default=None, metavar="S",
                        help="default per-request timeout in seconds; on "
                             "expiry the engine falls back down the "
@@ -972,21 +951,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tcp", default=None, metavar="HOST:PORT",
                    help="listen on TCP instead of stdio (e.g. "
                         "127.0.0.1:7777; port 0 picks a free port)")
-    p.add_argument("--threaded", action="store_true",
-                   help="use the legacy thread-per-connection TCP server "
-                        "instead of the asyncio front-end (no admission "
-                        "control, no cross-client micro-batching)")
     p.add_argument("--max-inflight", type=int, default=256, metavar="N",
-                   help="admission limit for the asyncio front-end: "
+                   help="admission limit for the TCP front-end: "
                         "requests in flight beyond this are answered "
                         "with an overload envelope carrying a "
                         "retry_after_s hint")
     p.add_argument("--snapshot-interval", type=float, default=300.0,
                    metavar="S",
                    help="seconds between periodic engine-state snapshots "
-                        "when --state-dir is set (asyncio front-end "
-                        "only; a final snapshot is always taken on "
-                        "shutdown)")
+                        "when --state-dir is set (TCP mode only; a "
+                        "final snapshot is always taken on shutdown)")
     add_engine(p)
     p.set_defaults(func=_cmd_serve)
 
@@ -1020,16 +994,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile",
                        help="run one traced analysis: phase breakdown "
-                            "table + spliced Chrome trace")
+                            "table + Chrome trace")
     add_common(p)
     p.add_argument("--eps", default="0.01,0.05,0.1",
                    help="comma-separated eps points to profile")
     p.add_argument("--weights", default="auto",
                    choices=["auto", "bdd", "exhaustive", "sampled", "sat"])
-    p.add_argument("--jobs", type=int, default=0, metavar="N",
-                   help="worker-process lanes to fan the profiled "
-                        "requests across (0 = in-process); worker spans "
-                        "are spliced into the parent trace")
     add_weights_cache(p)
     p.set_defaults(func=_cmd_profile)
 

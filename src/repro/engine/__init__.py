@@ -5,8 +5,8 @@ The library's long-lived service layer (see ``docs/engine.md``):
 * :class:`CircuitSession` — one circuit's eps-independent state (weights,
   compiled plans, closed-form models), kept hot;
 * :class:`AnalysisEngine` — an LRU registry of sessions plus a request
-  scheduler with coalescing, process fan-out, and a cooperative
-  compiled → scalar → closed-form timeout ladder;
+  scheduler with coalescing, cross-circuit tensor batching, and a
+  cooperative compiled → scalar → closed-form timeout ladder;
 * :class:`AnalysisRequest` / :class:`AnalysisResponse` — the declarative
   request objects and result envelopes shared by ``engine.submit``,
   ``repro serve`` and ``repro batch``;
@@ -22,7 +22,6 @@ from .serve import (
     run_batch,
     serve_stream,
     serve_tcp,
-    serve_tcp_threaded,
 )
 from .session import (
     CircuitSession,
@@ -38,5 +37,4 @@ __all__ = [
     "resolve_analysis_circuit", "EngineStats",
     "analyze", "sweep", "default_engine", "set_default_engine",
     "handle_line", "run_batch", "serve_stream", "serve_tcp",
-    "serve_tcp_threaded",
 ]

@@ -15,8 +15,8 @@ On top of the registry sits a small request scheduler:
   analyze/sweep requests that target the same session into one batched
   ``sweep`` kernel call (one vectorized pass answers them all), merges
   plain-mode requests for **different** sessions into one cross-circuit
-  :class:`~repro.reliability.tensor_pass.TensorBatch` pass, and fans
-  the rest out over a pool of sticky worker processes;
+  :class:`~repro.reliability.tensor_pass.TensorBatch` pass, and runs
+  the rest one by one — everything in this process;
 * per-request ``timeout_s`` deadlines are enforced cooperatively along
   the fallback ladder **compiled → scalar → closed-form**: a request
   whose deadline has passed before the pass starts is answered by the
@@ -30,17 +30,13 @@ import itertools
 import os
 import threading
 import time
-import zlib
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..circuit import Circuit, SequentialCircuit
 from ..incremental import parse_edit
 from ..obs import metrics as obs_metrics
 from ..obs import trace_span
-from ..obs import trace as obs_trace
-from ..obs.propagate import TelemetryPayload, capture as capture_telemetry
 from ..reliability.compiled_pass import CompiledSinglePass
 from ..reliability.tensor_pass import TensorBatch
 from ..sim.montecarlo import monte_carlo_reliability
@@ -91,6 +87,22 @@ def _split_options(options: Dict[str, Any]
     return config_opts, extra
 
 
+def _parse_request(raw: Any) -> Union[AnalysisRequest, AnalysisResponse]:
+    """A batch item or wire line as a request, or as its error envelope."""
+    if isinstance(raw, AnalysisRequest):
+        return raw
+    if not isinstance(raw, dict):
+        return AnalysisResponse(ok=False, op="?", circuit="?",
+                                error="request must be a JSON object")
+    try:
+        return AnalysisRequest.from_dict(raw)
+    except ValueError as exc:
+        return AnalysisResponse(
+            ok=False, op=str(raw.get("op", "analyze")),
+            circuit=str(raw.get("circuit", "?")), id=raw.get("id"),
+            error=str(exc))
+
+
 def _check_outputs_method(session: "CircuitSession", method: str) -> None:
     """Reject outputs=-restricted sessions on whole-circuit methods.
 
@@ -115,20 +127,16 @@ class AnalysisEngine:
     weights_cache_dir:
         Default disk tier for every session (overridable per request via
         ``options={"weights_cache_dir": ...}``).
-    jobs:
-        Default process fan-out for :meth:`submit_many` (0/1 = inline).
     default_timeout_s:
         Deadline applied to requests that don't carry their own.
     """
 
     def __init__(self, max_sessions: int = 8,
                  weights_cache_dir: Optional[str] = None,
-                 jobs: int = 0,
                  default_timeout_s: Optional[float] = None,
                  state_dir: Optional[str] = None):
         self.max_sessions = max_sessions
         self.weights_cache_dir = weights_cache_dir
-        self.jobs = jobs
         self.default_timeout_s = default_timeout_s
         #: Default directory for :meth:`save_state` / :meth:`load_state`
         #: snapshots (the serve tier's ``--state-dir``).
@@ -145,13 +153,10 @@ class AnalysisEngine:
         self.session_hits = 0
         self.session_misses = 0
         self.requests_served = 0
-        self._lanes: List[ProcessPoolExecutor] = []
         #: Wall-clock birth time (labels long-running serve processes).
         self.started_at = time.time()
-        #: Rolling latency/cache/lane aggregation (always on; cheap).
+        #: Rolling latency/cache aggregation (always on; cheap).
         self.engine_stats = EngineStats()
-        #: Worker-lane index this engine runs in (None in the parent).
-        self.lane_index: Optional[int] = None
         self._request_seq = itertools.count(1)
         #: Merged cross-circuit tensor batches, keyed by plan identity
         #: (the batch holds its plans, so ids stay valid while cached).
@@ -412,25 +417,17 @@ class AnalysisEngine:
         specs, and method errors come back as ``ok=False`` envelopes so a
         serve loop survives malformed traffic.  ``received_at`` is the
         wall-clock time the request was first seen (a serve loop's parse
-        time, or a fan-out's dispatch time); the gap to execution start
-        becomes the envelope's ``queue_wait_ms``.
+        time); the gap to execution start becomes the envelope's
+        ``queue_wait_ms``.
         """
         queue_wait_ms = (max(0.0, (time.time() - received_at) * 1e3)
                          if received_at is not None else 0.0)
-        if isinstance(request, dict):
-            try:
-                request = AnalysisRequest.from_dict(request)
-            except ValueError as exc:
-                response = AnalysisResponse(
-                    ok=False, op=str(request.get("op", "analyze")),
-                    circuit=str(request.get("circuit", "?")),
-                    id=request.get("id"), error=str(exc))
-                self._attach_telemetry(response, cache=_UNKNOWN_CACHE,
-                                       queue_wait_ms=queue_wait_ms,
-                                       kernel_s=0.0)
-                self.engine_stats.record(response.op, 0.0, ok=False,
-                                         lane=self.lane_index)
-                return response
+        request = _parse_request(request)
+        if isinstance(request, AnalysisResponse):
+            self._attach_telemetry(request, cache=_UNKNOWN_CACHE,
+                                   queue_wait_ms=queue_wait_ms, kernel_s=0.0)
+            self.engine_stats.record(request.op, 0.0, ok=False)
+            return request
         cache = self._cache_probe(request)
         self._scratch.kernel_s = 0.0
         t0 = time.perf_counter()
@@ -445,17 +442,15 @@ class AnalysisEngine:
                                queue_wait_ms=queue_wait_ms)
         self.engine_stats.record(response.op, response.elapsed_s,
                                  ok=response.ok, cache=cache,
-                                 lane=self.lane_index,
                                  frames=response.frames)
         self._attach_obs(request, response)
         return response
 
     def submit_many(self, requests: Sequence[Union[AnalysisRequest,
                                                    Dict[str, Any]]],
-                    jobs: Optional[int] = None,
                     received_at: Optional[float] = None
                     ) -> List[AnalysisResponse]:
-        """Execute a batch: coalesce per session, fan out across lanes.
+        """Execute a batch in process: coalesce per session, merge across.
 
         Single-pass analyze/sweep requests sharing a session (same
         circuit + options + correlation mode, no deadline) are answered
@@ -464,38 +459,19 @@ class AnalysisEngine:
         their compiled plans merge into one cross-circuit
         :class:`~repro.reliability.tensor_pass.TensorBatch` pass, so a
         mixed-catalog batch costs one level-scheduled sweep instead of
-        one kernel invocation per circuit.  With ``jobs > 1``
-        independent sessions run in parallel worker processes with
-        sticky routing (the same circuit always lands on the same
-        worker, so its session stays warm across batches).  Responses
-        come back in request order.
+        one kernel invocation per circuit.  Everything else runs solo.
+        Responses come back in request order.
         """
-        jobs = self.jobs if jobs is None else jobs
-        parsed: List[Tuple[int, Union[AnalysisRequest, Dict[str, Any]]]] = \
-            list(enumerate(requests))
-        if jobs and jobs > 1:
-            return self._fan_out(parsed, jobs)
-        return self._run_batch_local(parsed, received_at)
-
-    # -- local batch execution with coalescing -------------------------
-    def _run_batch_local(self, indexed,
-                         received_at: Optional[float] = None
-                         ) -> List[AnalysisResponse]:
+        indexed = list(enumerate(requests))
         responses: Dict[int, AnalysisResponse] = {}
         groups: "OrderedDict[Tuple, List[Tuple[int, AnalysisRequest]]]" = \
             OrderedDict()
         blocked_sessions = self._stateful_sessions(indexed)
         for idx, raw in indexed:
-            request = raw
-            if isinstance(raw, dict):
-                try:
-                    request = AnalysisRequest.from_dict(raw)
-                except ValueError as exc:
-                    responses[idx] = AnalysisResponse(
-                        ok=False, op=str(raw.get("op", "analyze")),
-                        circuit=str(raw.get("circuit", "?")),
-                        id=raw.get("id"), error=str(exc))
-                    continue
+            request = _parse_request(raw)
+            if isinstance(request, AnalysisResponse):
+                responses[idx] = request
+                continue
             key = self._coalesce_key(request, blocked_sessions)
             if key is None:
                 responses[idx] = self.submit(request, received_at)
@@ -663,7 +639,6 @@ class AnalysisEngine:
                                        kernel_s=kernel_s)
                 self.engine_stats.record(response.op, elapsed,
                                          ok=True, cache=cache,
-                                         lane=self.lane_index,
                                          frames=response.frames)
                 self._attach_obs(request, response)
                 out.append((idx, response))
@@ -770,7 +745,6 @@ class AnalysisEngine:
                                            batch_circuits=batch.n_circuits)
                     self.engine_stats.record(response.op, elapsed,
                                              ok=True, cache=group["cache"],
-                                             lane=self.lane_index,
                                              frames=response.frames)
                     self._attach_obs(request, response)
                     out.append((idx, response))
@@ -952,84 +926,6 @@ class AnalysisEngine:
             ok=True, op="report", circuit=circuit.name, id=request.id,
             method="report", result=report.to_dict())
 
-    # -- process-pool fan-out ------------------------------------------
-    def _lane(self, index: int, total: int) -> ProcessPoolExecutor:
-        while len(self._lanes) < total:
-            self._lanes.append(ProcessPoolExecutor(
-                max_workers=1, initializer=_lane_init,
-                initargs=(self.max_sessions, self.weights_cache_dir)))
-        return self._lanes[index]
-
-    def _fan_out(self, indexed, jobs: int) -> List[AnalysisResponse]:
-        """Distribute a batch across sticky single-process lanes.
-
-        Routing CRC-hashes the session/circuit label (``zlib.crc32`` —
-        deterministic across processes and runs, unlike builtin ``hash``),
-        so requests for one session always reach the same worker — its
-        session registry stays warm across batches.  Each lane dispatch
-        carries a telemetry context (lane index, dispatch wall-clock,
-        request ids, and whether tracing/metrics are live); workers ship
-        their spans and metric deltas home in a
-        :class:`~repro.obs.propagate.TelemetryPayload` which is spliced
-        into this process's tracer/registry under a synthetic
-        ``engine.lane`` span, yielding one coherent Chrome trace.
-        """
-        tracing = obs_trace.is_enabled()
-        metering = obs_metrics.is_enabled()
-        tracer = obs_trace.get_tracer()
-        enclosing = tracer.current() if tracing else None
-        by_lane: Dict[int, List[Tuple[int, Any]]] = {}
-        for idx, raw in indexed:
-            if isinstance(raw, dict):
-                label = raw.get("session") or raw.get("circuit", "?")
-            else:
-                label = raw.session or raw.circuit_label()
-            lane = zlib.crc32(str(label).encode()) % jobs
-            by_lane.setdefault(lane, []).append((idx, raw))
-        futures = []
-        for lane_idx, members in by_lane.items():
-            reqs = [raw for _, raw in members]
-            ctx = {
-                "lane": lane_idx,
-                "dispatched_at": time.time(),
-                "trace": tracing,
-                "metrics": metering,
-                "request_ids": [self._next_request_id() for _ in members],
-            }
-            dispatch_rel = time.perf_counter() - tracer.epoch
-            future = self._lane(lane_idx, jobs).submit(_lane_run, reqs, ctx)
-            futures.append((members, lane_idx, dispatch_rel, future))
-        responses: Dict[int, AnalysisResponse] = {}
-        for members, lane_idx, dispatch_rel, future in futures:
-            lane_responses, payload = future.result()
-            lane_elapsed = (time.perf_counter() - tracer.epoch
-                            - dispatch_rel)
-            self.engine_stats.record_lane(lane_idx, len(members),
-                                          lane_elapsed)
-            if tracing:
-                depth = enclosing.depth + 1 if enclosing else 0
-                tracer.record(obs_trace.Span(
-                    name="engine.lane",
-                    start=dispatch_rel, duration=lane_elapsed,
-                    depth=depth,
-                    parent=enclosing.name if enclosing else None,
-                    thread_id=threading.get_ident(),
-                    attrs={"lane": lane_idx, "requests": len(members)}))
-            if payload is not None:
-                payload.merge_into(tracer, at=dispatch_rel,
-                                   parent="engine.lane",
-                                   depth_base=(enclosing.depth + 2
-                                               if enclosing else 1))
-            for (idx, _), response in zip(members, lane_responses):
-                # The worker's EngineStats died with its batch; fold the
-                # per-request record into the parent's rolling window.
-                self.engine_stats.record(
-                    response.op, response.elapsed_s, ok=response.ok,
-                    cache=(response.telemetry or {}).get("cache"),
-                    lane=lane_idx)
-                responses[idx] = response
-        return [responses[i] for i in range(len(indexed))]
-
     # -- telemetry ------------------------------------------------------
     def _next_request_id(self) -> str:
         return f"{os.getpid():x}-{next(self._request_seq):06x}"
@@ -1089,7 +985,6 @@ class AnalysisEngine:
             "request_id": self._next_request_id(),
             "queue_wait_ms": round(queue_wait_ms, 3),
             "coalesced": response.coalesced,
-            "lane": self.lane_index,
             "cache": dict(cache),
             "ladder": response.method,
             "kernel_ms": round((kernel_s or 0.0) * 1e3, 3),
@@ -1111,7 +1006,7 @@ class AnalysisEngine:
         Lifetime counters keep their PR-5 keys; ``uptime_s`` /
         ``started_at`` / ``version`` identify the process, and
         ``rolling`` carries the :class:`EngineStats` snapshot (per-op
-        p50/p95/p99 latencies, cache hit-rate windows, lane utilization).
+        p50/p95/p99 latencies, cache hit-rate windows).
         """
         from .. import __version__  # lazy: package defines it after us
         data = {
@@ -1121,7 +1016,6 @@ class AnalysisEngine:
             "session_hits": self.session_hits,
             "session_misses": self.session_misses,
             "requests_served": self.requests_served,
-            "lanes": len(self._lanes),
             "uptime_s": self.uptime_s(),
             "started_at": self.started_at,
             "version": __version__,
@@ -1166,10 +1060,7 @@ class AnalysisEngine:
         return text + registry_text
 
     def close(self) -> None:
-        """Shut down worker lanes and release pinned cache entries."""
-        for lane in self._lanes:
-            lane.shutdown(wait=False, cancel_futures=True)
-        self._lanes.clear()
+        """Release sessions and pinned cache entries."""
         for session in self._sessions.values():
             session.unpin()
         self._sessions.clear()
@@ -1196,58 +1087,3 @@ class AnalysisEngine:
             "session_hits": self.session_hits,
             "session_misses": self.session_misses,
         }
-
-
-# ----------------------------------------------------------------------
-# Sticky-lane worker plumbing: each lane is a one-process executor whose
-# worker holds its own AnalysisEngine, so a circuit routed to the same
-# lane twice finds its session (weights + compiled plans) already hot.
-# ----------------------------------------------------------------------
-
-_LANE_ENGINE: Optional[AnalysisEngine] = None
-
-
-def _lane_init(max_sessions: int,
-               weights_cache_dir: Optional[str]) -> None:
-    global _LANE_ENGINE
-    _LANE_ENGINE = AnalysisEngine(max_sessions=max_sessions,
-                                  weights_cache_dir=weights_cache_dir,
-                                  jobs=0)
-
-
-def _lane_run(requests, ctx: Optional[Dict[str, Any]] = None
-              ) -> Tuple[List[AnalysisResponse],
-                         Optional[TelemetryPayload]]:
-    """Run one lane batch; optionally capture telemetry to ship home.
-
-    ``ctx`` is the parent's dispatch context: lane index, dispatch
-    wall-clock (for queue-wait), pre-assigned request ids, and whether
-    the parent wants spans/metrics back.  Worker obs state is reset per
-    batch — with the ``fork`` start method the process inherits the
-    parent's enabled flags and any spans recorded before the pool was
-    created, so the payload must carry exactly this batch's telemetry.
-    """
-    from .. import obs
-    ctx = ctx or {}
-    want_trace = bool(ctx.get("trace"))
-    want_metrics = bool(ctx.get("metrics"))
-    obs.reset()
-    if want_trace or want_metrics:
-        obs.enable(tracing=want_trace, metrics_=want_metrics)
-    else:
-        obs.disable()
-    _LANE_ENGINE.lane_index = ctx.get("lane")
-    responses = _LANE_ENGINE.submit_many(
-        requests, jobs=0, received_at=ctx.get("dispatched_at"))
-    request_ids = ctx.get("request_ids")
-    for i, response in enumerate(responses):
-        if response.telemetry is not None:
-            if request_ids and i < len(request_ids):
-                response.telemetry["request_id"] = request_ids[i]
-            response.telemetry["lane"] = ctx.get("lane")
-    payload = None
-    if want_trace or want_metrics:
-        payload = capture_telemetry()
-        obs.disable()
-        obs.reset()
-    return responses, payload

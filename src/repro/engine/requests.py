@@ -172,7 +172,7 @@ class AnalysisResponse:
     error: Optional[str] = None
     obs: Optional[Dict[str, Any]] = None
     #: Per-request telemetry block (always populated by the engine):
-    #: ``request_id``, ``queue_wait_ms``, ``coalesced``, ``lane``,
+    #: ``request_id``, ``queue_wait_ms``, ``coalesced``,
     #: ``cache`` (session/weights/plan warmth), ``ladder``, ``kernel_ms``,
     #: ``total_ms``.  See docs/observability.md, "Telemetry envelopes".
     telemetry: Optional[Dict[str, Any]] = None

@@ -11,8 +11,8 @@ Five control ops exist alongside the analysis ops:
 * ``{"op": "ping"}`` — cheap liveness echo: ``{ok, op, uptime_s}``,
   answered without touching the engine's locks or session registry;
 * ``{"op": "stats"}`` — the full ``engine.stats()`` payload (registry
-  counters, rolling latency percentiles, cache windows, lanes,
-  admission state);
+  counters, rolling latency percentiles, cache windows, admission
+  state);
 * ``{"op": "metrics"}`` — Prometheus text exposition of the engine's
   rolling stats plus the obs metrics registry;
 * ``{"op": "save"}`` — snapshot the engine's named edit sessions to its
@@ -30,12 +30,10 @@ engine thread — so concurrent clients' requests coalesce and
 tensor-batch exactly like an offline ``repro batch`` file, instead of
 contending per-request.  Requests beyond the admission limit are
 answered immediately with an *overload envelope* carrying a
-``retry_after_s`` hint rather than queued without bound.  The previous
-thread-per-connection server remains as :func:`serve_tcp_threaded` (the
-benchmark baseline, CLI ``--threaded``).
+``retry_after_s`` hint rather than queued without bound.
 
-``run_batch`` executes an offline ``requests.jsonl`` through the
-coalescing/fan-out scheduler; given a state directory it journals every
+``run_batch`` executes an offline ``requests.jsonl`` through the same
+in-process scheduler; given a state directory it journals every
 answered envelope and checkpoints engine state, so an interrupted batch
 rerun with ``resume=True`` replays finished work from the journal and
 continues where it stopped.
@@ -47,7 +45,6 @@ import asyncio
 import hashlib
 import json
 import os
-import socketserver
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -515,50 +512,6 @@ def serve_tcp(engine: AnalysisEngine, host: str, port: int,
                                                  ready_callback))
 
 
-def serve_tcp_threaded(engine: AnalysisEngine, host: str, port: int,
-                       ready_callback=None) -> None:
-    """The legacy thread-per-connection TCP server (benchmark baseline).
-
-    Each connection is served by its own thread against the shared
-    engine, so concurrent kernel time serializes through the GIL and
-    nothing coalesces across clients.  Kept as the ``--threaded`` CLI
-    fallback and as the baseline ``benchmarks/test_serve_concurrency.py``
-    measures the async front-end against.
-    """
-
-    class Handler(socketserver.StreamRequestHandler):
-        def handle(self) -> None:
-            while True:
-                # Bounded read: a line that exceeds the cap comes back
-                # without its trailing newline and is rejected before the
-                # rest of the flood is ever buffered.
-                raw = self.rfile.readline(MAX_REQUEST_BYTES + 1)
-                if not raw:
-                    break
-                if len(raw) > MAX_REQUEST_BYTES and not raw.endswith(b"\n"):
-                    envelope = _too_long_envelope(len(raw))
-                    self.wfile.write(
-                        (json.dumps(envelope) + "\n").encode())
-                    break
-                line = raw.decode("utf-8", errors="replace").strip()
-                if not line:
-                    continue
-                envelope = handle_line(engine, line)
-                self.wfile.write((json.dumps(envelope) + "\n").encode())
-                if envelope.get("op") == "shutdown":
-                    break
-
-    class Server(socketserver.ThreadingTCPServer):
-        allow_reuse_address = True
-        daemon_threads = True
-
-    with Server((host, port), Handler) as server:
-        if ready_callback is not None:
-            ready_callback(server.server_address[1])
-        log.info("serving on %s:%d", *server.server_address[:2])
-        server.serve_forever()
-
-
 # ----------------------------------------------------------------------
 # Offline batches with journaled checkpoints
 # ----------------------------------------------------------------------
@@ -599,16 +552,15 @@ def _read_journal(path: str,
     return done
 
 
-def run_batch(engine: AnalysisEngine, lines: List[str],
-              outfile: IO[str], jobs: Optional[int] = None,
+def run_batch(engine: AnalysisEngine, lines: List[str], outfile: IO[str],
               state_dir: Optional[str] = None, resume: bool = False,
               checkpoint_every: int = 32) -> int:
-    """Execute a requests.jsonl offline: coalesced, fanned out, in order.
+    """Execute a requests.jsonl offline: coalesced, answered in order.
 
     Unlike the interactive loop, the whole batch is visible up front, so
     same-session sweep points collapse into single kernel calls and
-    independent circuits spread across worker lanes.  Returns the number
-    of failed requests (0 = clean batch).
+    plain-mode requests for different circuits merge into one tensor
+    pass.  Returns the number of failed requests (0 = clean batch).
 
     With ``state_dir`` set the batch becomes restartable: requests run
     in chunks of ``checkpoint_every``, each chunk's envelopes are
@@ -635,12 +587,12 @@ def run_batch(engine: AnalysisEngine, lines: List[str],
 
     if state_dir is None:
         responses = engine.submit_many([req for _, req in requests],
-                                       jobs=jobs, received_at=time.time())
+                                       received_at=time.time())
         by_line = dict(zip((i for i, _ in requests),
                            (r.to_dict() for r in responses)))
     else:
         by_line = _run_batch_checkpointed(engine, lines, requests,
-                                          jobs, state_dir, resume,
+                                          state_dir, resume,
                                           checkpoint_every)
     failures = 0
     for i in range(len(lines)):
@@ -655,9 +607,8 @@ def run_batch(engine: AnalysisEngine, lines: List[str],
 
 
 def _run_batch_checkpointed(engine: AnalysisEngine, lines: List[str],
-                            requests: List[Any], jobs: Optional[int],
-                            state_dir: str, resume: bool,
-                            checkpoint_every: int
+                            requests: List[Any], state_dir: str,
+                            resume: bool, checkpoint_every: int
                             ) -> Dict[int, Dict[str, Any]]:
     """The journaled execution loop behind ``run_batch(state_dir=...)``."""
     os.makedirs(state_dir, exist_ok=True)
@@ -682,7 +633,6 @@ def _run_batch_checkpointed(engine: AnalysisEngine, lines: List[str],
         for start in range(0, len(pending), chunk):
             part = pending[start:start + chunk]
             responses = engine.submit_many([req for _, req in part],
-                                           jobs=jobs,
                                            received_at=time.time())
             for (i, _), response in zip(part, responses):
                 envelope = response.to_dict()

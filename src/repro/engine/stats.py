@@ -1,4 +1,4 @@
-"""Rolling engine statistics: latency percentiles, cache rates, lanes.
+"""Rolling engine statistics: latency percentiles and cache rates.
 
 :class:`EngineStats` is the always-on aggregation layer behind
 ``AnalysisEngine.stats()`` and the ``metrics`` serve op.  Unlike
@@ -11,9 +11,9 @@ Latencies are kept in fixed-size ring buffers per op; percentiles are
 computed on *read* by folding the ring through an
 :class:`repro.obs.metrics.Histogram` and calling
 :meth:`~repro.obs.metrics.Histogram.quantile`, so the record path never
-sorts.  Cache hit-rate windows and per-lane utilization follow the same
-rolling-window discipline: ``stats`` answers reflect recent traffic, not
-lifetime averages.
+sorts.  Cache hit-rate windows follow the same rolling-window
+discipline: ``stats`` answers reflect recent traffic, not lifetime
+averages.
 """
 
 from __future__ import annotations
@@ -55,13 +55,10 @@ class EngineStats:
         self._op_errors: Dict[str, int] = {}
         self._op_framed: Dict[str, int] = {}
         self._cache_windows: Dict[str, Deque[int]] = {}
-        self._lane_requests: Dict[int, int] = {}
-        self._lane_busy_s: Dict[int, float] = {}
 
     # -- record path (hot; keep allocation-light) -----------------------
     def record(self, op: str, elapsed_s: float, *, ok: bool = True,
                cache: Optional[Dict[str, str]] = None,
-               lane: Optional[int] = None,
                frames: Optional[int] = None) -> None:
         """Fold one finished request into the rolling windows.
 
@@ -90,17 +87,6 @@ class EngineStats:
                         window = deque(maxlen=self.window)
                         self._cache_windows[tier] = window
                     window.append(1 if state in _HIT_STATES else 0)
-            if lane is not None:
-                self._lane_requests[lane] = \
-                    self._lane_requests.get(lane, 0) + 1
-
-    def record_lane(self, lane: int, requests: int, busy_s: float) -> None:
-        """Account one dispatched lane batch (parent side of a fan-out)."""
-        with self._lock:
-            self._lane_requests[lane] = \
-                self._lane_requests.get(lane, 0) + int(requests)
-            self._lane_busy_s[lane] = \
-                self._lane_busy_s.get(lane, 0.0) + float(busy_s)
 
     # -- read path ------------------------------------------------------
     def uptime_s(self) -> float:
@@ -150,28 +136,12 @@ class EngineStats:
                                     if window else None)}
                 for tier, window in sorted(tiers.items())}
 
-    def lane_summary(self) -> Dict[str, Dict[str, Any]]:
-        """Per-lane request counts and busy-time utilization."""
-        with self._lock:
-            lanes = sorted(set(self._lane_requests) | set(self._lane_busy_s))
-            out = {}
-            uptime = max(self.uptime_s(), 1e-9)
-            for lane in lanes:
-                busy = self._lane_busy_s.get(lane, 0.0)
-                out[str(lane)] = {
-                    "requests": self._lane_requests.get(lane, 0),
-                    "busy_s": busy,
-                    "utilization": min(busy / uptime, 1.0),
-                }
-        return out
-
     def snapshot(self) -> Dict[str, Any]:
         """Everything, JSON-ready (embedded in ``engine.stats()``)."""
         return {
             "window": self.window,
             "ops": self.ops_summary(),
             "cache": self.cache_rates(),
-            "lanes": self.lane_summary(),
         }
 
     def to_prometheus(self, prefix: str = "repro_engine") -> str:
@@ -221,18 +191,4 @@ class EngineStats:
                 rate = entry["hit_rate"]
                 if rate is not None:
                     lines.append(f'{name}{{tier="{tier}"}} {rate:.6f}')
-        lanes = self.lane_summary()
-        if lanes:
-            lines.append(f"# HELP {prefix}_lane_requests_total "
-                         "Requests routed per worker lane.")
-            lines.append(f"# TYPE {prefix}_lane_requests_total counter")
-            for lane, entry in lanes.items():
-                lines.append(f'{prefix}_lane_requests_total'
-                             f'{{lane="{lane}"}} {entry["requests"]}')
-            lines.append(f"# HELP {prefix}_lane_busy_seconds_total "
-                         "Busy wall-clock per worker lane.")
-            lines.append(f"# TYPE {prefix}_lane_busy_seconds_total counter")
-            for lane, entry in lanes.items():
-                lines.append(f'{prefix}_lane_busy_seconds_total'
-                             f'{{lane="{lane}"}} {entry["busy_s"]:.6f}')
         return "\n".join(lines) + "\n"

@@ -38,8 +38,6 @@ from .metrics import (
     MetricsRegistry,
     get_registry,
 )
-from .propagate import TelemetryPayload
-from .propagate import capture as capture_telemetry
 from .runlog import RunRecord, append_record, build_record, read_runlog
 from .trace import Span, Tracer, get_tracer, trace_span
 
@@ -48,7 +46,6 @@ from . import trace as _trace_mod
 __all__ = [
     "trace_span", "Span", "Tracer", "get_tracer",
     "metrics", "MetricsRegistry", "get_registry",
-    "TelemetryPayload", "capture_telemetry",
     "get_logger", "configure_logging",
     "runlog", "RunRecord", "build_record", "append_record", "read_runlog",
     "enable", "disable", "is_enabled", "reset",

@@ -244,51 +244,6 @@ class MetricsRegistry:
             series = self._series[_series_key(name, labels)]
         return series.value
 
-    def merge(self, snapshot: List[Dict[str, Any]]) -> int:
-        """Fold a foreign registry snapshot into this registry.
-
-        ``snapshot`` is the output of :meth:`snapshot` (typically shipped
-        home from a worker process in a ``TelemetryPayload``).  Counters
-        add, gauges take the snapshot's value (last-write-wins), and
-        histograms add bucket deltas positionally — the local series is
-        (re)created with the snapshot's bucket bounds, so merging is exact
-        when both sides use the same bounds.  Returns the number of series
-        merged.
-        """
-        for entry in snapshot:
-            kind = entry["type"]
-            name = entry["name"]
-            labels = entry.get("labels", {})
-            if kind == "counter":
-                self.counter(name, **labels).inc(entry["value"])
-            elif kind == "gauge":
-                if entry["value"] is not None:
-                    self.gauge(name, **labels).set(entry["value"])
-            elif kind == "histogram":
-                bounds = tuple(b["le"] for b in entry["buckets"])
-                hist = self.histogram(name, buckets=bounds or _DEFAULT_BUCKETS,
-                                      **labels)
-                running = 0
-                deltas = []
-                for bucket in entry["buckets"]:
-                    deltas.append(bucket["count"] - running)
-                    running = bucket["count"]
-                deltas.append(entry["count"] - running)  # overflow slot
-                for i, n in enumerate(deltas):
-                    if i < len(hist.bucket_counts):
-                        hist.bucket_counts[i] += n
-                hist.count += entry["count"]
-                hist.sum += entry["sum"]
-                if entry["min"] is not None:
-                    hist.min = (entry["min"] if hist.min is None
-                                else min(hist.min, entry["min"]))
-                if entry["max"] is not None:
-                    hist.max = (entry["max"] if hist.max is None
-                                else max(hist.max, entry["max"]))
-            else:
-                raise ValueError(f"unknown series type {kind!r}")
-        return len(snapshot)
-
     def to_prometheus(self, prefix: str = "repro") -> str:
         """Render every series in Prometheus text exposition format.
 

@@ -17,12 +17,9 @@ Design constraints (see docs/observability.md):
 * **Thread safety.**  The span *stack* is thread-local (nesting is a
   per-thread notion); the finished-span list is guarded by a lock so
   multi-threaded runs merge into one trace keyed by thread id.
-* **Cross-process splicing.**  Worker processes collect spans against
-  their own tracer and ship them home in a
-  :class:`~repro.obs.propagate.TelemetryPayload`; the parent calls
-  :meth:`Tracer.splice` to re-time them onto its own epoch and parent
-  them under the dispatching span, so one Chrome trace shows the whole
-  fan-out with each worker on its own ``pid`` track.
+* **One process.**  Every span is recorded in the process that runs
+  the analysis, so the Chrome export puts them all on one ``pid``
+  track (``"pid": 1``), one ``tid`` row per thread.
 """
 
 from __future__ import annotations
@@ -65,9 +62,6 @@ class Span:
     thread_id: int
     #: Free-form labels attached at the call site (e.g. eps, gate counts).
     attrs: Dict[str, Any] = field(default_factory=dict)
-    #: OS process id the span was recorded in; None means "this process"
-    #: (spans only carry an explicit pid after a cross-process splice).
-    pid: Optional[int] = None
 
 
 class Tracer:
@@ -119,33 +113,6 @@ class Tracer:
             self._spans.clear()
             self.epoch = time.perf_counter()
 
-    def splice(self, spans: List[Span], *, offset: float = 0.0,
-               pid: Optional[int] = None,
-               parent: Optional[str] = None,
-               depth_base: int = 0) -> int:
-        """Merge spans recorded by another tracer (usually another process).
-
-        ``offset`` is added to every start time, re-expressing the spans
-        on *this* tracer's epoch (the caller aligns the foreign window to
-        the local dispatch time — perf_counter origins are per-process).
-        Top-level foreign spans are re-parented under ``parent`` and all
-        depths shift by ``depth_base``, so the spliced subtree renders
-        beneath the dispatching span; ``pid`` labels the spans' process
-        track in the Chrome export.  Returns the number of spans merged.
-        """
-        merged = [Span(name=s.name,
-                       start=s.start + offset,
-                       duration=s.duration,
-                       depth=s.depth + depth_base,
-                       parent=s.parent if s.parent is not None else parent,
-                       thread_id=s.thread_id,
-                       attrs=dict(s.attrs),
-                       pid=s.pid if s.pid is not None else pid)
-                  for s in spans]
-        with self._lock:
-            self._spans.extend(merged)
-        return len(merged)
-
     def find(self, name: str) -> List[Span]:
         """All finished spans with the given name."""
         return [s for s in self.spans if s.name == name]
@@ -166,7 +133,6 @@ class Tracer:
                 "depth": span.depth,
                 "parent": span.parent,
                 "thread": span.thread_id,
-                **({"pid": span.pid} if span.pid is not None else {}),
                 **({"attrs": span.attrs} if span.attrs else {}),
             })
         return rows
@@ -189,7 +155,7 @@ class Tracer:
                 "ph": "X",
                 "ts": span.start * 1e6,
                 "dur": span.duration * 1e6,
-                "pid": span.pid if span.pid is not None else 1,
+                "pid": 1,
                 "tid": span.thread_id,
                 "cat": span.name.split(".", 1)[0],
                 "args": dict(span.attrs),

@@ -11,8 +11,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.engine import AnalysisEngine, AnalysisRequest, run_batch, \
-    serve_stream
+from repro.engine import AnalysisEngine, AnalysisRequest, handle_line, \
+    run_batch, serve_stream
 from repro.probability import ErrorProbability
 
 OPTS = {"weights": "sampled", "n_patterns": 1 << 10}
@@ -136,6 +136,21 @@ class TestCoalescing:
         assert [r.coalesced for r in responses] == [2, 0, 2]
         assert [r.circuit for r in responses] == ["c17", "fig2", "c17"]
 
+    @pytest.mark.parametrize("correlation", [True, False])
+    def test_batch_matches_solo_submits(self, correlation):
+        """A mixed batch answers each request exactly as ``submit`` would
+        (correlated: one solo group per circuit; plain: one tensor pass)."""
+        reqs = [{"op": "analyze", "circuit": name, "eps": [0.01, 0.05],
+                 "correlation": correlation, "options": OPTS}
+                for name in ("c17", "fig2", "fig1a")]
+        with AnalysisEngine() as batch_engine:
+            batched = [r.to_dict() for r in batch_engine.submit_many(reqs)]
+        with AnalysisEngine() as solo_engine:
+            solo = [solo_engine.submit(dict(r)).to_dict() for r in reqs]
+        for b, s in zip(batched, solo):
+            assert b["ok"] and s["ok"]
+            assert b["result"] == s["result"]
+
     def test_timeout_requests_never_coalesce(self, engine):
         reqs = [{"op": "analyze", "circuit": "c17", "eps": 0.01,
                  "timeout_s": 60, "options": OPTS},
@@ -177,6 +192,7 @@ class TestServeLoop:
             "",
             json.dumps({"op": "ping"}),
             "not json at all {",
+            "[1, 2]",
             json.dumps({"op": "analyze", "circuit": "zork"}),
             json.dumps({"id": "bye", "op": "shutdown"}),
             json.dumps({"op": "analyze", "circuit": "c17"}),  # after stop
@@ -185,15 +201,16 @@ class TestServeLoop:
         served = serve_stream(engine, io.StringIO("\n".join(lines) + "\n"),
                               out)
         envelopes = [json.loads(l) for l in out.getvalue().splitlines()]
-        assert served == 5  # blank skipped, post-shutdown line unread
+        assert served == 6  # blank skipped, post-shutdown line unread
         ok_flags = [e["ok"] for e in envelopes]
-        assert ok_flags == [True, True, False, False, True]
+        assert ok_flags == [True, True, False, False, False, True]
         assert envelopes[0]["id"] == 1
         assert len(envelopes[0]["result"]["points"]) == 2
         assert "uptime_s" in envelopes[1]  # ping: cheap liveness echo
         assert "stats" not in envelopes[1]
         assert "invalid JSON" in envelopes[2]["error"]
-        assert envelopes[4]["op"] == "shutdown"
+        assert envelopes[3]["error"] == "request must be a JSON object"
+        assert envelopes[5]["op"] == "shutdown"
 
     def test_batch_skips_comments_counts_failures(self, engine, tmp_path):
         lines = [
@@ -222,15 +239,27 @@ class TestCliByteMatch:
         assert json.dumps(env["result"]) == json.dumps(doc)
 
 
-class TestFanOut:
-    def test_lanes_match_local_execution(self):
-        reqs = [{"op": "analyze", "circuit": name, "eps": [0.01, 0.05],
-                 "options": OPTS} for name in ("c17", "fig2", "fig1a")]
-        with AnalysisEngine() as local_engine:
-            local = [r.to_dict() for r in local_engine.submit_many(reqs)]
-        with AnalysisEngine(jobs=2) as fan_engine:
-            fanned = [r.to_dict() for r in fan_engine.submit_many(reqs)]
-            assert fan_engine.stats()["lanes"] == 2
-        for a, b in zip(local, fanned):
-            assert a["ok"] and b["ok"]
-            assert a["result"] == b["result"]
+class TestNonObjectRequests:
+    """Valid JSON that is not a request object gets an error envelope."""
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "42", '"x"', "null"])
+    def test_handle_line_answers_error_envelope(self, engine, line):
+        env = handle_line(engine, line)
+        assert env["ok"] is False
+        assert env["error"] == "request must be a JSON object"
+        assert set(env["telemetry"]) >= {"request_id", "ladder"}
+
+    def test_run_batch_answers_good_lines(self, engine):
+        good = [json.dumps({"id": i, "op": "analyze", "circuit": name,
+                            "eps": 0.05, "options": OPTS})
+                for i, name in enumerate(("c17", "fig2"))]
+        lines = [good[0], "[1, 2]", "42", good[1], '"x"', "null"]
+        out = io.StringIO()
+        failures = run_batch(engine, lines, out)
+        envelopes = [json.loads(l) for l in out.getvalue().splitlines()]
+        assert failures == 4
+        assert [e["ok"] for e in envelopes] == \
+            [True, False, False, True, False, False]
+        assert [envelopes[i]["id"] for i in (0, 3)] == [0, 1]
+        for i in (1, 2, 4, 5):
+            assert envelopes[i]["error"] == "request must be a JSON object"

@@ -286,55 +286,16 @@ class TestHistogramQuantile:
             assert h.min <= h.quantile(q) <= h.max
 
 
-class TestRegistryMerge:
-    def test_counter_and_gauge_merge(self):
-        obs.enable()
-        remote = obs_metrics.MetricsRegistry()
-        remote.counter("n", circuit="c17").inc(4)
-        remote.gauge("g").set(2.5)
-        obs_metrics.inc("n", 3, circuit="c17")
-        merged = obs_metrics.get_registry().merge(remote.snapshot())
-        assert merged == 2
-        reg = obs_metrics.get_registry()
-        assert reg.value("n", circuit="c17") == 7
-        assert reg.value("g") == 2.5
-
-    def test_histogram_merge_preserves_distribution(self):
-        obs.enable()
-        remote = obs_metrics.MetricsRegistry()
-        for v in (1e-3, 5e-3, 2.0):
-            remote.histogram("h").observe(v)
-        obs_metrics.observe("h", 1e-4)
-        obs_metrics.get_registry().merge(remote.snapshot())
-        h = obs_metrics.get_registry().histogram("h")
-        assert h.count == 4
-        assert h.sum == pytest.approx(1e-4 + 1e-3 + 5e-3 + 2.0)
-        assert h.min == 1e-4 and h.max == 2.0
-
-    def test_unknown_type_rejected(self):
-        obs.enable()
-        with pytest.raises(ValueError):
-            obs_metrics.get_registry().merge(
-                [{"type": "exotic", "name": "x", "labels": {}}])
-
-    def test_merge_into_empty_registry(self):
-        obs.enable()
-        remote = obs_metrics.MetricsRegistry()
-        remote.counter("only.remote").inc(2)
-        obs_metrics.get_registry().merge(remote.snapshot())
-        assert obs_metrics.get_registry().value("only.remote") == 2
-
-
 class TestPrometheusExport:
     def test_counter_and_gauge_lines(self):
         obs.enable()
         obs_metrics.inc("engine.requests", 3, op="analyze")
-        obs_metrics.set_gauge("engine.lanes", 2)
+        obs_metrics.set_gauge("engine.sessions", 2)
         text = obs_metrics.to_prometheus()
         assert "# TYPE repro_engine_requests_total counter" in text
         assert 'repro_engine_requests_total{op="analyze"} 3' in text
-        assert "# TYPE repro_engine_lanes gauge" in text
-        assert "repro_engine_lanes 2" in text
+        assert "# TYPE repro_engine_sessions gauge" in text
+        assert "repro_engine_sessions 2" in text
         assert text.endswith("\n")
 
     def test_histogram_cumulative_buckets(self):

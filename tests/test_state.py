@@ -301,6 +301,26 @@ class TestBatchResume:
         assert json.loads(lines[0])["result"]["points"][0]["eps"] == 0.2
 
 
+    def test_checkpoint_keeps_edit_session(self, tmp_path):
+        failures, _, _ = self._run(tmp_path, "a.jsonl", resume=False)
+        assert failures == 0
+        restored = AnalysisEngine(max_sessions=8, state_dir=str(tmp_path))
+        try:
+            assert restored.load_state()["sessions"] == 1
+            assert restored.save_state()["sessions"] == 1
+        finally:
+            restored.close()
+
+    def test_non_object_line_is_journaled_failure(self, tmp_path):
+        lines = self.LINES[:2] + ["[1, 2]"]
+        failures, out, _ = self._run(tmp_path, "a.jsonl", resume=False,
+                                     lines=lines)
+        assert failures == 1
+        envelopes = [json.loads(raw) for raw in out]
+        assert [e["ok"] for e in envelopes] == [True, True, False]
+        assert envelopes[2]["error"] == "request must be a JSON object"
+
+
 class TestAdmissionControl:
     def test_gate_counts_and_release(self):
         gate = AdmissionControl(limit=2)

@@ -1,13 +1,9 @@
-"""Engine telemetry: envelopes, cross-process splicing, SLO stats, export.
+"""Engine telemetry: envelopes, SLO stats, export.
 
-Covers the distributed-telemetry layer end to end:
+Covers the telemetry layer end to end:
 
 * per-request ``telemetry`` blocks (always on, obs flags or not);
-* ``TelemetryPayload`` round-trips and cross-process trace splicing —
-  the acceptance case fans a sweep across two worker lanes and asserts
-  ONE coherent Chrome trace with worker kernel spans re-parented under
-  the parent's ``engine.lane`` spans;
-* ``EngineStats`` rolling percentiles / cache windows / lane gauges;
+* ``EngineStats`` rolling percentiles / cache windows / error counts;
 * the ``ping``/``stats``/``metrics`` serve ops, with the Prometheus
   exposition parsed line by line;
 * ``repro batch`` round-trip and stdio-vs-TCP envelope byte-matching.
@@ -24,14 +20,12 @@ import pytest
 from repro import obs
 from repro.engine import AnalysisEngine, EngineStats, handle_line, run_batch
 from repro.engine.serve import serve_stream, serve_tcp
-from repro.obs.propagate import TelemetryPayload, capture
-from repro.obs.trace import Span
 
 OPTS = {"weights": "sampled", "n_patterns": 1 << 10}
 
 #: Keys every telemetry block must carry, in any envelope.
-TELEMETRY_KEYS = {"request_id", "queue_wait_ms", "coalesced", "lane",
-                  "cache", "ladder", "kernel_ms", "total_ms"}
+TELEMETRY_KEYS = {"request_id", "queue_wait_ms", "coalesced", "cache",
+                  "ladder", "kernel_ms", "total_ms"}
 
 #: One Prometheus sample line: name{labels} value
 _PROM_LINE = re.compile(
@@ -104,7 +98,6 @@ class TestTelemetryEnvelope:
         assert telemetry["ladder"] == response.method
         assert telemetry["ladder"].startswith("single-pass")
         assert 0.0 < telemetry["kernel_ms"] <= telemetry["total_ms"]
-        assert telemetry["lane"] is None
         assert telemetry["queue_wait_ms"] == 0.0
         assert re.fullmatch(r"[0-9a-f]+-[0-9a-f]{6}",
                             telemetry["request_id"])
@@ -177,21 +170,18 @@ class TestEngineStats:
 
     def test_errors_and_lanes(self):
         stats = EngineStats()
-        stats.record("analyze", 0.001, ok=False, lane=0)
-        stats.record_lane(1, requests=4, busy_s=0.5)
+        stats.record("analyze", 0.001, ok=False)
         summary = stats.ops_summary()["analyze"]
         assert summary["errors"] == 1
-        lanes = stats.lane_summary()
-        assert lanes["0"]["requests"] == 1
-        assert lanes["1"]["requests"] == 4
-        assert lanes["1"]["busy_s"] == pytest.approx(0.5)
-        assert 0.0 <= lanes["1"]["utilization"] <= 1.0
+        # One in-process executor: no lane panel, no lane series.
+        assert "lanes" not in stats.snapshot()
+        assert "_lane_" not in stats.to_prometheus()
 
     def test_to_prometheus_quantile_series(self):
         stats = EngineStats()
         for ms in (1, 2, 3, 50):
             stats.record("analyze", ms / 1e3,
-                         cache={"session": "hit"}, lane=0)
+                         cache={"session": "hit"})
         samples, types = parse_prometheus(stats.to_prometheus())
         name = "repro_engine_request_latency_seconds"
         assert types[name] == "summary"
@@ -203,104 +193,6 @@ class TestEngineStats:
                         '{op="analyze"}')] == 4
         assert samples[("repro_engine_cache_hit_ratio",
                         '{tier="session"}')] == 1.0
-
-
-class TestTelemetryPayload:
-    def test_dict_round_trip(self):
-        payload = TelemetryPayload(
-            spans=[Span(name="a", start=0.5, duration=0.1, depth=0,
-                        parent=None, thread_id=7, attrs={"k": 1})],
-            metrics=[{"type": "counter", "name": "n", "labels": {},
-                      "value": 3}],
-            pid=1234, captured_at=1e9)
-        clone = TelemetryPayload.from_dict(
-            json.loads(json.dumps(payload.to_dict())))
-        assert clone.pid == 1234
-        assert clone.spans[0].name == "a"
-        assert clone.spans[0].attrs == {"k": 1}
-        assert clone.metrics == payload.metrics
-
-    def test_capture_and_merge(self):
-        obs.enable()
-        with obs.trace_span("worker.kernel"):
-            pass
-        obs.metrics.inc("worker.items", 5)
-        payload = capture()
-        assert payload.pid > 0
-        assert [s.name for s in payload.spans] == ["worker.kernel"]
-        obs.reset()
-        merged = payload.merge_into(at=2.0, parent="engine.lane")
-        assert merged == 1
-        span = obs.get_tracer().spans[0]
-        assert span.start == pytest.approx(2.0)
-        assert span.parent == "engine.lane"
-        assert span.pid == payload.pid
-        assert obs.metrics.get_registry().value("worker.items") == 5
-
-
-class TestFanOutSplicedTrace:
-    """Acceptance: one spliced Chrome trace across ≥2 worker lanes."""
-
-    def test_two_lane_sweep_splices_one_trace(self):
-        obs.enable()
-        # c17 routes to lane 0 and c432 to lane 1 under crc32 % 2.
-        requests = []
-        for name in ("c17", "c432"):
-            requests += [{"op": "analyze", "circuit": name, "eps": [eps],
-                          "id": f"{name}-{eps}", "options": OPTS}
-                         for eps in (0.01, 0.05)]
-        with AnalysisEngine(max_sessions=8) as engine:
-            responses = engine.submit_many(requests, jobs=2)
-            stats = engine.stats()
-        assert all(r.ok for r in responses)
-        lanes = {r.telemetry["lane"] for r in responses}
-        assert lanes == {0, 1}
-        for response in responses:
-            telemetry = response.telemetry
-            assert set(telemetry) == TELEMETRY_KEYS
-            assert telemetry["queue_wait_ms"] >= 0.0
-            assert telemetry["cache"]["session"] in ("hit", "miss")
-            assert telemetry["ladder"].startswith("single-pass")
-
-        tracer = obs.get_tracer()
-        spans = tracer.spans
-        lane_spans = [s for s in spans if s.name == "engine.lane"]
-        assert len(lane_spans) == 2
-        worker = [s for s in spans if s.pid is not None]
-        assert len({s.pid for s in worker}) == 2  # two worker processes
-        # Worker kernel spans arrived and sit under the dispatch span.
-        kernel = [s for s in worker
-                  if s.name.startswith(("single_pass.", "compiled_pass."))]
-        assert kernel, [s.name for s in worker]
-        roots = [s for s in worker if s.parent == "engine.lane"]
-        assert roots
-        for span in worker:  # re-timed onto the parent's epoch
-            assert span.start >= min(l.start for l in lane_spans) - 1e-6
-
-        trace = tracer.to_chrome_trace()
-        events = trace["traceEvents"]
-        pids = {e["pid"] for e in events}
-        assert 1 in pids and len(pids) == 3  # parent + both workers
-        names = {e["name"] for e in events}
-        assert "engine.lane" in names
-        assert any(n.startswith(("single_pass.", "compiled_pass."))
-                   for n in names)
-        # Worker counters merged home into the parent registry.
-        merged = {m["name"] for m in obs.metrics.snapshot()}
-        assert any(name.startswith("engine.") for name in merged), merged
-        # Lane utilization observed by the rolling stats.
-        assert set(stats["rolling"]["lanes"]) == {"0", "1"}
-
-    def test_fan_out_without_obs_ships_no_payload(self):
-        assert not obs.is_enabled()
-        requests = [{"op": "analyze", "circuit": name, "eps": [0.05],
-                     "options": OPTS} for name in ("c17", "c432")]
-        with AnalysisEngine(max_sessions=8) as engine:
-            responses = engine.submit_many(requests, jobs=2)
-        assert all(r.ok for r in responses)
-        assert {r.telemetry["lane"] for r in responses} == {0, 1}
-        assert obs.get_tracer().spans == []
-        assert obs.metrics.snapshot() == []
 
 
 class TestServeControlOps:
