@@ -389,7 +389,8 @@ class AnalysisEngine:
         if session.config.compiled == "auto" and not analyzer.uses_compiled:
             fallbacks.append({"from": "single-pass-compiled",
                               "to": "single-pass-scalar",
-                              "reason": "no compiled plan for this circuit"})
+                              "reason": analyzer.plan_unsupported_reason
+                              or "no compiled plan for this circuit"})
         if (deadline is not None and time.monotonic() >= deadline
                 and not session.config.outputs):
             # The closed-form rung models the full circuit, so a

@@ -179,6 +179,8 @@ class CircuitWorkspace:
 
         self._eps: Dict[str, float] = self._initial_eps(eps)
         self._plans: Dict[bool, Any] = {}
+        #: Per mode, why the last plan build was refused.
+        self._plan_reasons: Dict[bool, str] = {}
         self._pair_structure: Optional[PairStructure] = None
         self._analyzers: Dict[bool, SinglePassAnalyzer] = {}
         self._closed: Dict[Optional[str], Any] = {}
@@ -529,8 +531,9 @@ class CircuitWorkspace:
             else:
                 plan = CompiledSinglePass(self.circuit, self._weights,
                                           input_errors=self.input_errors)
-        except CompiledPassUnsupported:
+        except CompiledPassUnsupported as exc:
             plan = None
+            self._plan_reasons[mode] = str(exc)
         self._plans[mode] = plan
         return plan
 
@@ -558,6 +561,8 @@ class CircuitWorkspace:
             plan = self._ensure_plan(mode)
             analyzer._plan = plan
             analyzer._plan_unsupported = plan is None
+            analyzer.plan_unsupported_reason = (
+                None if plan is not None else self._plan_reasons.get(mode))
         return analyzer
 
     def analyze(self, eps: Optional[EpsilonSpec] = None,
@@ -630,6 +635,7 @@ class CircuitWorkspace:
                                  source=self._weights.source)
         ws._eps = dict(self._eps)
         ws._plans = {}
+        ws._plan_reasons = {}
         ws._pair_structure = self._pair_structure
         ws._analyzers = {}
         ws._closed = {}
@@ -778,6 +784,7 @@ class CircuitWorkspace:
             source=str(manifest["weights_source"]))
         ws._eps = {str(k): float(v) for k, v in manifest["eps"].items()}
         ws._plans = {}
+        ws._plan_reasons = {}
         ws._pair_structure = None
         ws._analyzers = {}
         ws._closed = {}

@@ -26,7 +26,10 @@ pair-ordering contract and cannot diverge on iteration order.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Iterator, Mapping, Optional, Tuple
+
+import numpy as np
 
 from ..circuit import Circuit, truth_table
 from ..circuit.analysis import support_bitsets
@@ -56,7 +59,9 @@ class PairStructure:
 
     Both the scalar :class:`ErrorCorrelationEngine` and the compiled
     correlated kernel build their classification on this object, so the two
-    paths see the same canonical keys by construction.
+    paths see the same canonical keys by construction.  The compiled plan
+    classifies whole arrays of pairs at once, on the array views below
+    (indexed by topological slot, i.e. by ``topo_pos``).
     """
 
     def __init__(self, circuit: Circuit,
@@ -65,8 +70,29 @@ class PairStructure:
         self.max_level_gap = max_level_gap
         self.support = support_bitsets(circuit)
         order = circuit.topological_order()
+        self.order = order
         self.topo_pos: Dict[str, int] = {n: i for i, n in enumerate(order)}
         self.level: Dict[str, int] = {n: circuit.level(n) for n in order}
+
+    # -- array views (by topological slot), built on first use ----------
+    @cached_property
+    def slot_levels(self) -> np.ndarray:
+        """Logic level of every wire by topological slot, shape (n,)."""
+        return np.fromiter((self.level[n] for n in self.order),
+                           dtype=np.int64, count=len(self.order))
+
+    @cached_property
+    def support_words(self) -> np.ndarray:
+        """The support bitsets packed into uint64 words, shape (n, words).
+
+        Row ``i`` is wire ``order[i]``'s bitset, little-endian, so two wires
+        overlap iff any word of their rows' AND is nonzero.
+        """
+        n_bytes = 8 * max(1, -(-len(self.order) // 64))
+        packed = b"".join(self.support[n].to_bytes(n_bytes, "little")
+                          for n in self.order)
+        return np.frombuffer(packed, dtype="<u8").reshape(len(self.order),
+                                                          -1)
 
     def canonical(self, a: str, ea: int, b: str, eb: int
                   ) -> Tuple[str, int, str, int]:

@@ -38,7 +38,9 @@ per-pair coefficient state into an integer-indexed *coefficient row table*:
 * structural pair discovery (a closure over the Fig. 4 expansion, using
   the same :class:`~repro.probability.correlation.PairStructure`
   classification and canonical pair ordering as the scalar engine) assigns
-  every reachable ``(wire, event, wire, event)`` pair a row index;
+  every reachable ``(wire, event, wire, event)`` pair a row index —
+  batched: each frontier of the closure is classified as integer arrays,
+  and each lowering template's programs are built once per batch;
 * at run time the rows live in one dense ``(rows, E)`` matrix ``C`` —
   same-wire rows read a wire's propagated state, expansion rows run a
   pre-lowered Fig. 4 program — evaluated in a level schedule that
@@ -63,7 +65,6 @@ pinned to <= 1e-10 on the full circuit catalog.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -75,7 +76,6 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace_span
 from ..probability.correlation import PairStructure
 from ..probability.error_propagation import (
-    EVENT_1TO0,
     ErrorProbability,
     correlated_transition_lowering,
     transition_lowering,
@@ -814,18 +814,258 @@ def _eval_corr_group(g: _CorrGroup, P: np.ndarray, C: np.ndarray,
         C[targets] = np.where(valid, coef, 1.0)
 
 
-def _group_arrays(shape: tuple, members: List[tuple]) -> _CorrGroup:
-    """Stack ``(target, eps_row, state, rows, weights)`` members."""
-    targets, eps_rows, state, rows, weights = zip(*members)
-    return _CorrGroup(
-        shape=shape,
-        targets=np.asarray(targets, dtype=np.intp),
-        eps_rows=np.asarray(eps_rows, dtype=np.intp),
-        state=np.ascontiguousarray(np.asarray(state, dtype=np.intp).T),
-        rows=np.ascontiguousarray(np.asarray(rows, dtype=np.intp).T),
-        weights=np.ascontiguousarray(
-            np.asarray(weights, dtype=np.float64).T[:, :, None]),
-    )
+def _query(memo: dict, queries: list, spec: tuple) -> int:
+    """Index of ``spec`` among one vector's row queries, in first-use order."""
+    q = memo.get(spec)
+    if q is None:
+        q = memo[spec] = len(queries)
+        queries.append(spec)
+    return q
+
+
+class _LoweringTemplate:
+    """The Fig. 4 programs shared by every row of one lowering template.
+
+    A template is a gate function (truth table, arity) together with the
+    instance structure that prunes its programs — active input vectors and
+    error-free fanin positions, see
+    :func:`~repro.probability.error_propagation.
+    correlated_transition_lowering` — plus ``side``: ``None`` for a
+    corrected gate, or the output value ``ea`` whose input vectors a
+    coefficient row ``(a, ea | b, eb)`` expands, conditioned on ``b``.
+
+    Every row query the programs make is recorded once, in the order the
+    scalar ``_correlated_transition`` issues it, as a fanin-position
+    *spec* ``(t_a, e_a, t_b, e_b)`` (``t_b = -1``: the conditioning wire
+    ``b``).  A batch of instances resolves the template's distinct specs as
+    ``(members, specs)`` arrays; :meth:`skeleton` then lowers the programs
+    once per pattern of queries that resolved to the constant-1.0 row,
+    which are dropped from the skeleton.
+    """
+
+    def __init__(self, truth: Tuple[int, ...], k: int, active: int,
+                 errfree: int, side: Optional[int]):
+        lowered = correlated_transition_lowering(truth, k, active, errfree)
+        if side is not None:
+            lowered = tuple(r for r in lowered if r[1] == side)
+        queries: List[tuple] = []
+        self._recipe = []
+        state_pos: List[int] = []
+        state_ev: List[int] = []
+        for _, b, events, perts in lowered:
+            memo: dict = {}
+
+            def prow(i: int, j: int) -> int:
+                if j < i:
+                    i, j = j, i
+                return _query(memo, queries, (i, events[i], j, events[j]))
+
+            def crow(t: int) -> Optional[int]:
+                if side is None:
+                    return None
+                return _query(memo, queries, (t, events[t], -1, -1))
+
+            progs = []
+            positions = set()
+            for flips, nonflips in perts:
+                flip_q = tuple((t, crow(t)) for t in flips)
+                pair_q = tuple(prow(flips[x], flips[y])
+                               for x in range(len(flips))
+                               for y in range(x + 1, len(flips)))
+                nf_q = []
+                for t in nonflips:
+                    chain = [] if side is None else [crow(t)]
+                    chain += [prow(t, u) for u in flips]
+                    nf_q.append((t, tuple(chain)))
+                progs.append((flip_q, pair_q, tuple(nf_q)))
+                positions.update(flips)
+                positions.update(nonflips)
+            positions = sorted(positions)
+            self._recipe.append((b, positions, tuple(progs)))
+            state_pos += positions
+            state_ev += [events[t] for t in positions]
+        specs = list(dict.fromkeys(queries))
+        spec_id = {s: i for i, s in enumerate(specs)}
+        #: Template query -> distinct spec, shape (Q,).
+        self.query_spec = np.asarray([spec_id[q] for q in queries],
+                                     dtype=np.intp)
+        table = np.asarray(specs, dtype=np.intp).reshape(-1, 4)
+        self.spec_a, self.spec_ea, self.spec_b, self.spec_eb = table.T
+        #: Fanin position and event of every state read, shape (n_s,).
+        self.state_pos = np.asarray(state_pos, dtype=np.intp)
+        self.state_ev = np.asarray(state_ev, dtype=np.intp)
+        #: Input vector of every program, in skeleton order.
+        self.vectors = np.asarray([r[0] for r in lowered], dtype=np.intp)
+        #: Active input vectors per error-free output value, ascending —
+        #: the scalar accumulation order of the side weight totals.
+        self.side_vectors = [
+            np.asarray([v for v in range(1 << k)
+                        if (active >> v) & 1 and truth[v] == val],
+                       dtype=np.intp) for val in (0, 1)]
+
+    def skeleton(self, keep: np.ndarray) -> Tuple[tuple, np.ndarray]:
+        """``(vprogs, kept queries)`` for one keep pattern (see
+        :class:`_CorrGroup`): a query is a row operand iff ``keep`` marks
+        it, numbered in query order across the vectors."""
+        kept = np.flatnonzero(keep)
+        op = np.full(len(keep), -1, dtype=np.intp)
+        op[kept] = np.arange(len(kept))
+        op = op.tolist()
+        vprogs = []
+        n_state = 0
+        for b, positions, progs in self._recipe:
+            fetch = tuple((t, n_state + j) for j, t in enumerate(positions))
+            n_state += len(positions)
+            pert_progs = []
+            for flip_q, pair_q, nf_q in progs:
+                pert_progs.append((
+                    tuple((t, -1 if q is None else op[q])
+                          for t, q in flip_q),
+                    tuple(op[q] for q in pair_q if op[q] >= 0),
+                    tuple((t, tuple(op[q] for q in chain if op[q] >= 0))
+                          for t, chain in nf_q),
+                ))
+            vprogs.append((b, fetch, tuple(pert_progs)))
+        return tuple(vprogs), kept
+
+
+def _side_total(w: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Per-row sum of ``w[:, vectors]`` added left to right (the scalar
+    pass's Python-float accumulation, not numpy's pairwise sum)."""
+    if not len(vectors):
+        return np.zeros(w.shape[0], dtype=np.float64)
+    return np.add.accumulate(w[:, vectors], axis=1)[:, -1]
+
+
+class _RowTable:
+    """Coefficient-row numbering of a correlated plan under construction.
+
+    :meth:`resolve` is the scalar engine's pair classification — same
+    wire, disjoint supports, canonicalization, level gap — over whole
+    arrays of ``(a, ea, b, eb)`` queries on topological slots, each wire
+    event packed as one ``2 slot + event`` integer.  Same-wire
+    rows live in a dense ``event * nodes + slot`` table.  A cross-wire
+    expansion row is keyed by one packed int64 per canonical pair,
+    ``(2 a + ea) * 2n + (2 b + eb)`` — the later wire is the larger half,
+    so canonicalization is a max/min — held in a sorted key array that
+    lookups search and inserts merge into.  Rows are created on first
+    sight; new expansion rows queue until :meth:`take_new`.
+    """
+
+    def __init__(self, structure: PairStructure, is_logic: np.ndarray):
+        n = len(structure.order)
+        self.n = n
+        self.n_rows = 2  # rows 0/1 are the 1.0 / 0.0 constants
+        self.same_row = np.full(2 * n, -1, dtype=np.intp)
+        #: Sorted packed keys of the expansion rows, and their rows.
+        self.keys = np.empty(0, dtype=np.int64)
+        self.rows = np.empty(0, dtype=np.intp)
+        self._new: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._support = structure.support_words
+        self._levels = structure.slot_levels
+        self._gap = structure.max_level_gap
+        self._is_logic = is_logic
+
+    def _add_pairs(self, keys: np.ndarray) -> np.ndarray:
+        """Number sorted, unseen ``keys`` as new rows."""
+        rows = np.arange(self.n_rows, self.n_rows + len(keys),
+                         dtype=np.intp)
+        self.n_rows += len(keys)
+        at = np.searchsorted(self.keys, keys)
+        self.keys = np.insert(self.keys, at, keys)
+        self.rows = np.insert(self.rows, at, rows)
+        self._new.append((keys, rows))
+        return rows
+
+    def seed(self, pairs: np.ndarray) -> None:
+        """Pre-number cached ``(a, ea, b, eb)`` slot rows (all canonical)."""
+        if len(pairs):
+            a, ea, b, eb = np.asarray(pairs, dtype=np.int64).T
+            self._add_pairs(np.sort((2 * a + ea) * (2 * self.n)
+                                    + 2 * b + eb))
+
+    def take_new(self) -> Tuple[np.ndarray, ...]:
+        """``(a, ea, b, eb, row)`` of the expansion rows created since the
+        last call."""
+        new, self._new = self._new, []
+        if not new:
+            return (np.empty(0, dtype=np.int64),) * 5
+        keys, rows = (np.concatenate(x) for x in zip(*new))
+        return self.decode(keys) + (rows,)
+
+    def decode(self, keys: np.ndarray) -> Tuple[np.ndarray, ...]:
+        ka, kb = np.divmod(keys, 2 * self.n)
+        return ka >> 1, ka & 1, kb >> 1, kb & 1
+
+    def resolve(self, ka: np.ndarray, kb: np.ndarray) -> np.ndarray:
+        """Row of every query: flat arrays of ``2 slot + event`` halves."""
+        out = np.full(ka.shape, ROW_ONE, dtype=np.intp)
+        same = (ka >> 1) == (kb >> 1)
+        if same.any():
+            # A wire cannot err both ways at once: cross-direction
+            # same-wire queries read the constant 0.0 row.
+            out[same] = ROW_ZERO
+            same_ev = np.flatnonzero(same & (ka == kb))
+            flat = (ka[same_ev] & 1) * self.n + (ka[same_ev] >> 1)
+            fresh = np.unique(flat[self.same_row[flat] < 0])
+            self.same_row[fresh] = np.arange(
+                self.n_rows, self.n_rows + len(fresh))
+            self.n_rows += len(fresh)
+            out[same_ev] = self.same_row[flat]
+        cross = np.flatnonzero(~same)
+        if not len(cross):
+            return out
+        ka, kb = ka[cross], kb[cross]
+        keys, inv = np.unique(np.maximum(ka, kb) * (2 * self.n)
+                              + np.minimum(ka, kb), return_inverse=True)
+        ua, _, ub, _ = self.decode(keys)
+        valid = (np.bitwise_and(self._support[ua], self._support[ub])
+                 .any(axis=1) & self._is_logic[ua])
+        if self._gap is not None:
+            valid &= self._levels[ua] - self._levels[ub] <= self._gap
+        keys = keys[valid]
+        at = np.searchsorted(self.keys, keys)
+        known = at < len(self.keys)
+        known[known] = self.keys[at[known]] == keys[known]
+        rows = np.empty(len(keys), dtype=np.intp)
+        rows[known] = self.rows[at[known]]
+        if not known.all():
+            rows[~known] = self._add_pairs(keys[~known])
+        key_rows = np.full(len(valid), ROW_ONE, dtype=np.intp)
+        key_rows[valid] = rows
+        out[cross] = key_rows[inv]
+        return out
+
+
+@dataclass
+class _GateBucket:
+    """Gates sharing one lowering template (see :class:`_LoweringTemplate`)."""
+
+    truth: Tuple[int, ...]
+    k: int
+    active: int
+    errfree: int
+    #: Member gate slots, and their weight vectors, shape (m, 2**k).
+    slots: np.ndarray
+    weights: np.ndarray
+    #: Lowering templates built so far, by side (None: the gate itself).
+    templates: Dict[Optional[int], _LoweringTemplate] = field(
+        default_factory=dict)
+
+    def template(self, side: Optional[int]) -> _LoweringTemplate:
+        tl = self.templates.get(side)
+        if tl is None:
+            tl = self.templates[side] = _LoweringTemplate(
+                self.truth, self.k, self.active, self.errfree, side)
+        return tl
+
+
+def _split_by(key: np.ndarray) -> List[np.ndarray]:
+    """Member indices grouped by equal ``key``, in ascending key order."""
+    if not len(key):
+        return []
+    by_key = np.argsort(key, kind="stable")
+    return np.split(by_key, np.flatnonzero(np.diff(key[by_key])) + 1)
 
 
 class CompiledCorrelatedPass:
@@ -837,14 +1077,25 @@ class CompiledCorrelatedPass:
     corrected pass, coefficients included, with a trailing eps axis.
 
     Plan construction discovers the structural closure of the Fig. 4
-    recursion: building each gate's transition program queries the
-    coefficient rows it needs, and each new expansion row is queued until
-    its own program is built.  The recursion is well-founded because a
-    canonical pair always expands its topologically *later* wire through
-    its gate, so every referenced pair is strictly earlier — which also
-    makes the discovered set (and the coefficient values) independent of
-    query order, the contract shared with the scalar engine via
+    recursion: each gate's transition programs query the coefficient rows
+    they need, and each new expansion row's own programs query further
+    rows.  The recursion is well-founded because a canonical pair always
+    expands its topologically *later* wire through its gate, so every
+    referenced pair is strictly earlier — which also makes the discovered
+    set (and the coefficient values) independent of query order, the
+    contract shared with the scalar engine via
     :class:`~repro.probability.correlation.PairStructure`.
+
+    Nothing is done per row in Python.  Gates are bucketed by lowering
+    template (:class:`_LoweringTemplate`); discovery runs in frontier
+    rounds — every gate, then every expansion row the previous round
+    created, bucketed by its wire's template and event — and each round
+    resolves all its row queries in one vectorized call
+    (:class:`_RowTable`).  The pair budget is tested after every round, so
+    a refused plan lowers nothing.  Once the closure is complete, each
+    (template, side) bucket is lowered in one batch: its keep patterns
+    pick skeletons, and its members' operand arrays are gathered straight
+    into the groups.
 
     Parameters mirror the analyzer's correlation knobs: ``max_pairs``
     bounds the expansion-row count (beyond it the plan refuses with
@@ -868,17 +1119,26 @@ class CompiledCorrelatedPass:
         self.weights = weights
         self.max_pairs = max_pairs
         self.max_level_gap = max_level_gap
+        #: Coefficient rows numbered so far (all of them once compiled).
+        self.n_rows = 2
+        #: Lowering batches: the plan's (template, side) buckets.
+        self.num_batches = 0
         with trace_span("compiled_pass.compile_correlated",
-                        circuit=circuit.name):
-            self._compile(dict(input_errors or {}), max_arity, cache_dir,
-                          structure)
+                        circuit=circuit.name) as span:
+            try:
+                self._compile(dict(input_errors or {}), max_arity,
+                              cache_dir, structure)
+            finally:
+                span.set(rows=self.n_rows, batches=self.num_batches)
         if obs_metrics.is_enabled():
-            obs_metrics.inc("compiled_pass.correlated_compiles",
-                            circuit=circuit.name)
+            labels = {"circuit": circuit.name}
+            obs_metrics.inc("compiled_pass.correlated_compiles", **labels)
             obs_metrics.set_gauge("compiled_pass.coefficient_rows",
-                                  self.n_rows, circuit=circuit.name)
+                                  self.n_rows, **labels)
             obs_metrics.set_gauge("compiled_pass.correlated_groups",
-                                  self.num_corr_groups, circuit=circuit.name)
+                                  self.num_corr_groups, **labels)
+            obs_metrics.set_gauge("compiled_pass.lowering_batches",
+                                  self.num_batches, **labels)
 
     # -- plan construction ---------------------------------------------
     def _compile(self, input_errors, max_arity, cache_dir,
@@ -892,6 +1152,12 @@ class CompiledCorrelatedPass:
         self._gate_row = {g: i for i, g in enumerate(gates)}
         self.input_error_rows: List[Tuple[int, ErrorProbability]] = [
             (self.index[name], ep) for name, ep in input_errors.items()]
+        for gate in gates:
+            arity = circuit.node(gate).arity
+            if arity > max_arity:
+                raise CompiledPassUnsupported(
+                    f"gate {gate!r} has arity {arity} > {max_arity};"
+                    " use the scalar pass")
         # A caller holding a still-valid PairStructure (same circuit
         # structure, same level-gap cap — e.g. an incremental workspace
         # re-lowering after a type-only swap) can pass it in to skip the
@@ -900,22 +1166,29 @@ class CompiledCorrelatedPass:
                           else PairStructure(
                               circuit, max_level_gap=self.max_level_gap))
 
+        nodes = [circuit.node(name) for name in order]
+        is_logic = np.asarray([node.gate_type.is_logic for node in nodes],
+                              dtype=bool)
         # Wires whose error probability is identically zero at every eps
         # point: constants and noise-free primary inputs.  Their pruning in
         # the lowering mirrors the scalar pass's zero-probability exits.
-        self._error_free = set()
-        for name in order:
-            if circuit.node(name).gate_type.is_logic:
-                continue
-            ep = input_errors.get(name)
-            if ep is None or (ep.p01 == 0.0 and ep.p10 == 0.0):
-                self._error_free.add(name)
-
-        self._same_index: Dict[Tuple[str, int], int] = {}
-        self._same_rows: List[Tuple[int, int, int, str]] = []
-        self._row_index: Dict[Tuple[str, int, str, int], int] = {}
-        self._pending = deque()
-        self.n_rows = 2  # rows 0/1 are the 1.0 / 0.0 constants
+        error_free = np.zeros(len(order), dtype=bool)
+        for slot in np.flatnonzero(~is_logic).tolist():
+            ep = input_errors.get(order[slot])
+            error_free[slot] = ep is None or (ep.p01 == 0.0
+                                              and ep.p10 == 0.0)
+        #: Fanin slots by gate slot (zero-padded), and each gate's row in
+        #: the (gates, E) local-failure matrices.
+        self._fanin = np.zeros(
+            (len(order), max([1] + [node.arity for node in nodes])),
+            dtype=np.intp)
+        self._eps_row = np.full(len(order), -1, dtype=np.intp)
+        for row, gate in enumerate(gates):
+            slot = self.index[gate]
+            self._eps_row[slot] = row
+            self._fanin[slot, :nodes[slot].arity] = [
+                self.index[f] for f in nodes[slot].fanins]
+        buckets = self._gate_buckets(nodes, error_free)
 
         cached_plan = None
         if cache_dir is not None:
@@ -925,317 +1198,278 @@ class CompiledCorrelatedPass:
             raise CompiledPassUnsupported(
                 f"correlated pair budget ({self.max_pairs}) exceeded for "
                 f"{circuit.name!r} (cached plan)")
+        table = _RowTable(self.structure, is_logic)
         if cached_plan is not None:
-            # Seed the row index so discovery short-circuits its structural
-            # classification; the closure below still builds every program.
-            for a_slot, ea, b_slot, eb in cached_plan["pairs"]:
-                key = (order[a_slot], int(ea), order[b_slot], int(eb))
-                self._row_index[key] = self.n_rows
-                self._pending.append((self.n_rows, key))
-                self.n_rows += 1
-
-        st = self.structure
-        # Corrected-gate group members, keyed (level, shape).
-        gate_members: Dict[tuple, List[tuple]] = {}
+            # Seed the row table so discovery finds every row numbered;
+            # the rounds below still resolve and lower every program.
+            table.seed(cached_plan["pairs"])
         try:
-            plain_gates: List[str] = []
-            for gate in gates:
-                node = circuit.node(gate)
-                if node.arity > max_arity:
-                    raise CompiledPassUnsupported(
-                        f"gate {gate!r} has arity {node.arity} > {max_arity};"
-                        " use the scalar pass")
-                prog = self._gate_program(gate, node)
-                if prog is None:
-                    plain_gates.append(gate)
-                    continue
-                shape, state, rows, wts = prog
-                gate_members.setdefault((st.level[gate], shape), []).append(
-                    (self.index[gate], self._gate_row[gate], state, rows,
-                     wts))
-            expansions: List[tuple] = []
-            while self._pending:
-                row, (a, ea, b, eb) = self._pending.popleft()
-                expansions.append((self.index[a], max(st.level[a],
-                                                      st.level[b]),
-                                   row, self._gate_row[a],
-                                   self._expand_program(a, ea, b, eb)))
+            found = self._discover(table, buckets)
         except CompiledPassUnsupported:
             if cache_dir is not None and cached_plan is None:
                 store_correlation_plan(cache_dir, circuit,
                                        self.max_level_gap, self.max_pairs,
                                        unsupported=True)
             raise
+
+        # Canonical pair keys, sorted by wire names (the deterministic
+        # iteration contract of ErrorCorrelationEngine.coefficient_items).
+        pa, pea, pb, peb = table.decode(table.keys)
+        name_rank = np.empty(len(order), dtype=np.intp)
+        name_rank[sorted(range(len(order)), key=order.__getitem__)] = \
+            np.arange(len(order))
+        by_name = np.lexsort((peb, name_rank[pb], pea, name_rank[pa]))
+        pa, pea, pb, peb = pa[by_name], pea[by_name], pb[by_name], peb[by_name]
         if cache_dir is not None and cached_plan is None:
             store_correlation_plan(
                 cache_dir, circuit, self.max_level_gap, self.max_pairs,
-                pairs=[(self.index[a], ea, self.index[b], eb)
-                       for (a, ea, b, eb) in sorted(self._row_index)])
+                pairs=np.stack([pa, pea, pb, peb], axis=1))
+        names = np.asarray(order, dtype=object)
+        self.n_pair_rows = len(table.keys)
+        self.pair_keys: List[Tuple[str, int, str, int]] = list(zip(
+            names[pa].tolist(), pea.tolist(), names[pb].tolist(),
+            peb.tolist()))
+        self._pair_rows_order = table.rows[by_name]
 
-        # -- level schedule --------------------------------------------
-        # Per level: plain groups, then corrected-gate groups (state of
-        # level L is final after these), then the level's same-wire rows
-        # as one batch (state reads only), then the expansion waves.  An
-        # expansion row reads rows of lower levels, or rows of its own
-        # level whose canonical later wire is strictly topologically
-        # earlier; visiting rows in that wire order gives each row its
-        # wave (one past the deepest same-level row it reads) in one pass.
-        n_nodes = len(order)
-        plain_levels = _lower_plain_groups(
-            circuit, self.weights, self.index, self._gate_row,
-            plain_gates, max_arity)
-        gate_groups: Dict[int, List[_CorrGroup]] = {}
-        for (lv, shape), members in gate_members.items():
-            gate_groups.setdefault(lv, []).append(
-                _group_arrays(shape, members))
-        same_by_level: Dict[int, Tuple[List[int], List[int]]] = {}
-        for row, slot, ev, wire in self._same_rows:
-            rows, flat = same_by_level.setdefault(st.level[wire], ([], []))
-            rows.append(row)
-            flat.append(ev * n_nodes + slot)
-        expand_members: Dict[tuple, List[tuple]] = {}
-        wave_of: Dict[int, Tuple[int, int]] = {}
-        expansions.sort(key=lambda x: x[0])
-        for _, lv, row, eps_row, (shape, state, rows, wts) in expansions:
-            wave = 0
-            for r in rows:
-                seen = wave_of.get(r)
-                if seen is not None and seen[0] == lv and seen[1] >= wave:
-                    wave = seen[1] + 1
-            wave_of[row] = (lv, wave)
-            expand_members.setdefault((lv, wave, shape), []).append(
-                (row, eps_row, state, rows, wts))
-        waves: Dict[int, List[List[_CorrGroup]]] = {}
-        for (lv, wave, shape), members in expand_members.items():
-            level_waves = waves.setdefault(lv, [])
-            while len(level_waves) <= wave:
-                level_waves.append([])
-            level_waves[wave].append(_group_arrays(shape, members))
-        self._schedule: List[tuple] = []
-        for lv in sorted(set(plain_levels) | set(gate_groups)
-                         | set(same_by_level) | set(waves)):
-            same = same_by_level.get(lv)
-            self._schedule.append((
-                tuple(plain_levels.get(lv, ())),
-                tuple(gate_groups.get(lv, ())),
-                None if same is None else (np.asarray(same[0], dtype=np.intp),
-                                           np.asarray(same[1], dtype=np.intp)),
-                tuple(tuple(groups) for groups in waves.get(lv, ())),
-            ))
-        #: Batched correlated ops per sweep: corrected-gate groups,
-        #: same-wire level batches and expansion groups.
-        self.num_corr_groups = (sum(map(len, gate_groups.values()))
-                                + len(same_by_level) + len(expand_members))
-
-        self.n_pair_rows = len(self._row_index)
-        items = sorted(self._row_index.items())
-        #: Canonical pair keys, sorted by wire ids (the deterministic
-        #: iteration contract of ErrorCorrelationEngine.coefficient_items).
-        self.pair_keys: List[Tuple[str, int, str, int]] = [
-            key for key, _ in items]
-        self._pair_rows_order = np.asarray([row for _, row in items],
-                                           dtype=np.intp)
-
+        self._build_schedule(found, buckets, table, max_arity)
         self.output_slots = np.asarray(
             [self.index[o] for o in circuit.outputs], dtype=np.intp)
         self.output_prob1 = np.asarray(
             [self.weights.signal_prob[o] for o in circuit.outputs],
             dtype=np.float64)
 
-    # ------------------------------------------------------------------
-    def _row_of(self, a: str, ea: int, b: str, eb: int) -> int:
-        """Coefficient row index for the joint (a: ea, b: eb) events.
+    def _gate_buckets(self, nodes, error_free: np.ndarray
+                      ) -> List[_GateBucket]:
+        """Bucket the gates by (truth, arity, active vectors, error-free
+        fanins); records each gate slot's bucket and position in it."""
+        by_class: Dict[Tuple[Tuple[int, ...], int], List[int]] = {}
+        for gate in self.gate_names:
+            slot = self.index[gate]
+            node = nodes[slot]
+            by_class.setdefault((truth_table(node.gate_type, node.arity),
+                                 node.arity), []).append(slot)
+        buckets: List[_GateBucket] = []
+        self._bucket_of = np.full(len(nodes), -1, dtype=np.intp)
+        self._bucket_pos = np.zeros(len(nodes), dtype=np.intp)
+        for (truth, k), slots in by_class.items():
+            slots = np.asarray(slots, dtype=np.intp)
+            w = np.stack([np.asarray(self.weights.weights[nodes[s].name],
+                                     dtype=np.float64) for s in slots])
+            active = np.packbits(w != 0.0, axis=1, bitorder="little")
+            errfree = (error_free[self._fanin[slots, :k]]
+                       << np.arange(k)).sum(axis=1)
+            split: Dict[tuple, List[int]] = {}
+            for i, key in enumerate(zip(map(bytes, active),
+                                        errfree.tolist())):
+                split.setdefault(key, []).append(i)
+            for (act, ef), members in split.items():
+                sel = slots[members]
+                self._bucket_of[sel] = len(buckets)
+                self._bucket_pos[sel] = np.arange(len(sel))
+                buckets.append(_GateBucket(
+                    truth, k, int.from_bytes(act, "little"), ef, sel,
+                    w[members]))
+        return buckets
 
-        Mirrors the scalar engine's classification in the same order:
-        same-wire, disjoint supports, canonicalization, level gap; anything
-        left is an expansion row, created (and queued for program
-        construction) on first sight.
+    def _discover(self, table: _RowTable, buckets: List[_GateBucket]
+                  ) -> Dict[tuple, List[tuple]]:
+        """Close the pair set, one frontier round at a time.
+
+        Returns ``{(bucket, side): [(a, b, eb, row, resolved), ...]}``:
+        each discovered member (a gate, side None; or expansion row
+        ``(a, side | b, eb)``) with its template's row queries resolved,
+        shape (members, specs).  Raises :class:`CompiledPassUnsupported`
+        as soon as a round takes the closure past ``max_pairs``.
         """
-        if a == b:
-            if ea != eb:
-                return ROW_ZERO
-            skey = (a, ea)
-            row = self._same_index.get(skey)
-            if row is None:
-                row = self.n_rows
-                self.n_rows += 1
-                self._same_index[skey] = row
-                self._same_rows.append((row, self.index[a], ea, a))
-            return row
-        st = self.structure
-        key = st.canonical(a, ea, b, eb)
-        row = self._row_index.get(key)
-        if row is not None:
-            return row
-        if not st.overlaps(a, b):
-            return ROW_ONE
-        if st.gapped(key[0], key[2]):
-            return ROW_ONE
-        if not self.circuit.node(key[0]).gate_type.is_logic:
-            return ROW_ONE  # cannot happen for a canonical later wire
-        if len(self._row_index) >= self.max_pairs:
-            raise CompiledPassUnsupported(
-                f"correlated pair budget ({self.max_pairs}) exceeded while "
-                f"lowering {self.circuit.name!r}; use the scalar pass")
-        row = self.n_rows
-        self.n_rows += 1
-        self._row_index[key] = row
-        self._pending.append((row, key))
-        return row
+        fanin = self._fanin
+        found: Dict[tuple, List[tuple]] = {}
+        frontier = [(i, None, bucket.slots, None, None, None)
+                    for i, bucket in enumerate(buckets)]
+        while frontier:
+            queries = []
+            for bid, side, a, b, eb, _ in frontier:
+                tl = buckets[bid].template(side)
+                f = fanin[a]
+                ka = 2 * f[:, tl.spec_a] + tl.spec_ea
+                kb = 2 * f[:, np.maximum(tl.spec_b, 0)] + tl.spec_eb
+                if side is not None:
+                    # Conditioning queries (spec_b < 0) read (b, eb).
+                    kb = np.where(tl.spec_b < 0, (2 * b + eb)[:, None], kb)
+                queries.append((ka.ravel(), kb.ravel()))
+            resolved = np.split(
+                table.resolve(np.concatenate([q[0] for q in queries]),
+                              np.concatenate([q[1] for q in queries])),
+                np.cumsum([len(q[0]) for q in queries])[:-1])
+            for (bid, side, a, b, eb, rows), res in zip(frontier, resolved):
+                n_specs = len(buckets[bid].template(side).spec_a)
+                found.setdefault((bid, side), []).append(
+                    (a, b, eb, rows, res.reshape(len(a), n_specs)))
+            self.n_rows = table.n_rows
+            self.num_batches = len(found)
+            if len(table.keys) > self.max_pairs:
+                raise CompiledPassUnsupported(
+                    f"correlated pair budget ({self.max_pairs}) exceeded "
+                    f"while lowering {self.circuit.name!r}; use the scalar "
+                    "pass")
+            a, ea, b, eb, rows = table.take_new()
+            key = self._bucket_of[a] * 2 + ea
+            frontier = [(int(key[sel[0]]) // 2, int(key[sel[0]]) % 2,
+                         a[sel], b[sel], eb[sel], rows[sel])
+                        for sel in _split_by(key)]
+        return found
 
-    def _instance_masks(self, node, w) -> Tuple[int, int]:
-        """(active input vectors, error-free fanin positions) bitmasks."""
-        active = 0
-        for v, wv in enumerate(w):
-            if wv != 0.0:
-                active |= 1 << v
-        errfree = 0
-        for t, f in enumerate(node.fanins):
-            if f in self._error_free:
-                errfree |= 1 << t
-        return active, errfree
+    def _lower(self, found: Dict[tuple, List[tuple]],
+               buckets: List[_GateBucket]):
+        """Lower every (bucket, side) batch onto its groups' operands.
 
-    def _vector_program(self, fanins, events, perts,
-                        cond: Optional[Tuple[str, int]],
-                        state: List[int], rows: List[int]):
-        """Lower one input vector's perturbations onto operand lists.
-
-        Appends the vector's state reads to ``state`` (flat ``event *
-        nodes + slot`` indices) and its coefficient-row reads to ``rows``,
-        and returns ``(fetch, pert_progs)`` naming them by list position
-        (see :class:`_CorrGroup`).  Operands are numbered by fanin
-        position, never by row value, so two vectors with the same
-        lowering and the same constant-1.0 pattern get the same skeleton.
-        A row read is kept iff it differs from the constant 1.0 row, so a
-        gate whose vectors leave ``rows`` empty runs on the batched
-        independence kernel instead.
+        Returns ``(shapes, parts, plain)``: the distinct skeletons, then
+        per skeleton a list of member arrays ``(targets, eps_rows, state,
+        rows, weights, level)`` (operands member-major), and the slots of
+        gates that read no nontrivial row (the plain kernel's share).
+        Skeletons are interned by value, so buckets that lower to the same
+        program share its groups.
         """
-        pair_memo: Dict[Tuple[int, int], int] = {}
-
-        def operand(r: int) -> int:
-            if r == ROW_ONE:
-                return -1
-            rows.append(r)
-            return len(rows) - 1
-
-        def prow(i: int, j: int) -> int:
-            pkey = (i, j) if i < j else (j, i)
-            c = pair_memo.get(pkey)
-            if c is None:
-                c = operand(self._row_of(fanins[pkey[0]], events[pkey[0]],
-                                         fanins[pkey[1]], events[pkey[1]]))
-                pair_memo[pkey] = c
-            return c
-
-        cond_memo: Dict[int, int] = {}
-
-        def crow(t: int) -> int:
-            c = cond_memo.get(t)
-            if c is None:
-                c = operand(self._row_of(fanins[t], events[t],
-                                         cond[0], cond[1]))
-                cond_memo[t] = c
-            return c
-
-        pert_progs = []
-        positions = set()
-        for flips, nonflips in perts:
-            flip_ops = []
-            for t in flips:
-                flip_ops.append((t, -1 if cond is None else crow(t)))
-                positions.add(t)
-            pair_ops = []
-            n = len(flips)
-            for ai in range(n):
-                for bi in range(ai + 1, n):
-                    c = prow(flips[ai], flips[bi])
-                    if c >= 0:
-                        pair_ops.append(c)
-            nf_ops = []
-            for t in nonflips:
-                chain = []
-                if cond is not None:
-                    c = crow(t)
-                    if c >= 0:
-                        chain.append(c)
-                for u in flips:
-                    c = prow(t, u)
-                    if c >= 0:
-                        chain.append(c)
-                nf_ops.append((t, tuple(chain)))
-                positions.add(t)
-            pert_progs.append((tuple(flip_ops), tuple(pair_ops),
-                               tuple(nf_ops)))
         n_nodes = len(self.node_names)
-        fetch = []
-        for t in sorted(positions):
-            fetch.append((t, len(state)))
-            state.append((n_nodes if events[t] == EVENT_1TO0 else 0)
-                         + self.index[fanins[t]])
-        return tuple(fetch), tuple(pert_progs)
+        levels = self.structure.slot_levels
+        fanin = self._fanin
+        shapes: Dict[tuple, int] = {}
+        parts: Dict[int, List[tuple]] = {}
+        plain: List[np.ndarray] = []
+        for (bid, side), batches in found.items():
+            bucket = buckets[bid]
+            tl = bucket.template(side)
+            a, b, eb, rows, resolved = (
+                None if cols[0] is None else np.concatenate(cols)
+                for cols in zip(*batches))
+            row_q = resolved[:, tl.query_spec]
+            keep = row_q != ROW_ONE
+            w = bucket.weights[self._bucket_pos[a]]
+            totals = [_side_total(w, tl.side_vectors[s])
+                      for s in ((0, 1) if side is None else (side,))]
+            has = np.stack([t > 0.0 for t in totals], axis=1)
+            pattern = np.packbits(np.concatenate([keep, has], axis=1),
+                                  axis=1)
+            _, inv = np.unique(np.ascontiguousarray(pattern).view(
+                np.dtype((np.void, pattern.shape[1])))[:, 0],
+                return_inverse=True)
+            for sel in _split_by(inv):
+                first = sel[0]
+                if side is None and not keep[first].any():
+                    plain.append(a[sel])
+                    continue
+                vprogs, kept = tl.skeleton(keep[first])
+                shape = ((("gate",) if side is None else ("expand", side))
+                         + tuple(bool(x) for x in has[first]) + (vprogs,))
+                sid = shapes.setdefault(shape, len(shapes))
+                asel = a[sel]
+                state = tl.state_ev * n_nodes + fanin[asel][:, tl.state_pos]
+                if side is None:
+                    targets, level = asel, levels[asel]
+                else:
+                    targets = rows[sel]
+                    level = np.maximum(levels[asel], levels[b[sel]])
+                    state = np.concatenate(
+                        [state, (side * n_nodes + asel)[:, None],
+                         (eb[sel] * n_nodes + b[sel])[:, None]], axis=1)
+                parts.setdefault(sid, []).append((
+                    targets, self._eps_row[asel], state,
+                    row_q[sel][:, kept],
+                    np.concatenate([w[sel][:, tl.vectors]]
+                                   + [t[sel, None] for t in totals], axis=1),
+                    level))
+        return list(shapes), parts, plain
 
-    def _lower_vectors(self, node, w, side: Optional[int],
-                       cond: Optional[Tuple[str, int]]):
-        """Lower the active vectors of one gate instance (only those with
-        error-free output ``side`` when given).
+    def _build_schedule(self, found, buckets, table: _RowTable,
+                        max_arity: int) -> None:
+        """Lower the discovered plan and lay its groups out by level.
 
-        Returns ``(vprogs, state, rows, weights)``: the skeleton entries
-        of :class:`_CorrGroup` and the operand lists they index.
+        Per level: plain groups, then corrected-gate groups (state of
+        level L is final after these), then the level's same-wire rows as
+        one batch (state reads only), then the expansion waves.  An
+        expansion row reads rows of lower levels, or rows of its own level
+        whose canonical later wire is strictly topologically earlier; its
+        wave is one past the deepest same-level row it reads.
         """
-        truth = truth_table(node.gate_type, node.arity)
-        active, errfree = self._instance_masks(node, w)
-        lowered = correlated_transition_lowering(truth, node.arity, active,
-                                                 errfree)
-        state: List[int] = []
-        rows: List[int] = []
-        vprogs = []
-        weights = []
-        for v, b, events, perts in lowered:
-            if side is not None and b != side:
-                continue
-            fetch, pert_progs = self._vector_program(
-                node.fanins, events, perts, cond, state, rows)
-            vprogs.append((b, fetch, pert_progs))
-            weights.append(w[v])
-        return tuple(vprogs), state, rows, weights
+        shapes, parts, plain = self._lower(found, buckets)
+        expand = [sid for sid in parts if shapes[sid][0] == "expand"]
+        row_level = np.full(self.n_rows, -1, dtype=np.intp)
+        for sid in expand:
+            for p in parts[sid]:
+                row_level[p[0]] = p[5]
+        wave = np.zeros(self.n_rows, dtype=np.intp)
+        if expand:
+            parent = np.concatenate([np.repeat(p[0], p[3].shape[1])
+                                     for sid in expand for p in parts[sid]])
+            child = np.concatenate([p[3].ravel()
+                                    for sid in expand for p in parts[sid]])
+            link = row_level[child] == row_level[parent]
+            parent, child = parent[link], child[link]
+            # Longest same-level read chain: relax until nothing deepens.
+            while True:
+                deeper = wave[child] + 1 > wave[parent]
+                if not deeper.any():
+                    break
+                np.maximum.at(wave, parent[deeper], wave[child[deeper]] + 1)
 
-    def _gate_program(self, gate: str, node) -> Optional[tuple]:
-        """Lower one gate's correlated transition to ``(shape, state, rows,
-        weights)``; None when it references no nontrivial row."""
-        w = [float(x) for x in self.weights.weights[gate]]
-        vprogs, state, rows, weights = self._lower_vectors(node, w, None,
-                                                           None)
-        if not rows:
-            return None
-        truth = truth_table(node.gate_type, node.arity)
-        w0 = 0.0
-        w1 = 0.0
-        for v, wv in enumerate(w):
-            if truth[v]:
-                w1 += wv
-            else:
-                w0 += wv
-        weights += [w0, w1]
-        return ("gate", w0 > 0.0, w1 > 0.0, vprogs), state, rows, weights
-
-    def _expand_program(self, a: str, ea: int, b: str, eb: int) -> tuple:
-        """Lower coefficient row ``(a, ea | b, eb)``'s Fig. 4 expansion to
-        ``(shape, state, rows, weights)``: the conditioned transition
-        programs of the side-``ea`` input vectors of ``a``'s gate."""
-        node = self.circuit.node(a)
-        truth = truth_table(node.gate_type, node.arity)
-        w = [float(x) for x in self.weights.weights[a]]
-        side = 0 if ea == 0 else 1
-        w_side = 0.0
-        for v, wv in enumerate(w):
-            if truth[v] == side:
-                w_side += wv
-        vprogs, state, rows, weights = self._lower_vectors(node, w, side,
-                                                           (b, eb))
+        gate_groups: Dict[int, List[_CorrGroup]] = {}
+        waves: Dict[int, List[List[_CorrGroup]]] = {}
+        for sid, sparts in parts.items():
+            targets, eps_rows, state, rows, weights, level = (
+                np.concatenate(cols) for cols in zip(*sparts))
+            key = (level * self.n_rows + wave[targets]
+                   if shapes[sid][0] == "expand" else level)
+            by_key = np.argsort(key, kind="stable")
+            key, targets, eps_rows, level = (
+                key[by_key], targets[by_key], eps_rows[by_key],
+                level[by_key])
+            state, rows = state[by_key].T, rows[by_key].T
+            weights = weights[by_key].T[:, :, None]
+            cuts = np.flatnonzero(np.diff(key)) + 1
+            for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(),
+                                                     len(key)]):
+                group = _CorrGroup(
+                    shape=shapes[sid],
+                    targets=targets[lo:hi],
+                    eps_rows=eps_rows[lo:hi],
+                    state=np.ascontiguousarray(state[:, lo:hi]),
+                    rows=np.ascontiguousarray(rows[:, lo:hi]),
+                    weights=np.ascontiguousarray(weights[:, lo:hi]))
+                lv = int(level[lo])
+                if shapes[sid][0] == "gate":
+                    gate_groups.setdefault(lv, []).append(group)
+                    continue
+                level_waves = waves.setdefault(lv, [])
+                w = int(wave[targets[lo]])
+                while len(level_waves) <= w:
+                    level_waves.append([])
+                level_waves[w].append(group)
+        plain_levels = _lower_plain_groups(
+            self.circuit, self.weights, self.index, self._gate_row,
+            [self.node_names[s]
+             for s in np.sort(np.concatenate(plain)).tolist()]
+            if plain else [], max_arity)
         n_nodes = len(self.node_names)
-        state += [ea * n_nodes + self.index[a], eb * n_nodes + self.index[b]]
-        weights.append(w_side)
-        return ("expand", side, w_side > 0.0, vprogs), state, rows, weights
+        same_flat = np.flatnonzero(table.same_row >= 0)
+        same_level = self.structure.slot_levels[same_flat % n_nodes]
+        same_by_level = {}
+        for sel in _split_by(same_level):
+            flat = same_flat[sel]
+            same_by_level[int(same_level[sel[0]])] = (table.same_row[flat],
+                                                      flat)
+        self._schedule: List[tuple] = []
+        for lv in sorted(set(plain_levels) | set(gate_groups)
+                         | set(same_by_level) | set(waves)):
+            self._schedule.append((
+                tuple(plain_levels.get(lv, ())),
+                tuple(gate_groups.get(lv, ())),
+                same_by_level.get(lv),
+                tuple(tuple(groups) for groups in waves.get(lv, ())),
+            ))
+        #: Batched correlated ops per sweep: corrected-gate groups,
+        #: same-wire level batches and expansion groups.
+        self.num_corr_groups = (
+            sum(map(len, gate_groups.values())) + len(same_by_level)
+            + sum(len(g) for lw in waves.values() for g in lw))
 
     # -- execution ------------------------------------------------------
     def run(self, eps: EpsilonSpec,

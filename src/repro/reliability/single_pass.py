@@ -292,6 +292,9 @@ class SinglePassAnalyzer:
         self.frames = frames
         self._plan = None
         self._plan_unsupported = False
+        #: Why no compiled plan could be built (the
+        #: :class:`CompiledPassUnsupported` message), or None.
+        self.plan_unsupported_reason: Optional[str] = None
         self._truth: Dict[str, tuple] = {}
         for gate in circuit.topological_gates():
             node = circuit.node(gate)
@@ -317,8 +320,9 @@ class SinglePassAnalyzer:
                         self.circuit, self.weights,
                         input_errors=self.input_errors,
                         dtype=self.dtype)
-            except CompiledPassUnsupported:
+            except CompiledPassUnsupported as exc:
                 self._plan_unsupported = True
+                self.plan_unsupported_reason = str(exc)
                 return None
         return self._plan
 

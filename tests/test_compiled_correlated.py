@@ -187,6 +187,39 @@ class TestScalarOracleFallback:
                                    max_pairs=2)
 
 
+class TestPairBudgetBoundary:
+    """Refuse iff the closure has more than ``max_pairs`` rows, and refuse
+    before lowering anything."""
+
+    @pytest.fixture(scope="class")
+    def b9(self):
+        circuit = get_benchmark("b9")
+        return circuit, compute_weights(circuit, method="sampled",
+                                        n_patterns=1 << 10, seed=0)
+
+    def test_budget_equal_to_closure_compiles(self, b9):
+        circuit, weights = b9
+        full = CompiledCorrelatedPass(circuit, weights)
+        exact = CompiledCorrelatedPass(circuit, weights,
+                                       max_pairs=full.n_pair_rows)
+        assert exact.pair_keys == full.pair_keys
+        assert exact.num_corr_groups == full.num_corr_groups
+
+    def test_budget_below_closure_refuses_before_lowering(self, b9,
+                                                         monkeypatch):
+        from repro.reliability import CompiledPassUnsupported
+        circuit, weights = b9
+        closure = CompiledCorrelatedPass(circuit, weights).n_pair_rows
+
+        def no_lowering(*args, **kwargs):
+            raise AssertionError("a refused plan must not be lowered")
+
+        monkeypatch.setattr(CompiledCorrelatedPass, "_lower", no_lowering)
+        with pytest.raises(CompiledPassUnsupported,
+                           match=rf"budget \({closure - 1}\)"):
+            CompiledCorrelatedPass(circuit, weights, max_pairs=closure - 1)
+
+
 class TestCorrelationPlanCache:
     def test_cache_roundtrip_identical_results(self, reconvergent_circuit,
                                                tmp_path):

@@ -7,6 +7,8 @@ columns never couple, and a coefficient row that reads another row of
 its own level runs in a later wave — plus the group telemetry.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,11 @@ def test_group_gauge_and_span_attribute(same_level_circuit):
                                       **labels)
         (span,) = obs.get_tracer().find("compiled_pass.run_sweep_correlated")
         assert span.attrs["groups"] == groups
+        (span,) = obs.get_tracer().find("compiled_pass.compile_correlated")
+        assert span.attrs["rows"] == plan.n_rows
+        assert span.attrs["batches"] == plan.num_batches > 0
+        assert reg.value("compiled_pass.lowering_batches",
+                         **labels) == plan.num_batches
     finally:
         obs.disable()
         obs.reset()
@@ -127,4 +134,6 @@ def test_profile_prints_rows_and_groups(tmp_path, capsys):
     finally:
         obs.disable()
         obs.reset()
-    assert "correlated plan: 20 coefficient rows in" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert re.search(r"correlated plan: 20 coefficient rows in \d+ batched "
+                     r"groups, lowered in \d+ batches", out)

@@ -176,6 +176,21 @@ class TestTimeoutLadder:
             for delta in point["per_output"].values():
                 assert 0.0 <= delta <= 1.0
 
+    def test_refused_plan_reports_its_reason(self, engine):
+        """A pair budget below c432's closure refuses the compiled plan;
+        the envelope names the budget, not a generic message."""
+        env = engine.submit({"op": "analyze", "circuit": "c432",
+                             "eps": 0.05,
+                             "options": {**OPTS,
+                                         "max_correlation_pairs": 100}}
+                            ).to_dict()
+        assert env["ok"]
+        assert env["method"] == "single-pass-scalar"
+        assert env["fallbacks"] == [{
+            "from": "single-pass-compiled", "to": "single-pass-scalar",
+            "reason": "correlated pair budget (100) exceeded while "
+                      "lowering 'c432'; use the scalar pass"}]
+
     def test_generous_deadline_stays_on_compiled(self, engine):
         env = engine.submit({"op": "analyze", "circuit": "c17",
                              "eps": 0.05, "timeout_s": 120,

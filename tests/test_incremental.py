@@ -189,6 +189,15 @@ class TestPlanLadder:
         assert report.plans["correlated"] == "relowered"
         assert_parity(ws)
 
+    def test_refused_plan_keeps_its_reason(self, reconvergent_circuit):
+        ws = CircuitWorkspace(reconvergent_circuit, max_correlation_pairs=2)
+        analyzer = ws.analyzer()
+        assert not analyzer.uses_compiled
+        assert analyzer.plan_unsupported_reason.startswith(
+            "correlated pair budget (2) exceeded")
+        assert ws.analyzer(use_correlation=False) \
+            .plan_unsupported_reason is None
+
     def test_add_then_remove_round_trips(self, full_adder_circuit):
         ws = CircuitWorkspace(full_adder_circuit, eps=0.04)
         baseline = dict(ws.analyze().per_output)
