@@ -73,12 +73,12 @@ def test_sec2_baseline_accuracy(benchmark):
 
 def test_von_neumann_threshold(benchmark):
     numeric = benchmark.pedantic(von_neumann_threshold,
-                                 kwargs={"tolerance": 1e-7},
+                                 kwargs={"tolerance": 1e-12},
                                  rounds=1, iterations=1)
     analytic = (3.0 - math.sqrt(7.0)) / 4.0
     write_result(
         "von_neumann.txt",
         "von Neumann 2-input NAND multiplexing threshold\n"
-        f"numeric (from the executive-organ recurrence): {numeric:.6f}\n"
+        f"numeric (bisection on fixed-point stability):  {numeric:.6f}\n"
         f"analytic (3 - sqrt(7)) / 4:                    {analytic:.6f}\n")
-    assert numeric == pytest.approx(analytic, abs=2e-3)
+    assert numeric == pytest.approx(analytic, abs=1e-9)

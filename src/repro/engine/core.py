@@ -116,6 +116,25 @@ def _check_outputs_method(session: "CircuitSession", method: str) -> None:
             f"use method='single-pass'")
 
 
+def _pair_budget_fallbacks(session: "CircuitSession",
+                           results: Sequence[Any]) -> List[Dict[str, Any]]:
+    """The envelope entry for scalar pair-budget degradation, if any.
+
+    The scalar engine degrades per query once its pair memo is full:
+    those pairs read as independent, silently less accurate unless the
+    envelope says so.  ``results`` are one request's own points, so a
+    coalesced request counts only what its points dropped.
+    """
+    n_dropped = sum(getattr(r, "pairs_dropped_budget", 0) for r in results)
+    if not n_dropped:
+        return []
+    budget = session.config.max_correlation_pairs
+    return [{"from": "correlated-pairs", "to": "independent-pairs",
+             "reason": f"correlation pair budget ({budget}) exhausted: "
+                       f"{n_dropped} pair lookups read as independent",
+             "budget": budget, "pairs_dropped_budget": n_dropped}]
+
+
 class AnalysisEngine:
     """A long-lived, multi-circuit reliability analysis service.
 
@@ -382,7 +401,7 @@ class AnalysisEngine:
         so a pass that started in time runs to completion (and is merely
         flagged ``timed_out`` if it overran).
         """
-        fallbacks: List[Dict[str, str]] = []
+        fallbacks: List[Dict[str, Any]] = []
         analyzer = session.analyzer(correlation)
         rung = ("single-pass-compiled" if analyzer.uses_compiled
                 else "single-pass-scalar")
@@ -628,7 +647,9 @@ class AnalysisEngine:
                 response = AnalysisResponse(
                     ok=True, op=request.op,
                     circuit=session.circuit.name, id=request.id,
-                    method=method, fallbacks=list(fallbacks),
+                    method=method,
+                    fallbacks=fallbacks + _pair_budget_fallbacks(
+                        session, results[start:start + count]),
                     timed_out=timed_out, elapsed_s=elapsed,
                     coalesced=len(members),
                     frames=session.config.frames,
@@ -875,7 +896,10 @@ class AnalysisEngine:
                     request.eps10_points(), deadline)
             return AnalysisResponse(
                 ok=True, op=request.op, circuit=name, id=request.id,
-                method=used, fallbacks=fallbacks, timed_out=timed_out,
+                method=used,
+                fallbacks=fallbacks + _pair_budget_fallbacks(session,
+                                                             results),
+                timed_out=timed_out,
                 frames=frames, outputs=outputs,
                 result=analyze_payload(name, specs, results))
         if method == "closed-form":

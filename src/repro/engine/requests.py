@@ -155,7 +155,7 @@ class AnalysisResponse:
     method: Optional[str] = None
     #: Ladder steps taken, e.g. ``[{"from": "single-pass-compiled",
     #: "to": "closed-form", "reason": "timeout"}]``.
-    fallbacks: List[Dict[str, str]] = field(default_factory=list)
+    fallbacks: List[Dict[str, Any]] = field(default_factory=list)
     timed_out: bool = False
     elapsed_s: float = 0.0
     #: Whether this request was answered from a coalesced kernel call

@@ -68,30 +68,29 @@ def nand_fixed_points(eps: float) -> Tuple[float, ...]:
     return tuple(sorted(r for r in roots if 0.0 <= r <= 1.0))
 
 
-def von_neumann_threshold(tolerance: float = 1e-9) -> float:
+def von_neumann_threshold(tolerance: float = 1e-15) -> float:
     """The noise threshold of 2-input NAND multiplexing, found numerically.
 
-    Below the threshold the period-2 iteration of the executive organ
-    keeps two distinguishable stimulation levels (computation survives);
-    above it the double-step map collapses to a single stable fixed point.
-    Von Neumann's closed form is ``(3 - sqrt(7)) / 4`` ≈ 0.08856; this
-    bisection recovers it from the recurrence alone (pinned by tests).
+    The executive organ's map ``f(x) = (1-eps)(1-x^2) + eps x^2`` has one
+    fixed point ``x*`` in [0, 1], with slope ``f'(x*) = -2 x* (1 - 2 eps)``.
+    Below the threshold ``|f'(x*)| > 1``: the fixed point repels and the
+    double-step map keeps two distinguishable stimulation levels
+    (computation survives).  Above it the fixed point attracts and the
+    levels collapse onto it.  The threshold is where the period-doubling
+    happens, ``2 x* (1 - 2 eps) = 1``; bisecting on that condition
+    recovers von Neumann's closed form ``(3 - sqrt(7)) / 4`` ≈ 0.08856 to
+    ``tolerance`` (pinned by tests).  Iterating the map instead overshoots
+    by ~1e-4: near the bifurcation the orbit converges too slowly to tell
+    the two regimes apart.
     """
-    def distinguishable(eps: float) -> bool:
-        # Iterate the double-step map from a nearly clean bundle; if the
-        # long-run level stays away from the fixed point, states survive.
-        x = 0.99
-        for _ in range(10_000):
-            x = nand_excitation_step(
-                nand_excitation_step(x, x, eps),
-                nand_excitation_step(x, x, eps), eps)
-        fixed = nand_fixed_points(eps)
-        return all(abs(x - f) > 1e-4 for f in fixed)
+    def repelling(eps: float) -> bool:
+        x = max(nand_fixed_points(eps))
+        return 2.0 * x * (1.0 - 2.0 * eps) > 1.0
 
     lo, hi = 0.0, 0.25
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
-        if distinguishable(mid):
+        if repelling(mid):
             lo = mid
         else:
             hi = mid

@@ -47,14 +47,14 @@ per-pair coefficient state into an integer-indexed *coefficient row table*:
   guarantees every child row and every fanin state is final before use;
 * gates whose transitions reference only the constant-1 row run through
   the batched independence kernel unchanged; the remaining gates and all
-  expansion rows are lowered to op *skeletons* with their state slots,
-  coefficient rows and weights pulled out as operands, and grouped by
-  (level, wave, skeleton).  A *wave* is the dependency depth among the
-  expansion rows of one level.  Each group gathers its operands into
-  ``(R, E)`` arrays, runs the skeleton once — elementwise arithmetic
-  mirroring the scalar ``_correlated_transition`` clamp for clamp — and
-  scatters its ``R`` results with one fancy assignment, so the kernel's
-  dispatch cost scales with the group count, not the row count.
+  expansion rows run in dependency *steps* — one level's corrected gates,
+  or one *wave* (dependency depth) of its expansion rows.  A step gathers
+  all its members' operands at once, evaluates each perturbation *form*
+  (the op sequence of one term of the scalar ``_correlated_transition``,
+  clamp for clamp) once over every term of that form, reduces the terms
+  in rank-ordered rounds that keep the scalar addition order, and
+  finishes all members in one vectorized tail, so the kernel's dispatch
+  cost scales with steps x forms, not with rows or program shapes.
 
 :class:`~repro.reliability.single_pass.SinglePassAnalyzer` dispatches to
 one of the two kernels in **all** modes, keeping the scalar engine as a
@@ -67,6 +67,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -242,6 +243,11 @@ class SweepResult:
     #: ``(pairs, E)`` — used to seed a scalar engine for any sweep point.
     correlation_coefficients: Optional[np.ndarray] = field(
         default=None, repr=False, compare=False)
+    #: Scalar sweeps only: pair lookups per point that the correlation
+    #: engine answered as independent because its pair budget was full
+    #: (None on compiled sweeps, which never degrade).
+    pairs_dropped_budget: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False)
     #: Time-frame count when the swept circuit is an unrolled sequential
     #: netlist (None for plain combinational sweeps).  Stamped by the
     #: analyzer/engine; :meth:`point` threads it into each materialized
@@ -291,12 +297,15 @@ class SweepResult:
                       for o, out in enumerate(self.outputs)}
         pairs = (0 if self.correlation_pairs is None
                  else int(self.correlation_pairs[j]))
+        dropped = (0 if self.pairs_dropped_budget is None
+                   else int(self.pairs_dropped_budget[j]))
         return SinglePassResult(
             per_output=per_output,
             node_errors=node_errors,
             signal_prob=dict(self.signal_prob),
             used_correlation=self.used_correlation,
             correlation_pairs=pairs,
+            pairs_dropped_budget=dropped,
             correlation_engine=None,
             frames=self.frames,
         )
@@ -661,166 +670,200 @@ def _eps_matrix(gate_names: Sequence[str],
 _validated_specs = validate_sweep_specs
 
 
-@dataclass
-class _CorrGroup:
-    """Same-shape correlated programs of one level and wave, run as one op.
+@dataclass(frozen=True)
+class _Form:
+    """The op sequence of one perturbation term, shared by every term of
+    that form in a step.
 
-    A member is either a correlation-corrected gate (it writes its node's
-    ``p01``/``p10`` state) or the Fig. 4 expansion of one coefficient row
-    (it writes that row of ``C``).  Members share ``shape`` — the lowered
-    op skeleton — and differ only in the operands it names, so the kernel
-    gathers every member's operands into ``(R, E)`` arrays and runs the
-    skeleton once for all ``R`` members.
+    A term of the scalar ``_correlated_transition`` is fixed, up to its
+    operands, by its flip count, which flips carry a conditioning row
+    (``cond``: their indices), its pair-cap count, and the coefficient
+    chain length of each non-flipping fanin in order (``chains``); rows
+    equal to the constant 1.0 are dropped before the form is read off.
 
-    ``shape`` is ``("gate", has0, has1, vprogs)`` or
-    ``("expand", ea, has_side, vprogs)``, where ``has*`` records a nonzero
-    side weight total and ``vprogs`` holds one ``(b, fetch, perts)`` per
-    active error-free input vector, in ascending-vector order (the scalar
-    accumulation order):
-
-    * ``fetch`` — ``(position, state operand)`` reads;
-    * ``perts`` — ``(flip_ops, pair_ops, nf_ops)`` per output-flipping
-      perturbation: flip positions with their conditioning row operand
-      (-1 when none), the capped pairwise row operands among the flips,
-      and the non-flipping positions with their row-operand scale chains.
-
-    Coefficient rows equal to the constant 1.0 are dropped from the
-    skeleton (multiplying by an exact 1.0 is the identity, and every cap
-    they could trigger is already implied by the running invariants).
+    Operand layout of ``n`` terms: state ``(n_state, n, E)`` = flips, then
+    non-flips; coefficients ``(n_rows, n, E)`` = conditioning rows, pair
+    rows, then each non-flip's chain.
     """
 
-    shape: tuple
+    n_flips: int
+    cond: Tuple[int, ...]
+    n_pairs: int
+    chains: Tuple[int, ...]
+
+    @property
+    def n_state(self) -> int:
+        return self.n_flips + len(self.chains)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.cond) + self.n_pairs + sum(self.chains)
+
+
+def _form_terms(form: _Form, S: np.ndarray, Cg: np.ndarray,
+                out: np.ndarray) -> None:
+    """Evaluate ``n`` terms of one form into ``out``, shape (n, E).
+
+    Elementwise replica of the scalar ``_correlated_transition``: the
+    same operations in the same order, with ``np.minimum`` standing in for
+    its clamps and caps, so every element matches the scalar pass to
+    float rounding.  ``S`` / ``Cg`` are the gathered operands (see
+    :class:`_Form`); both are scratch and are overwritten.
+    """
+    nf = form.n_flips
+    flips = S[:nf]
+    for c, t in enumerate(form.cond):
+        flips[t] *= Cg[c]
+        np.minimum(flips[t], 1.0, out=flips[t])
+    c = len(form.cond)
+    # multiply.reduce along the leading axis multiplies left to right.
+    term = flips[0] if nf == 1 else np.multiply.reduce(flips, axis=0)
+    if form.n_pairs:
+        for pair in Cg[c:c + form.n_pairs]:
+            term *= pair
+            np.minimum(term, 1e12, out=term)
+        c += form.n_pairs
+        # Feasibility: the joint of all flips cannot exceed any single
+        # flip probability (same cap as the scalar pass).
+        np.minimum(term, np.minimum.reduce(flips, axis=0), out=term)
+    for i, length in enumerate(form.chains):
+        p = S[nf + i]
+        if length:
+            scale = Cg[c]
+            for factor in Cg[c + 1:c + length]:
+                scale *= factor
+                np.minimum(scale, 1e12, out=scale)
+            c += length
+            p *= scale
+            np.minimum(p, 1.0, out=p)
+        np.subtract(1.0, p, out=p)
+        term *= p
+    out[...] = term
+
+
+@dataclass
+class _Step:
+    """One dependency step of the correlated schedule, run as one batch.
+
+    A step is one level's corrected gates (``gate`` tail) or one wave of
+    that level's expansion rows (``expand`` tail).  Its members never read
+    each other's outputs, so the step gathers all their state and
+    coefficient operands at once, evaluates each perturbation form once
+    over every term of that form, and reduces the terms in rank-ordered
+    rounds that keep each element's scalar addition order:
+
+    * terms land in ``T`` in form blocks; ``to_rank`` reorders them
+      rank-major over the step's vectors (sorted by descending term
+      count, so the vectors with an ``r``-th term are a prefix) and each
+      ``pert_rounds`` entry ``(n, off)`` adds rank ``r`` onto the first
+      ``n`` running totals;
+    * ``to_side`` reorders the vector totals into the same rank-major
+      layout over ``(member, side)`` slots, ``W·min(1, total)`` is taken
+      there, and ``side_rounds`` accumulate each slot; slot ``i`` ends in
+      row ``i``.
+
+    (``np.add.reduceat`` over contiguous segments cannot replace the
+    rounds: it adds a segment as ``a0 + (a1 + ...)``, not left to right,
+    so its sums can differ from the scalar pass in the last bit.)
+    """
+
+    #: ``"gate"`` or ``"expand"``.
+    kind: str
+    #: Flat ``event * nodes + slot`` state reads and coefficient rows,
+    #: in form blocks (operand-major within a block).
+    state: np.ndarray
+    rows: np.ndarray
+    #: ``(form, n, state offset, row offset, T offset)`` per form block.
+    forms: tuple
+    n_terms: int
+    to_rank: np.ndarray
+    pert_rounds: tuple
+    to_side: np.ndarray
+    #: Input-vector weights in slot order, shape (vectors, 1).
+    weights: np.ndarray
+    side_rounds: tuple
     #: Node slot (gate) or coefficient row (expansion) written, shape (R,).
     targets: np.ndarray
     #: Rows into the (gates, E) local-failure matrices, shape (R,).
     eps_rows: np.ndarray
-    #: State reads as flat indices ``event * nodes + slot`` into the
-    #: ``(2 * nodes, E)`` state, shape (n_s, R); an expansion's last two
-    #: are the marginal of ``a`` and the probability of ``b``.
-    state: np.ndarray
-    #: Coefficient rows read, shape (n_c, R).
-    rows: np.ndarray
-    #: Per-vector weights followed by the side totals (gate: W(0), W(1);
-    #: expansion: W(ea)), shape (n_w, R, 1).
-    weights: np.ndarray
+    #: Slot row of each member side, shape (sides, R): gate sides 0 and 1,
+    #: an expansion's own side ``ea``; ``mask`` (sides, R, 1) marks the
+    #: sides with terms and a nonzero weight total, ``den`` holds that
+    #: total (1.0 where masked off).
+    slots: np.ndarray
+    mask: np.ndarray
+    den: np.ndarray
+    #: Expansion only: ``ea == 1`` per member (R, 1), and the flat state
+    #: reads of the marginal of ``a`` and the probability of ``b`` (2, R).
+    ea1: Optional[np.ndarray] = None
+    marginals: Optional[np.ndarray] = None
+
+    @property
+    def n_operands(self) -> int:
+        """Rows of the step's gathered operands and terms, per column."""
+        return len(self.state) + len(self.rows) + self.n_terms
 
 
-def _group_flip(fetch: tuple, perts: tuple, S: np.ndarray,
-                Cg: np.ndarray) -> np.ndarray:
-    """Total output-flip probability of one input vector, shape (R, E).
+def _run_step(st: _Step, flat: np.ndarray, P: np.ndarray, C: np.ndarray,
+              Eps: np.ndarray) -> None:
+    """Evaluate one step over the eps axis and scatter its results.
 
-    Elementwise replica of the scalar ``_correlated_transition`` summed
-    over the vector's perturbations: identical operation order, with
-    ``np.minimum`` standing in for the scalar clamps and caps, so the two
-    paths agree to float rounding.  ``S`` / ``Cg`` are the group's
-    gathered state and coefficient operands, shape (n, R, E).
+    ``P`` is the ``(2, nodes, E)`` state (``flat`` its ``(2 nodes, E)``
+    view), ``C`` the ``(rows, E)`` coefficients and ``Eps`` the stacked
+    ``(2, gates, E)`` local failure probabilities (01 then 10).  Gathers
+    use ``take``, which skips fancy indexing's per-call setup.
     """
-    p = {t: S[s] for t, s in fetch}
-    total = None
-    for flip_ops, pair_ops, nf_ops in perts:
-        term = None
-        if pair_ops:
-            min_flip = None
-            for t, c in flip_ops:
-                pt = p[t]
-                if c >= 0:
-                    pt = np.minimum(pt * Cg[c], 1.0)
-                if term is None:
-                    term = pt
-                    min_flip = pt
-                else:
-                    term = term * pt
-                    min_flip = np.minimum(min_flip, pt)
-            for c in pair_ops:
-                term = np.minimum(term * Cg[c], 1e12)
-            # Feasibility: the joint of all flips cannot exceed any single
-            # flip probability (same cap as the scalar pass).
-            term = np.minimum(term, min_flip)
-        else:
-            for t, c in flip_ops:
-                pt = p[t]
-                if c >= 0:
-                    pt = np.minimum(pt * Cg[c], 1.0)
-                term = pt if term is None else term * pt
-        for t, cs in nf_ops:
-            pt = p[t]
-            if cs:
-                scale = Cg[cs[0]]
-                for c in cs[1:]:
-                    scale = np.minimum(scale * Cg[c], 1e12)
-                pt = np.minimum(pt * scale, 1.0)
-            term = term * (1.0 - pt)
-        total = term if total is None else total + term
-    return total
-
-
-def _eval_corr_group(g: _CorrGroup, P: np.ndarray, C: np.ndarray,
-                     e01: np.ndarray, e10: np.ndarray) -> None:
-    """Run one group's skeleton over all its members and scatter results.
-
-    ``P`` is the ``(2, nodes, E)`` state (``P[0]`` = p01, ``P[1]`` =
-    p10).  Members never read each other's outputs (the schedule puts
-    dependent rows in later waves) and no op reduces across members or
-    eps columns, so each element sees the scalar op sequence.  Members are
-    chunked so the gathered operands stay under ``_CHUNK_ELEMENTS``.
-    """
-    n_eps = P.shape[-1]
-    flat = P.reshape(-1, n_eps)
-    kind, flag_a, flag_b, vprogs = g.shape
-    n_members = g.targets.shape[0]
-    step = max(1, _CHUNK_ELEMENTS
-               // max(1, (g.state.shape[0] + g.rows.shape[0]) * n_eps))
-    for start in range(0, n_members, step):
-        sl = slice(start, start + step)
-        S = flat[g.state[:, sl]]                # (n_s, R, E)
-        Cg = C[g.rows[:, sl]]                   # (n_c, R, E)
-        W = g.weights[:, sl]                    # (n_w, R, 1)
-        e01g = e01[g.eps_rows[sl]]
-        e10g = e10[g.eps_rows[sl]]
-        targets = g.targets[sl]
-        pw = [None, None]
-        for i, (b, fetch, perts) in enumerate(vprogs):
-            contrib = W[i] * np.minimum(1.0, _group_flip(fetch, perts, S, Cg))
-            pw[b] = contrib if pw[b] is None else pw[b] + contrib
-        if kind == "gate":
-            if pw[0] is not None and flag_a:
-                r0 = np.minimum(pw[0] / W[-2], 1.0)
-                P[0][targets] = r0 * (1.0 - e10g) + (1.0 - r0) * e01g
-            else:
-                P[0][targets] = e01g
-            if pw[1] is not None and flag_b:
-                r1 = np.minimum(pw[1] / W[-1], 1.0)
-                P[1][targets] = r1 * (1.0 - e01g) + (1.0 - r1) * e10g
-            else:
-                P[1][targets] = e10g
-            continue
-        ea = flag_a
-        local = e01g if ea == 0 else e10g
-        if pw[ea] is not None and flag_b:
-            r = np.minimum(pw[ea] / W[-1], 1.0)
-            conditional = local + r * ((1.0 - e01g) - e10g)
-            conditional = np.minimum(np.maximum(conditional, 0.0), 1.0)
-        else:
-            conditional = local
-        marginal = S[-2]
-        p_b = S[-1]
-        # Degenerate lanes (zero/denormal marginals) read 1.0 exactly as the
-        # scalar engine's early returns; `where` keeps their divisions safe.
-        valid = (marginal > 1e-300) & (p_b > 0.0)
-        coef = conditional / np.where(valid, marginal, 1.0)
-        cap = 1.0 / np.where(valid, np.maximum(marginal, p_b), 1.0)
-        coef = np.minimum(coef, cap)
-        coef = np.maximum(0.0, np.minimum(coef, 1e9))
-        C[targets] = np.where(valid, coef, 1.0)
-
-
-def _query(memo: dict, queries: list, spec: tuple) -> int:
-    """Index of ``spec`` among one vector's row queries, in first-use order."""
-    q = memo.get(spec)
-    if q is None:
-        q = memo[spec] = len(queries)
-        queries.append(spec)
-    return q
+    width = flat.shape[1]
+    if st.n_terms:
+        S = flat.take(st.state, axis=0)
+        Cg = C.take(st.rows, axis=0)
+        T = np.empty((st.n_terms, width))
+        for form, n, s_off, c_off, t_off in st.forms:
+            _form_terms(
+                form,
+                S[s_off:s_off + form.n_state * n].reshape(-1, n, width),
+                Cg[c_off:c_off + form.n_rows * n].reshape(-1, n, width),
+                T[t_off:t_off + n])
+        T = T.take(st.to_rank, axis=0)
+        for n, off in st.pert_rounds:
+            T[:n] += T[off:off + n]
+        pw = T.take(st.to_side, axis=0)
+        np.minimum(1.0, pw, out=pw)
+        pw *= st.weights
+        for n, off in st.side_rounds:
+            pw[:n] += pw[off:off + n]
+    else:
+        pw = np.zeros((1, width))
+    r = pw.take(st.slots, axis=0)
+    r /= st.den
+    np.minimum(r, 1.0, out=r)
+    e = Eps.take(st.eps_rows, axis=1)
+    if st.kind == "gate":
+        # Sec. 4 item (iii) per side: r (1 - e_other) + (1 - r) e_own.
+        out = r * (1.0 - e[::-1])
+        np.subtract(1.0, r, out=r)
+        r *= e
+        out += r
+        P[:, st.targets] = np.where(st.mask, out, e)
+        return
+    local = np.where(st.ea1, e[1], e[0])
+    cond = (1.0 - e[0]) - e[1]
+    cond *= r[0]
+    cond += local
+    np.maximum(cond, 0.0, out=cond)
+    np.minimum(cond, 1.0, out=cond)
+    cond = np.where(st.mask[0], cond, local)
+    marginal, p_b = flat.take(st.marginals, axis=0)
+    # Degenerate lanes (zero/denormal marginals) read 1.0 exactly as the
+    # scalar engine's early returns; `where` keeps their divisions safe.
+    valid = (marginal > 1e-300) & (p_b > 0.0)
+    cond /= np.where(valid, marginal, 1.0)
+    cap = np.maximum(marginal, p_b)
+    cap = np.divide(1.0, np.where(valid, cap, 1.0), out=cap)
+    np.minimum(cond, cap, out=cond)
+    np.minimum(cond, 1e9, out=cond)
+    np.maximum(0.0, cond, out=cond)
+    C[st.targets] = np.where(valid, cond, 1.0)
 
 
 class _LoweringTemplate:
@@ -834,13 +877,13 @@ class _LoweringTemplate:
     corrected gate, or the output value ``ea`` whose input vectors a
     coefficient row ``(a, ea | b, eb)`` expands, conditioned on ``b``.
 
-    Every row query the programs make is recorded once, in the order the
-    scalar ``_correlated_transition`` issues it, as a fanin-position
+    Every row the programs read is recorded once, in the order the scalar
+    ``_correlated_transition`` first queries it, as a fanin-position
     *spec* ``(t_a, e_a, t_b, e_b)`` (``t_b = -1``: the conditioning wire
-    ``b``).  A batch of instances resolves the template's distinct specs as
-    ``(members, specs)`` arrays; :meth:`skeleton` then lowers the programs
-    once per pattern of queries that resolved to the constant-1.0 row,
-    which are dropped from the skeleton.
+    ``b``).  A batch of instances resolves the template's specs as
+    ``(members, specs)`` arrays; :meth:`forms` then sorts the programs'
+    terms into :class:`_Form` s once per pattern of specs that resolved
+    to the constant-1.0 row, which are dropped from the terms.
     """
 
     def __init__(self, truth: Tuple[int, ...], k: int, active: int,
@@ -848,54 +891,59 @@ class _LoweringTemplate:
         lowered = correlated_transition_lowering(truth, k, active, errfree)
         if side is not None:
             lowered = tuple(r for r in lowered if r[1] == side)
-        queries: List[tuple] = []
-        self._recipe = []
+        spec_id: Dict[tuple, int] = {}
+        #: Per term: (program, rank, state columns, the specs it reads in
+        #: operand order, and its (conditioning spec of each flip or
+        #: None, pair specs, each non-flip's chain specs)).
+        self._terms: List[tuple] = []
         state_pos: List[int] = []
         state_ev: List[int] = []
-        for _, b, events, perts in lowered:
-            memo: dict = {}
+        for i, (_, _, events, perts) in enumerate(lowered):
 
-            def prow(i: int, j: int) -> int:
-                if j < i:
-                    i, j = j, i
-                return _query(memo, queries, (i, events[i], j, events[j]))
+            def prow(t: int, u: int) -> int:
+                if u < t:
+                    t, u = u, t
+                spec = (t, events[t], u, events[u])
+                return spec_id.setdefault(spec, len(spec_id))
 
             def crow(t: int) -> Optional[int]:
                 if side is None:
                     return None
-                return _query(memo, queries, (t, events[t], -1, -1))
+                spec = (t, events[t], -1, -1)
+                return spec_id.setdefault(spec, len(spec_id))
 
-            progs = []
-            positions = set()
-            for flips, nonflips in perts:
-                flip_q = tuple((t, crow(t)) for t in flips)
-                pair_q = tuple(prow(flips[x], flips[y])
-                               for x in range(len(flips))
-                               for y in range(x + 1, len(flips)))
-                nf_q = []
-                for t in nonflips:
-                    chain = [] if side is None else [crow(t)]
-                    chain += [prow(t, u) for u in flips]
-                    nf_q.append((t, tuple(chain)))
-                progs.append((flip_q, pair_q, tuple(nf_q)))
-                positions.update(flips)
-                positions.update(nonflips)
-            positions = sorted(positions)
-            self._recipe.append((b, positions, tuple(progs)))
+            positions = sorted({t for flips, nonflips in perts
+                                for t in flips + nonflips})
+            col = {t: len(state_pos) + j for j, t in enumerate(positions)}
+            for rank, (flips, nonflips) in enumerate(perts):
+                cond = tuple(crow(t) for t in flips)
+                pairs = tuple(prow(flips[x], flips[y])
+                              for x in range(len(flips))
+                              for y in range(x + 1, len(flips)))
+                chains = tuple(
+                    tuple(([] if side is None else [crow(t)])
+                          + [prow(t, u) for u in flips])
+                    for t in nonflips)
+                self._terms.append((
+                    i, rank, [col[t] for t in flips + nonflips],
+                    [q for q in cond if q is not None] + list(pairs)
+                    + [q for ch in chains for q in ch],
+                    (cond, pairs, chains)))
             state_pos += positions
             state_ev += [events[t] for t in positions]
-        specs = list(dict.fromkeys(queries))
-        spec_id = {s: i for i, s in enumerate(specs)}
-        #: Template query -> distinct spec, shape (Q,).
-        self.query_spec = np.asarray([spec_id[q] for q in queries],
-                                     dtype=np.intp)
-        table = np.asarray(specs, dtype=np.intp).reshape(-1, 4)
+        #: (term, kept-bits of its specs) -> (form key, kept specs).
+        self._memo: Dict[tuple, tuple] = {}
+        table = np.asarray(list(spec_id), dtype=np.intp).reshape(-1, 4)
         self.spec_a, self.spec_ea, self.spec_b, self.spec_eb = table.T
         #: Fanin position and event of every state read, shape (n_s,).
         self.state_pos = np.asarray(state_pos, dtype=np.intp)
         self.state_ev = np.asarray(state_ev, dtype=np.intp)
-        #: Input vector of every program, in skeleton order.
+        #: Input vector, error-free output value and term count of every
+        #: program, in program order.
         self.vectors = np.asarray([r[0] for r in lowered], dtype=np.intp)
+        self.sides = np.asarray([r[1] for r in lowered], dtype=np.intp)
+        self.counts = np.asarray([len(r[3]) for r in lowered],
+                                 dtype=np.intp)
         #: Active input vectors per error-free output value, ascending —
         #: the scalar accumulation order of the side weight totals.
         self.side_vectors = [
@@ -903,30 +951,39 @@ class _LoweringTemplate:
                         if (active >> v) & 1 and truth[v] == val],
                        dtype=np.intp) for val in (0, 1)]
 
-    def skeleton(self, keep: np.ndarray) -> Tuple[tuple, np.ndarray]:
-        """``(vprogs, kept queries)`` for one keep pattern (see
-        :class:`_CorrGroup`): a query is a row operand iff ``keep`` marks
-        it, numbered in query order across the vectors."""
-        kept = np.flatnonzero(keep)
-        op = np.full(len(keep), -1, dtype=np.intp)
-        op[kept] = np.arange(len(kept))
-        op = op.tolist()
-        vprogs = []
-        n_state = 0
-        for b, positions, progs in self._recipe:
-            fetch = tuple((t, n_state + j) for j, t in enumerate(positions))
-            n_state += len(positions)
-            pert_progs = []
-            for flip_q, pair_q, nf_q in progs:
-                pert_progs.append((
-                    tuple((t, -1 if q is None else op[q])
-                          for t, q in flip_q),
-                    tuple(op[q] for q in pair_q if op[q] >= 0),
-                    tuple((t, tuple(op[q] for q in chain if op[q] >= 0))
-                          for t, chain in nf_q),
-                ))
-            vprogs.append((b, fetch, tuple(pert_progs)))
-        return tuple(vprogs), kept
+    def forms(self, keep: np.ndarray) -> Dict[tuple, tuple]:
+        """The terms under one keep pattern, split by :class:`_Form` key.
+
+        A spec is a row operand iff ``keep`` marks it.  Returns, per form
+        key ``(flip flags, pair count, chain lengths)``, the lists
+        ``(program, rank, state columns, spec columns)`` of its terms: the
+        program index, the term's rank within the program, and its
+        operand layout as columns of the template's state reads and of
+        its specs.
+        """
+        keep = keep.tolist()
+        forms: Dict[tuple, tuple] = {}
+        for t, (i, rank, scols, read, layout) in enumerate(self._terms):
+            memo_key = (t, tuple(map(keep.__getitem__, read)))
+            hit = self._memo.get(memo_key)
+            if hit is None:
+                cond, pairs, chains = layout
+                flags = tuple(q is not None and keep[q] for q in cond)
+                pairs = [q for q in pairs if keep[q]]
+                chains = [[q for q in ch if keep[q]] for ch in chains]
+                hit = self._memo[memo_key] = (
+                    (flags, len(pairs), tuple(map(len, chains))),
+                    [q for q, f in zip(cond, flags) if f] + pairs
+                    + [q for ch in chains for q in ch])
+            key, cols = hit
+            entry = forms.get(key)
+            if entry is None:
+                entry = forms[key] = ([], [], [], [])
+            entry[0].append(i)
+            entry[1].append(rank)
+            entry[2].append(scols)
+            entry[3].append(cols)
+        return forms
 
 
 def _side_total(w: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -1060,12 +1117,83 @@ class _GateBucket:
         return tl
 
 
-def _split_by(key: np.ndarray) -> List[np.ndarray]:
-    """Member indices grouped by equal ``key``, in ascending key order."""
+def _starts(counts) -> np.ndarray:
+    """Exclusive prefix sums: where each of ``counts`` consecutive blocks
+    begins."""
+    counts = np.asarray(counts, dtype=np.intp)
+    return np.cumsum(counts) - counts
+
+
+def _concat_columns(parts: List[tuple]) -> tuple:
+    """Column-wise concatenation of equal-arity tuples of arrays."""
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
+
+
+def _stable_order(key: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of nonnegative ``key < bound``, sorted as the
+    narrowest unsigned type that holds ``bound`` (numpy radix-sorts keys
+    of up to 16 bits; its stable int64 sort is a merge sort)."""
+    return np.argsort(key.astype(np.min_scalar_type(max(bound - 1, 0))),
+                      kind="stable")
+
+
+def _rank_major(step: np.ndarray, count: np.ndarray, n_steps: int):
+    """Rank-major layout of accumulators that sum ``count`` items each.
+
+    Within each step, accumulators are ordered by descending count, so
+    those with an item of rank ``r`` are a prefix.  Returns ``(pos, cnt,
+    off)``: each accumulator's position in its step, and per (step,
+    rank) how many accumulators have an item of that rank and where that
+    rank's block begins in the step's rank-major item array — item
+    ``(acc, r)`` sits at ``off[step, r] + pos[acc]``.
+    """
+    depth = int(count.max()) if len(count) else 0
+    key = step * (depth + 1) + (depth - count)
+    order = _stable_order(key, n_steps * (depth + 1))
+    pos = np.empty(len(step), dtype=np.intp)
+    pos[order] = (np.arange(len(step))
+                  - _starts(np.bincount(step, minlength=n_steps))[
+                      step[order]])
+    hist = np.bincount(step * (depth + 1) + count,
+                       minlength=n_steps * (depth + 1)).reshape(n_steps, -1)
+    cnt = np.cumsum(hist[:, ::-1], axis=1)[:, ::-1][:, 1:]
+    return pos, cnt, np.cumsum(cnt, axis=1) - cnt
+
+
+def _rounds(cnt: List[int], off: List[int]) -> tuple:
+    """``(n, offset)`` of ranks 1.. with items: the accumulation rounds."""
+    return tuple((n, o) for n, o in zip(cnt[1:], off[1:]) if n)
+
+
+def _split_by(key: np.ndarray, by_key: Optional[np.ndarray] = None
+              ) -> List[np.ndarray]:
+    """Member indices grouped by equal ``key``, in ascending key order
+    (``by_key``: a stable ascending order of ``key``, if known)."""
     if not len(key):
         return []
-    by_key = np.argsort(key, kind="stable")
-    return np.split(by_key, np.flatnonzero(np.diff(key[by_key])) + 1)
+    if by_key is None:
+        by_key = _stable_order(key, int(key.max()) + 1)
+    sorted_key = key[by_key]
+    cuts = (np.flatnonzero(sorted_key[1:] != sorted_key[:-1]) + 1).tolist()
+    return [by_key[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(key)])]
+
+
+def _split_rows(bits: np.ndarray) -> List[np.ndarray]:
+    """Member indices grouped by equal rows of the boolean ``bits``.
+
+    Each row packs into little-endian uint64 words (at least one); groups
+    come in ascending order of those words, compared first word first.
+    """
+    packed = np.packbits(bits, axis=1)
+    n_words = max(1, -(-packed.shape[1] // 8))
+    words = np.zeros((len(bits), 8 * n_words), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    words = words.view(np.uint64)
+    order = np.lexsort(words.T[::-1])
+    new = (words[order[1:]] != words[order[:-1]]).any(axis=1)
+    key = np.empty(len(bits), dtype=np.intp)
+    key[order] = np.concatenate(([0], np.cumsum(new)))
+    return _split_by(key, order)
 
 
 class CompiledCorrelatedPass:
@@ -1093,9 +1221,9 @@ class CompiledCorrelatedPass:
     resolves all its row queries in one vectorized call
     (:class:`_RowTable`).  The pair budget is tested after every round, so
     a refused plan lowers nothing.  Once the closure is complete, each
-    (template, side) bucket is lowered in one batch: its keep patterns
-    pick skeletons, and its members' operand arrays are gathered straight
-    into the groups.
+    (template, side) bucket's keep patterns sort the template's terms
+    into forms, and the members, programs and terms of all buckets are
+    laid out as dependency steps (:class:`_Step`) with array ops.
 
     Parameters mirror the analyzer's correlation knobs: ``max_pairs``
     bounds the expansion-row count (beyond it the plan refuses with
@@ -1320,129 +1448,159 @@ class CompiledCorrelatedPass:
 
     def _lower(self, found: Dict[tuple, List[tuple]],
                buckets: List[_GateBucket]):
-        """Lower every (bucket, side) batch onto its groups' operands.
+        """Lower every (bucket, side) batch to member, program and term
+        arrays.
 
-        Returns ``(shapes, parts, plain)``: the distinct skeletons, then
-        per skeleton a list of member arrays ``(targets, eps_rows, state,
-        rows, weights, level)`` (operands member-major), and the slots of
-        gates that read no nontrivial row (the plain kernel's share).
-        Skeletons are interned by value, so buckets that lower to the same
-        program share its groups.
+        Returns ``(members, programs, terms, forms, reads, plain)``:
+
+        * ``members`` — ``(targets, eps_rows, levels, ea, totals,
+          marginals)``: a corrected gate (``ea = -1``, side totals W(0),
+          W(1)) or an expansion row (its side ``ea``, W(ea) twice, and the
+          flat state reads of the marginal of ``a`` and of ``b``);
+        * ``programs`` — ``(member, side, terms, weight)`` per active input
+          vector, member-major in ascending-vector order (the scalar
+          accumulation order);
+        * ``terms`` — per form id, ``(program, rank, state, rows)`` of its
+          perturbation terms, operands laid out as :class:`_Form` says;
+        * ``forms`` — the :class:`_Form` of each id; ``reads`` — the
+          ``(expansion row, row read)`` edges; ``plain`` — slots of gates
+          that read no nontrivial row (the plain kernel's share).
+
+        The loop over batches only resolves operands and records each
+        keep pattern's term tables; members, programs and terms are then
+        expanded for all batches at once.
         """
         n_nodes = len(self.node_names)
-        levels = self.structure.slot_levels
-        fanin = self._fanin
-        shapes: Dict[tuple, int] = {}
-        parts: Dict[int, List[tuple]] = {}
+        # Per batch: member columns; its (members, operands) state reads,
+        # spec rows and program weights; its template.
+        batches: List[tuple] = []
+        state, spec_rows, weights, templates = [], [], [], []
+        # Per form key: (batch, members, term table) of each keep pattern.
+        parts: Dict[tuple, List[tuple]] = {}
         plain: List[np.ndarray] = []
-        for (bid, side), batches in found.items():
+        for (bid, side), found_batches in found.items():
             bucket = buckets[bid]
             tl = bucket.template(side)
             a, b, eb, rows, resolved = (
                 None if cols[0] is None else np.concatenate(cols)
-                for cols in zip(*batches))
-            row_q = resolved[:, tl.query_spec]
-            keep = row_q != ROW_ONE
+                for cols in zip(*found_batches))
+            keep = resolved != ROW_ONE
+            if side is None:
+                corrected = keep.any(axis=1)
+                if not corrected.all():
+                    plain.append(a[~corrected])
+                    a, resolved, keep = (a[corrected], resolved[corrected],
+                                         keep[corrected])
+                    if not len(a):
+                        continue
+                b, eb, rows = a, np.zeros_like(a), np.full_like(a, -1)
             w = bucket.weights[self._bucket_pos[a]]
-            totals = [_side_total(w, tl.side_vectors[s])
-                      for s in ((0, 1) if side is None else (side,))]
-            has = np.stack([t > 0.0 for t in totals], axis=1)
-            pattern = np.packbits(np.concatenate([keep, has], axis=1),
+            if side is None:
+                totals = np.stack([_side_total(w, tl.side_vectors[0]),
+                                   _side_total(w, tl.side_vectors[1])],
                                   axis=1)
-            _, inv = np.unique(np.ascontiguousarray(pattern).view(
-                np.dtype((np.void, pattern.shape[1])))[:, 0],
-                return_inverse=True)
-            for sel in _split_by(inv):
-                first = sel[0]
-                if side is None and not keep[first].any():
-                    plain.append(a[sel])
-                    continue
-                vprogs, kept = tl.skeleton(keep[first])
-                shape = ((("gate",) if side is None else ("expand", side))
-                         + tuple(bool(x) for x in has[first]) + (vprogs,))
-                sid = shapes.setdefault(shape, len(shapes))
-                asel = a[sel]
-                state = tl.state_ev * n_nodes + fanin[asel][:, tl.state_pos]
-                if side is None:
-                    targets, level = asel, levels[asel]
-                else:
-                    targets = rows[sel]
-                    level = np.maximum(levels[asel], levels[b[sel]])
-                    state = np.concatenate(
-                        [state, (side * n_nodes + asel)[:, None],
-                         (eb[sel] * n_nodes + b[sel])[:, None]], axis=1)
-                parts.setdefault(sid, []).append((
-                    targets, self._eps_row[asel], state,
-                    row_q[sel][:, kept],
-                    np.concatenate([w[sel][:, tl.vectors]]
-                                   + [t[sel, None] for t in totals], axis=1),
-                    level))
-        return list(shapes), parts, plain
+            else:  # an expansion's one side total fills both columns
+                totals = np.repeat(
+                    _side_total(w, tl.side_vectors[side])[:, None], 2,
+                    axis=1)
+            for sel in _split_rows(keep):
+                for key, table in tl.forms(keep[sel[0]]).items():
+                    parts.setdefault(key, []).append(
+                        (len(batches), sel) + table)
+            batches.append((
+                a, b, eb, rows, np.full(len(a), -1 if side is None else side),
+                totals))
+            state.append(tl.state_ev * n_nodes
+                         + self._fanin[a][:, tl.state_pos])
+            spec_rows.append(resolved)
+            weights.append(w[:, tl.vectors])
+            templates.append(tl)
+        if not batches:
+            return None, None, None, None, None, plain
+        a, b, eb, rows, ea, totals = _concat_columns(batches)
+        expand = ea >= 0
+        levels = self.structure.slot_levels
+        # (A gate's marginals are never read.)
+        members = (np.where(expand, rows, a), self._eps_row[a],
+                   np.maximum(levels[a], levels[b]), ea, totals,
+                   np.stack([np.maximum(ea, 0) * n_nodes + a,
+                             eb * n_nodes + b], axis=1))
+
+        # Programs, member-major: every member of batch k runs all of its
+        # template's programs, in order.
+        n_member = np.asarray([len(x) for x in state], dtype=np.intp)
+        m_first = _starts(n_member)
+        m_batch = np.repeat(np.arange(len(state)), n_member)
+        m_local = np.arange(len(a)) - m_first[m_batch]
+        n_prog = np.asarray([len(tl.sides) for tl in templates],
+                            dtype=np.intp)
+        m_prog = n_prog[m_batch]
+        p_member = np.repeat(np.arange(len(a)), m_prog)
+        p_first = _starts(m_prog)
+        table = (_starts(n_prog)[m_batch[p_member]]
+                 + np.arange(len(p_member)) - p_first[p_member])
+        programs = (p_member,
+                    np.concatenate([tl.sides for tl in templates])[table],
+                    np.concatenate([tl.counts for tl in templates])[table],
+                    np.concatenate([x.ravel() for x in weights]))
+
+        # Terms: each part's members crossed with its term table, operands
+        # read from the members' rows of the flattened state / spec rows.
+        def row_starts(arrays):
+            width = np.asarray([x.shape[1] for x in arrays])
+            return (_starts([x.size for x in arrays])[m_batch]
+                    + m_local * width[m_batch]), width[m_batch]
+
+        m_state, _ = row_starts(state)
+        m_spec, m_specs = row_starts(spec_rows)
+        state = np.concatenate([x.ravel() for x in state])
+        spec_rows = np.concatenate([x.ravel() for x in spec_rows])
+        forms, terms = [], []
+        for (flags, n_pairs, chains), form_parts in parts.items():
+            forms.append(_Form(len(flags),
+                               tuple(t for t, f in enumerate(flags) if f),
+                               n_pairs, chains))
+            k, sel, prog, rank, scols, rcols = zip(*form_parts)
+            n_sel = np.asarray([len(x) for x in sel])
+            n_term = np.asarray([len(x) for x in prog])
+            # Term tables: (terms, operands) — terms of one form share
+            # their operand counts.
+            prog, rank, scols, rcols = (
+                np.asarray(list(chain.from_iterable(x)), dtype=np.intp)
+                for x in (prog, rank, scols, rcols))
+            # Member m of a part runs every row of the part's table.
+            mem = (np.repeat(m_first.take(k), n_sel) + np.concatenate(sel))
+            mem_terms = np.repeat(n_term, n_sel)
+            m = np.repeat(mem, mem_terms)
+            row = np.repeat(np.repeat(_starts(n_term), n_sel)
+                            - _starts(mem_terms), mem_terms)
+            row += np.arange(len(row))
+            terms.append((
+                p_first.take(m) + prog.take(row), rank.take(row),
+                state.take(m_state.take(m)[:, None]
+                           + scols.take(row, axis=0)),
+                spec_rows.take(m_spec.take(m)[:, None]
+                               + rcols.take(row, axis=0))))
+        read = np.repeat(expand, m_specs)
+        reads = (np.repeat(members[0], m_specs)[read], spec_rows[read])
+        return members, programs, terms, forms, reads, plain
 
     def _build_schedule(self, found, buckets, table: _RowTable,
                         max_arity: int) -> None:
-        """Lower the discovered plan and lay its groups out by level.
+        """Lower the discovered plan and lay its steps out by level.
 
-        Per level: plain groups, then corrected-gate groups (state of
-        level L is final after these), then the level's same-wire rows as
-        one batch (state reads only), then the expansion waves.  An
-        expansion row reads rows of lower levels, or rows of its own level
-        whose canonical later wire is strictly topologically earlier; its
-        wave is one past the deepest same-level row it reads.
+        Per level: plain groups, then the corrected-gate step (state of
+        level L is final after it), then the level's same-wire rows as
+        one batch (state reads only), then one step per expansion wave.
+        An expansion row reads rows of lower levels, or rows of its own
+        level whose canonical later wire is strictly topologically
+        earlier; its wave is one past the deepest same-level row it reads.
         """
-        shapes, parts, plain = self._lower(found, buckets)
-        expand = [sid for sid in parts if shapes[sid][0] == "expand"]
-        row_level = np.full(self.n_rows, -1, dtype=np.intp)
-        for sid in expand:
-            for p in parts[sid]:
-                row_level[p[0]] = p[5]
-        wave = np.zeros(self.n_rows, dtype=np.intp)
-        if expand:
-            parent = np.concatenate([np.repeat(p[0], p[3].shape[1])
-                                     for sid in expand for p in parts[sid]])
-            child = np.concatenate([p[3].ravel()
-                                    for sid in expand for p in parts[sid]])
-            link = row_level[child] == row_level[parent]
-            parent, child = parent[link], child[link]
-            # Longest same-level read chain: relax until nothing deepens.
-            while True:
-                deeper = wave[child] + 1 > wave[parent]
-                if not deeper.any():
-                    break
-                np.maximum.at(wave, parent[deeper], wave[child[deeper]] + 1)
-
-        gate_groups: Dict[int, List[_CorrGroup]] = {}
-        waves: Dict[int, List[List[_CorrGroup]]] = {}
-        for sid, sparts in parts.items():
-            targets, eps_rows, state, rows, weights, level = (
-                np.concatenate(cols) for cols in zip(*sparts))
-            key = (level * self.n_rows + wave[targets]
-                   if shapes[sid][0] == "expand" else level)
-            by_key = np.argsort(key, kind="stable")
-            key, targets, eps_rows, level = (
-                key[by_key], targets[by_key], eps_rows[by_key],
-                level[by_key])
-            state, rows = state[by_key].T, rows[by_key].T
-            weights = weights[by_key].T[:, :, None]
-            cuts = np.flatnonzero(np.diff(key)) + 1
-            for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(),
-                                                     len(key)]):
-                group = _CorrGroup(
-                    shape=shapes[sid],
-                    targets=targets[lo:hi],
-                    eps_rows=eps_rows[lo:hi],
-                    state=np.ascontiguousarray(state[:, lo:hi]),
-                    rows=np.ascontiguousarray(rows[:, lo:hi]),
-                    weights=np.ascontiguousarray(weights[:, lo:hi]))
-                lv = int(level[lo])
-                if shapes[sid][0] == "gate":
-                    gate_groups.setdefault(lv, []).append(group)
-                    continue
-                level_waves = waves.setdefault(lv, [])
-                w = int(wave[targets[lo]])
-                while len(level_waves) <= w:
-                    level_waves.append([])
-                level_waves[w].append(group)
+        members, programs, terms, forms, reads, plain = self._lower(
+            found, buckets)
+        steps: List[Tuple[int, _Step]] = []
+        if members is not None:
+            steps = self._steps(members, programs, terms, forms, reads)
         plain_levels = _lower_plain_groups(
             self.circuit, self.weights, self.index, self._gate_row,
             [self.node_names[s]
@@ -1456,22 +1614,200 @@ class CompiledCorrelatedPass:
             flat = same_flat[sel]
             same_by_level[int(same_level[sel[0]])] = (table.same_row[flat],
                                                       flat)
+        gate_steps: Dict[int, _Step] = {}
+        waves: Dict[int, List[_Step]] = {}
+        for level, st in steps:
+            if st.kind == "gate":
+                gate_steps[level] = st
+            else:
+                waves.setdefault(level, []).append(st)
         self._schedule: List[tuple] = []
-        for lv in sorted(set(plain_levels) | set(gate_groups)
+        for lv in sorted(set(plain_levels) | set(gate_steps)
                          | set(same_by_level) | set(waves)):
             self._schedule.append((
                 tuple(plain_levels.get(lv, ())),
-                tuple(gate_groups.get(lv, ())),
+                gate_steps.get(lv),
                 same_by_level.get(lv),
-                tuple(tuple(groups) for groups in waves.get(lv, ())),
+                tuple(waves.get(lv, ())),
             ))
-        #: Batched correlated ops per sweep: corrected-gate groups,
-        #: same-wire level batches and expansion groups.
-        self.num_corr_groups = (
-            sum(map(len, gate_groups.values())) + len(same_by_level)
-            + sum(len(g) for lw in waves.values() for g in lw))
+        #: Batched correlated ops per sweep: one per perturbation form of
+        #: each step, one per step tail, one per same-wire level batch.
+        self.num_corr_groups = (sum(len(st.forms) + 1 for _, st in steps)
+                                + len(same_by_level))
+        #: Largest per-column operand count of a step (sizes the sweep's
+        #: column blocks).
+        self._step_operands = max((st.n_operands for _, st in steps),
+                                  default=0)
+
+    def _steps(self, members, programs, terms, forms, reads
+               ) -> List[Tuple[int, _Step]]:
+        """``(level, step)`` in execution order, built as array ops."""
+        target, eps_row, level, ea, totals, marginals = members
+        p_member, p_side, p_count, p_weight = programs
+        n_members = len(target)
+        expand = ea >= 0
+        # Waves: longest same-level read chain, relaxed until nothing
+        # deepens.
+        wave = np.zeros(self.n_rows, dtype=np.intp)
+        parent, child = reads
+        if len(parent):
+            row_level = np.full(self.n_rows, -1, dtype=np.intp)
+            row_level[target[expand]] = level[expand]
+            link = row_level[child] == row_level[parent]
+            parent, child = parent[link], child[link]
+            while True:
+                deeper = wave[child] + 1 > wave[parent]
+                if not deeper.any():
+                    break
+                np.maximum.at(wave, parent[deeper], wave[child[deeper]] + 1)
+        phase = np.zeros(n_members, dtype=np.intp)
+        phase[expand] = 1 + wave[target[expand]]
+        n_phases = int(phase.max()) + 1
+        key = level * n_phases + phase
+        present = np.bincount(key) > 0
+        keys = np.flatnonzero(present)
+        m_step = (np.cumsum(present) - 1)[key]
+        n_steps = len(keys)
+
+        # Programs, rank-major by term count: pert rounds.
+        p_step = m_step[p_member]
+        v_pos, v_cnt, v_off = _rank_major(p_step, p_count, n_steps)
+        # (member, side) slots, rank-major by program count: side rounds.
+        # Programs are member-major, so a program's rank in its slot is
+        # the count of earlier same-side programs of its member.
+        p_first = _starts(np.bincount(p_member, minlength=n_members))
+        first = p_first[p_member]
+        ones = np.cumsum(p_side)
+        ones_before = (ones - p_side)[first]
+        p_rank = np.where(p_side == 1, ones - 1 - ones_before,
+                          np.arange(len(p_side)) - first
+                          - (ones - ones_before))
+        s_count = np.bincount(p_member * 2 + p_side, minlength=2 * n_members)
+        s_pos, s_cnt, s_off = _rank_major(np.repeat(m_step, 2), s_count,
+                                          n_steps)
+        p_start = _starts(np.bincount(p_step, minlength=n_steps))
+        at = (p_start[p_step] + s_off[p_step, p_rank]
+              + s_pos[p_member * 2 + p_side])
+        to_side = np.empty(len(p_step), dtype=np.intp)
+        to_side[at] = v_pos
+        weights = np.empty((len(p_step), 1), dtype=np.float64)
+        weights[at, 0] = p_weight
+
+        # Terms: form blocks per step (T), and their rank-major order.
+        n_forms = len(forms)
+        t_step = [p_step[prog] for prog, _, _, _ in terms]
+        n_block = np.stack([np.bincount(ts, minlength=n_steps)
+                            for ts in t_step], axis=1)
+        t_block = np.cumsum(n_block, axis=1) - n_block
+        t_start = _starts(n_block.sum(axis=1))
+        to_rank = np.empty(int(n_block.sum()), dtype=np.intp)
+        s_size = n_block * [f.n_state for f in forms]
+        r_size = n_block * [f.n_rows for f in forms]
+        s_block = _starts(s_size.ravel()).reshape(n_steps, n_forms)
+        r_block = _starts(r_size.ravel()).reshape(n_steps, n_forms)
+        state = np.empty(int(s_size.sum()), dtype=np.intp)
+        rows = np.empty(int(r_size.sum()), dtype=np.intp)
+        for f, (prog, rank, t_state, t_rows) in enumerate(terms):
+            ts = t_step[f]
+            # Index of each term among its step's terms of this form.
+            within = np.empty(len(ts), dtype=np.intp)
+            within[_stable_order(ts, n_steps)] = np.arange(len(ts))
+            within -= _starts(n_block[:, f])[ts]
+            to_rank[t_start[ts] + v_off[ts, rank] + v_pos[prog]] = (
+                t_block[:, f][ts] + within)
+            n = n_block[:, f][ts][:, None]
+            state[(s_block[:, f][ts] + within)[:, None]
+                  + np.arange(t_state.shape[1]) * n] = t_state
+            rows[(r_block[:, f][ts] + within)[:, None]
+                 + np.arange(t_rows.shape[1]) * n] = t_rows
+
+        # Member tails, in step order: each side's slot row (0 when the
+        # side has no programs), mask and weight total.
+        order = _stable_order(m_step, n_steps)
+        side = np.where(expand[:, None], ea[:, None], np.arange(2))
+        slot = (np.arange(n_members)[:, None] * 2 + side)[order]
+        exists = s_count[slot] > 0
+        m_slot = np.where(exists, s_pos[slot], 0).T
+        m_mask = (exists & (totals[order] > 0.0)).T[:, :, None]
+        m_den = np.where(m_mask, totals[order].T[:, :, None], 1.0)
+        target, eps_row, ea = target[order], eps_row[order], ea[order]
+        ea1 = (ea == 1)[:, None]
+        marginals = marginals[order].T
+        m_start = _starts(np.bincount(m_step, minlength=n_steps)).tolist()
+        m_start.append(n_members)
+        step_state = _starts(s_size.sum(axis=1))
+        step_rows = _starts(r_size.sum(axis=1))
+        # Per (step, form) block: (form, n, state offset, row offset, T
+        # offset), offsets local to the step.
+        block_s, block_f = np.nonzero(n_block)
+        step_forms: List[list] = [[] for _ in range(n_steps)]
+        for s, f, *block in zip(
+                block_s.tolist(), block_f.tolist(),
+                n_block[block_s, block_f].tolist(),
+                (s_block - step_state[:, None])[block_s, block_f].tolist(),
+                (r_block - step_rows[:, None])[block_s, block_f].tolist(),
+                t_block[block_s, block_f].tolist()):
+            step_forms[s].append((forms[f], *block))
+        step_state = step_state.tolist() + [len(state)]
+        step_rows = step_rows.tolist() + [len(rows)]
+        pert_rounds = [_rounds(c, o) for c, o in zip(v_cnt.tolist(),
+                                                     v_off.tolist())]
+        side_rounds = [_rounds(c, o) for c, o in zip(s_cnt.tolist(),
+                                                     s_off.tolist())]
+        t_start = t_start.tolist() + [len(to_rank)]
+        p_start = p_start.tolist() + [len(to_side)]
+        levels = (keys // n_phases).tolist()
+        steps = []
+        for s in range(n_steps):
+            lo, hi = m_start[s], m_start[s + 1]
+            gate = ea[lo] < 0
+            sides = slice(None) if gate else slice(0, 1)
+            steps.append((levels[s], _Step(
+                kind="gate" if gate else "expand",
+                state=state[step_state[s]:step_state[s + 1]],
+                rows=rows[step_rows[s]:step_rows[s + 1]],
+                forms=tuple(step_forms[s]),
+                n_terms=t_start[s + 1] - t_start[s],
+                to_rank=to_rank[t_start[s]:t_start[s + 1]],
+                pert_rounds=pert_rounds[s],
+                to_side=to_side[p_start[s]:p_start[s + 1]],
+                weights=weights[p_start[s]:p_start[s + 1]],
+                side_rounds=side_rounds[s],
+                targets=target[lo:hi],
+                eps_rows=eps_row[lo:hi],
+                slots=m_slot[sides, lo:hi],
+                mask=m_mask[sides, lo:hi],
+                den=m_den[sides, lo:hi],
+                ea1=None if gate else ea1[lo:hi],
+                marginals=None if gate else marginals[:, lo:hi])))
+        return steps
 
     # -- execution ------------------------------------------------------
+    def _run_schedule(self, P: np.ndarray, C: np.ndarray,
+                      Eps: np.ndarray) -> None:
+        """Run every level's plain groups, gate step, same-wire batch and
+        expansion waves over the columns of ``P`` / ``C`` / ``Eps``."""
+        p01, p10 = P
+        flat = P.reshape(-1, P.shape[-1])
+        e01, e10 = Eps
+        for plain_groups, gate_step, same, waves in self._schedule:
+            for group in plain_groups:
+                _eval_group(group, p01, p10,
+                            e01.take(group.eps_rows, axis=0),
+                            e10.take(group.eps_rows, axis=0))
+            if gate_step is not None:
+                _run_step(gate_step, flat, P, C, Eps)
+            if same is not None:
+                rows, state = same
+                pval = flat.take(state, axis=0)
+                big = pval > 1e-9
+                C[rows] = np.where(
+                    big,
+                    np.minimum(1.0 / np.where(big, pval, 1.0), 1e9),
+                    np.where(pval > 0.0, 1e9, 1.0))
+            for st in waves:
+                _run_step(st, flat, P, C, Eps)
+
     def run(self, eps: EpsilonSpec,
             eps10: Optional[EpsilonSpec] = None) -> SweepResult:
         """One-point convenience wrapper around :meth:`run_sweep`."""
@@ -1492,39 +1828,36 @@ class CompiledCorrelatedPass:
             # size-1 trailing axis in another order, and column j of any
             # sweep must equal the 1-point run at its eps exactly.
             width = max(n_points, 2)
-            e01 = _eps_matrix(self.gate_names, specs * (width // n_points))
-            e10 = (e01 if eps10_list is None
-                   else _eps_matrix(self.gate_names,
-                                    eps10_list * (width // n_points)))
+            Eps = np.empty((2, len(self.gate_names), width))
+            Eps[0] = _eps_matrix(self.gate_names, specs * (width // n_points))
+            Eps[1] = (Eps[0] if eps10_list is None
+                      else _eps_matrix(self.gate_names,
+                                       eps10_list * (width // n_points)))
             P = np.zeros((2, n_nodes, width), dtype=np.float64)
-            p01, p10 = P
-            flat = P.reshape(2 * n_nodes, width)
             for slot, ep in self.input_error_rows:
-                p01[slot] = ep.p01
-                p10[slot] = ep.p10
+                P[0, slot] = ep.p01
+                P[1, slot] = ep.p10
             C = np.empty((self.n_rows, width), dtype=np.float64)
             C[ROW_ONE] = 1.0
             C[ROW_ZERO] = 0.0
-            for plain_groups, gate_groups, same, waves in self._schedule:
-                for group in plain_groups:
-                    _eval_group(group, p01, p10,
-                                e01[group.eps_rows], e10[group.eps_rows])
-                for g in gate_groups:
-                    _eval_corr_group(g, P, C, e01, e10)
-                if same is not None:
-                    rows, state = same
-                    pval = flat[state]
-                    big = pval > 1e-9
-                    C[rows] = np.where(
-                        big,
-                        np.minimum(1.0 / np.where(big, pval, 1.0), 1e9),
-                        np.where(pval > 0.0, 1e9, 1.0))
-                for wave in waves:
-                    for g in wave:
-                        _eval_corr_group(g, P, C, e01, e10)
+            # Columns never couple, so a wide sweep runs in column blocks
+            # (each at least two wide) that keep every step's gathered
+            # operands near _CHUNK_ELEMENTS.
+            chunk = max(2, _CHUNK_ELEMENTS // max(1, self._step_operands))
+            if width <= chunk:
+                self._run_schedule(P, C, Eps)
+            else:
+                for cols in np.array_split(np.arange(width), width // chunk):
+                    cols = slice(cols[0], cols[-1] + 1)
+                    Pc = np.ascontiguousarray(P[:, :, cols])
+                    Cc = np.ascontiguousarray(C[:, cols])
+                    self._run_schedule(Pc, Cc, Eps[:, :, cols])
+                    P[:, :, cols] = Pc
+                    C[:, cols] = Cc
             if width != n_points:
-                p01, p10 = P[:, :, :n_points].copy()
+                P = P[:, :, :n_points].copy()
                 C = C[:, :n_points]
+            p01, p10 = P
             per_output = ((1.0 - self.output_prob1)[:, None]
                           * p01[self.output_slots]
                           + self.output_prob1[:, None]

@@ -70,6 +70,10 @@ class SinglePassResult:
     signal_prob: Dict[str, float]
     used_correlation: bool
     correlation_pairs: int = 0
+    #: Pair lookups the scalar engine answered as independent because its
+    #: ``max_correlation_pairs`` memo was full (0 on compiled runs, which
+    #: refuse instead of degrading).
+    pairs_dropped_budget: int = 0
     #: The run's correlation engine (memoized coefficients), kept so that
     #: multi-output consolidation can reuse it; None when disabled.
     correlation_engine: Optional[ErrorCorrelationEngine] = field(
@@ -462,6 +466,7 @@ class SinglePassAnalyzer:
             signal_prob=dict(self.weights.signal_prob),
             used_correlation=self.use_correlation,
             correlation_pairs=corr.pairs_computed if corr else 0,
+            pairs_dropped_budget=corr.pairs_dropped_budget if corr else 0,
             correlation_engine=corr,
             frames=self.frames,
         )
@@ -555,6 +560,9 @@ class SinglePassAnalyzer:
             used_correlation=self.use_correlation,
             correlation_pairs=np.asarray(
                 [res.correlation_pairs for res in results], dtype=np.int64),
+            pairs_dropped_budget=np.asarray(
+                [res.pairs_dropped_budget for res in results],
+                dtype=np.int64),
             frames=self.frames,
         )
 

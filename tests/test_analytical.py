@@ -44,8 +44,8 @@ class TestVonNeumann:
 
     def test_threshold_matches_analytic_value(self):
         analytic = (3.0 - math.sqrt(7.0)) / 4.0
-        numeric = von_neumann_threshold(tolerance=1e-6)
-        assert numeric == pytest.approx(analytic, abs=2e-3)
+        numeric = von_neumann_threshold()
+        assert numeric == pytest.approx(analytic, abs=1e-9)
 
 
 class TestCompositional:

@@ -1,10 +1,11 @@
 """Grouped correlated kernel: column independence, wave order, telemetry.
 
-`CompiledCorrelatedPass` runs its corrected gates and coefficient rows as
-groups of same-shape programs, each gathered into ``(rows, E)`` operands.
-These tests pin the two properties that batching must not break — eps
-columns never couple, and a coefficient row that reads another row of
-its own level runs in a later wave — plus the group telemetry.
+`CompiledCorrelatedPass` runs its corrected gates and coefficient rows in
+dependency steps, each gathered into ``(operands, E)`` arrays and
+evaluated once per perturbation form.  These tests pin the two properties
+that batching must not break — eps columns never couple, and a
+coefficient row that reads another row of its own level runs in a later
+wave — plus the batched-op telemetry.
 """
 
 import re
@@ -59,30 +60,67 @@ def same_level_circuit():
     return cb.build()
 
 
-def test_expansion_waves_follow_same_level_reads(same_level_circuit):
-    circuit = same_level_circuit
-    weights = compute_weights(circuit, method="exhaustive")
+def _check_wave_placement(circuit, weights, monkeypatch):
+    """Build a plan and assert its expansion waves follow the same-level
+    reads, per step and per member; returns the plan."""
+    # Capture the lowered members and (expansion row, row read) edges the
+    # schedule is built from.
+    lowered = {}
+    build_steps = CompiledCorrelatedPass._steps
+
+    def spy(self, members, programs, terms, forms, reads):
+        lowered.update(members=members, reads=reads)
+        return build_steps(self, members, programs, terms, forms, reads)
+
+    monkeypatch.setattr(CompiledCorrelatedPass, "_steps", spy)
     plan = CompiledCorrelatedPass(circuit, weights)
 
-    # (level position, wave) of every expansion row, and its group.
+    # (level position, wave) of every expansion row, and its step.
     placed = {}
-    groups = []
+    steps = []
     for lv, (_, _, _, waves) in enumerate(plan._schedule):
-        for wave, wave_groups in enumerate(waves):
-            for g in wave_groups:
-                groups.append((lv, wave, g))
-                for row in g.targets:
-                    placed[int(row)] = (lv, wave)
-    assert any(wave >= 1 for _, wave, _ in groups)
-    # A row reads same-level rows of earlier waves only, and a row of
-    # wave w >= 1 reads at least one of wave w - 1.
-    for lv, wave, g in groups:
-        for member in range(len(g.targets)):
-            same_level = [placed[int(r)][1] for r in g.rows[:, member]
-                          if placed.get(int(r), (None,))[0] == lv]
-            assert all(w < wave for w in same_level)
-            if wave:
-                assert max(same_level) == wave - 1
+        for wave, st in enumerate(waves):
+            assert st.kind == "expand"
+            steps.append((lv, wave, st))
+            for row in st.targets:
+                placed[int(row)] = (lv, wave)
+    assert any(wave >= 1 for _, wave, _ in steps)
+    # Per step: a wave reads same-level rows of earlier waves only, and
+    # wave w >= 1 reads at least one row of wave w - 1.
+    for lv, wave, st in steps:
+        same_level = [placed[int(r)][1] for r in st.rows
+                      if placed.get(int(r), (None,))[0] == lv]
+        assert all(w < wave for w in same_level)
+        if wave:
+            assert max(same_level) == wave - 1
+    # Per member: every expansion row sits in its shallowest wave — one
+    # past the deepest same-level row it reads, or wave 0 if none.
+    target, ea = lowered["members"][0], lowered["members"][3]
+    expansion_rows = {int(r) for r in target[ea >= 0]}
+    assert expansion_rows == set(placed)
+    reads = {}
+    for row, read in zip(*(x.tolist() for x in lowered["reads"])):
+        reads.setdefault(row, []).append(read)
+    for row in expansion_rows:
+        lv, wave = placed[row]
+        same_level = [placed[r][1] for r in reads.get(row, ())
+                      if placed.get(r, (None,))[0] == lv]
+        assert wave == (max(same_level) + 1 if same_level else 0)
+    return plan
+
+
+def test_c432_waves_follow_same_level_reads(monkeypatch):
+    circuit = get_benchmark("c432")
+    weights = compute_weights(circuit, method="sampled",
+                              n_patterns=1 << 10, seed=0)
+    _check_wave_placement(circuit, weights, monkeypatch)
+
+
+def test_expansion_waves_follow_same_level_reads(same_level_circuit,
+                                                 monkeypatch):
+    circuit = same_level_circuit
+    weights = compute_weights(circuit, method="exhaustive")
+    plan = _check_wave_placement(circuit, weights, monkeypatch)
 
     eps = [0.0, 0.03, 0.2]
     eps10 = [0.1, 0.0, 0.07]

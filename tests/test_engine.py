@@ -186,10 +186,56 @@ class TestTimeoutLadder:
                             ).to_dict()
         assert env["ok"]
         assert env["method"] == "single-pass-scalar"
-        assert env["fallbacks"] == [{
+        assert env["fallbacks"][0] == {
             "from": "single-pass-compiled", "to": "single-pass-scalar",
             "reason": "correlated pair budget (100) exceeded while "
-                      "lowering 'c432'; use the scalar pass"}]
+                      "lowering 'c432'; use the scalar pass"}
+
+    def test_scalar_budget_degradation_is_reported(self, engine):
+        """The scalar fallback with the same low budget answers the pairs
+        beyond it as independent; the envelope says how many, and the
+        answer equals a direct scalar run under that budget."""
+        options = {**OPTS, "max_correlation_pairs": 100}
+        env = engine.submit({"op": "analyze", "circuit": "c432",
+                             "eps": [0.01, 0.05], "options": options}
+                            ).to_dict()
+        assert env["ok"]
+        assert len(env["fallbacks"]) == 2
+        degraded = env["fallbacks"][1]
+        assert degraded["from"] == "correlated-pairs"
+        assert degraded["to"] == "independent-pairs"
+        assert degraded["budget"] == 100
+        session = engine.session("c432", **options)
+        analyzer = session.analyzer(True)
+        direct = [analyzer.run(e) for e in (0.01, 0.05)]
+        assert degraded["pairs_dropped_budget"] == sum(
+            r.pairs_dropped_budget for r in direct) > 0
+        assert str(degraded["pairs_dropped_budget"]) in degraded["reason"]
+        for point, ref in zip(env["result"]["points"], direct):
+            assert point["per_output"] == ref.per_output
+
+    def test_coalesced_budget_degradation_is_per_request(self, engine):
+        """Two requests coalesced into one scalar sweep each report only
+        the pair lookups their own points dropped."""
+        options = {**OPTS, "max_correlation_pairs": 100}
+        eps_sets = ([0.01], [0.05, 0.1])
+        envs = [r.to_dict() for r in engine.submit_many([
+            {"op": "analyze", "circuit": "c432", "eps": eps,
+             "options": options} for eps in eps_sets])]
+        analyzer = engine.session("c432", **options).analyzer(True)
+        for env, eps in zip(envs, eps_sets):
+            assert env["ok"] and env["coalesced"] == 2
+            (degraded,) = [f for f in env["fallbacks"]
+                           if f["from"] == "correlated-pairs"]
+            assert degraded["pairs_dropped_budget"] == sum(
+                analyzer.run(e).pairs_dropped_budget for e in eps) > 0
+
+    def test_compiled_answer_reports_no_degradation(self, engine):
+        env = engine.submit({"op": "analyze", "circuit": "c432",
+                             "eps": [0.01, 0.05], "options": OPTS}
+                            ).to_dict()
+        assert env["method"] == "single-pass-compiled"
+        assert env["fallbacks"] == []
 
     def test_generous_deadline_stays_on_compiled(self, engine):
         env = engine.submit({"op": "analyze", "circuit": "c17",
