@@ -1,9 +1,10 @@
 """A reduced ordered binary decision diagram (ROBDD) engine.
 
-Implemented from scratch (no external BDD package): hash-consed nodes, an
-``ite``-based apply with a computed table, cofactor/compose/quantification
-operators, satisfying-assignment counting, and — the operation this library
-leans on — *weighted probability evaluation*: the probability that the
+Implemented from scratch (no external BDD package): hash-consed nodes,
+dedicated and/or/xor/complement kernels plus a general ``ite``, each with
+its own computed table, cofactor/compose/quantification operators,
+satisfying-assignment counting, and — the operation this library leans
+on — *weighted probability evaluation*: the probability that the
 function is 1 when each variable independently takes value 1 with a given
 probability.  That single primitive yields signal probabilities, gate weight
 vectors, and observabilities (paper Secs. 3 and 4).
@@ -21,6 +22,9 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 _TERMINAL_VAR = sys.maxsize  # sorts after every real variable
+
+# Operator codes of :meth:`BddManager._apply`.
+_AND, _OR, _XOR = 0, 1, 2
 
 
 class BddSizeLimitError(RuntimeError):
@@ -51,8 +55,15 @@ class BddManager:
         self._var: List[int] = [_TERMINAL_VAR, _TERMINAL_VAR]
         self._lo: List[int] = [0, 1]
         self._hi: List[int] = [0, 1]
-        self._unique: Dict[Tuple[int, int, int], int] = {}
+        # (var, lo, hi) packed as ``(var << 32 | lo) << 32 | hi`` -> node.
+        self._unique: Dict[int, int] = {}
+        # Computed tables: ite triples; and/or/xor operand pairs keyed
+        # ``f << 32 | g`` with ``f <= g`` (one dict per operator); node ->
+        # complement (both directions); 2-input literal conjunctions.
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
+        self._apply_cache: Tuple[Dict[int, int], ...] = ({}, {}, {})
+        self._not_cache: Dict[int, int] = {}
+        self._conj_cache: Dict[int, Tuple[int, int, int, int]] = {}
         self._var_names: List[str] = []
         # (var_probs, Pr[node = 1] table) of the last probabilities() call.
         self._prob_memo: Optional[Tuple[List[float], np.ndarray]] = None
@@ -95,18 +106,18 @@ class BddManager:
     def _mk(self, var: int, lo: int, hi: int) -> int:
         if lo == hi:
             return lo
-        key = (var, lo, hi)
-        node = self._unique.get(key)
-        if node is not None:
-            return node
-        if len(self._var) >= self.node_limit:
-            raise BddSizeLimitError(
-                f"BDD node limit of {self.node_limit} exceeded")
-        node = len(self._var)
-        self._var.append(var)
-        self._lo.append(lo)
-        self._hi.append(hi)
-        self._unique[key] = node
+        unique = self._unique
+        fresh = len(unique) + 2  # the terminals are not in the table
+        key = (var << 32 | lo) << 32 | hi
+        node = unique.setdefault(key, fresh)
+        if node == fresh:
+            if fresh >= self.node_limit:
+                del unique[key]
+                raise BddSizeLimitError(
+                    f"BDD node limit of {self.node_limit} exceeded")
+            self._var.append(var)
+            self._lo.append(lo)
+            self._hi.append(hi)
         return node
 
     # ------------------------------------------------------------------
@@ -144,17 +155,131 @@ class BddManager:
     # ------------------------------------------------------------------
     # Boolean operations (by id; Bdd wrapper calls these)
     # ------------------------------------------------------------------
+    # Dedicated kernels, cheaper than the generic ``_ite`` (two-operand
+    # keys, no third cofactor) yet allocating exactly the nodes the
+    # ``ite`` formulations ``ite(f, g, 0)``, ``ite(f, 1, g)``,
+    # ``ite(f, 0, 1)`` and ``ite(f, ~g, g)`` would: every node made is the
+    # canonical result of a subproblem those recursions also reach, and
+    # their extra recursions (``ite(f, f, 0)`` and the like) allocate
+    # nothing.  The node limit therefore trips inside the same operation
+    # either way.  Recursion goes through bound methods, never
+    # self-referencing closures, so an abandoned manager is freed by
+    # reference counting alone.
     def _not(self, f: int) -> int:
-        return self._ite(f, 0, 1)
+        if f < 2:
+            return 1 - f
+        cache = self._not_cache
+        result = cache.get(f)
+        if result is not None:
+            return result
+        var = self._var[f]
+        lo = self._not(self._lo[f])
+        hi = self._not(self._hi[f])
+        result = self._mk(var, lo, hi)
+        cache[f] = result
+        cache[result] = f
+        return result
 
     def _and(self, f: int, g: int) -> int:
-        return self._ite(f, g, 0)
+        return self._apply(_AND, f, g)
 
     def _or(self, f: int, g: int) -> int:
-        return self._ite(f, 1, g)
+        return self._apply(_OR, f, g)
 
     def _xor(self, f: int, g: int) -> int:
-        return self._ite(f, self._not(g), g)
+        # ``ite(f, ~g, g)`` builds ``~g`` whole before recursing.
+        self._not(g)
+        return self._apply(_XOR, f, g)
+
+    def _apply(self, op: int, f: int, g: int) -> int:
+        """``f op g`` for ``op`` in (:data:`_AND`, :data:`_OR`,
+        :data:`_XOR`); all three are commutative, so operands are
+        normalised to ``f <= g`` and terminals (ids 0/1) land in ``f``."""
+        if f > g:
+            f, g = g, f
+        if f < 2:
+            if op == _AND:
+                return g if f else 0
+            if op == _OR:
+                return 1 if f else g
+            return self._not(g) if f else g
+        if f == g:
+            return 0 if op == _XOR else f
+        key = f << 32 | g
+        cache = self._apply_cache[op]
+        result = cache.get(key)
+        if result is not None:
+            return result
+        var_ = self._var
+        vf = var_[f]
+        vg = var_[g]
+        if vf == vg:
+            var = vf
+            lo = self._apply(op, self._lo[f], self._lo[g])
+            hi = self._apply(op, self._hi[f], self._hi[g])
+        elif vf < vg:
+            var = vf
+            lo = self._apply(op, self._lo[f], g)
+            hi = self._apply(op, self._hi[f], g)
+        else:
+            var = vg
+            lo = self._apply(op, f, self._lo[g])
+            hi = self._apply(op, f, self._hi[g])
+        result = self._mk(var, lo, hi)
+        cache[key] = result
+        return result
+
+    def literal_products(self, a: int, b: int
+                          ) -> Tuple[int, int, int, int]:
+        """The four conjunctions ``(~a & ~b, a & ~b, ~a & b, a & b)``.
+
+        Builds ``~a`` and ``~b`` first, then one product walk over
+        ``(a, b)`` makes all four at each step; the node set equals that
+        of four separate :meth:`_and` calls on the literals.
+        """
+        self._not(a)
+        self._not(b)
+        return self._product(a, b)
+
+    def _product(self, a: int, b: int) -> Tuple[int, int, int, int]:
+        # Swapping the operands swaps the two mixed products; done inline
+        # so the recursion stays one frame per variable, as ``_ite``'s.
+        swapped = a > b
+        if swapped:
+            a, b = b, a
+        if a < 2:
+            # ~b and every sub-function's complement already exist.
+            nb = self._not(b)
+            result = (0, nb, 0, b) if a else (nb, 0, b, 0)
+        elif a == b:
+            result = (self._not(a), 0, 0, a)
+        else:
+            key = a << 32 | b
+            cache = self._conj_cache
+            result = cache.get(key)
+            if result is None:
+                var_ = self._var
+                va = var_[a]
+                vb = var_[b]
+                if va == vb:
+                    var = va
+                    lo = self._product(self._lo[a], self._lo[b])
+                    hi = self._product(self._hi[a], self._hi[b])
+                elif va < vb:
+                    var = va
+                    lo = self._product(self._lo[a], b)
+                    hi = self._product(self._hi[a], b)
+                else:
+                    var = vb
+                    lo = self._product(a, self._lo[b])
+                    hi = self._product(a, self._hi[b])
+                mk = self._mk
+                result = (mk(var, lo[0], hi[0]), mk(var, lo[1], hi[1]),
+                          mk(var, lo[2], hi[2]), mk(var, lo[3], hi[3]))
+                cache[key] = result
+        if swapped:
+            return result[0], result[2], result[1], result[3]
+        return result
 
     # ------------------------------------------------------------------
     # Structural operations
@@ -361,7 +486,9 @@ class BddManager:
 
     def clear_caches(self) -> None:
         """Drop the operation and probability caches (unique table is kept)."""
-        self._ite_cache.clear()
+        for cache in (self._ite_cache, *self._apply_cache, self._not_cache,
+                      self._conj_cache):
+            cache.clear()
         self._prob_memo = None
 
     # ------------------------------------------------------------------
@@ -370,14 +497,17 @@ class BddManager:
     def stats(self) -> Dict[str, int]:
         """Structural counters, all derived from live tables (O(1)).
 
-        The hot ``_mk``/``_ite`` paths carry no dedicated counters — node
+        The hot ``_mk`` and apply paths carry no dedicated counters — node
         and cache totals fall out of the table sizes for free, keeping the
         engine's per-operation cost identical with observability enabled.
         """
         return {
             "nodes_allocated": len(self._var),
             "unique_entries": len(self._unique),
-            "ite_cache_entries": len(self._ite_cache),
+            # The gauge keeps its name; it counts every computed table.
+            "ite_cache_entries": (
+                len(self._ite_cache) + sum(map(len, self._apply_cache))
+                + len(self._not_cache) + len(self._conj_cache)),
             "num_vars": self.num_vars,
             "node_limit": self.node_limit,
         }

@@ -6,9 +6,10 @@ a logic gate with an ordered tuple of fanin node names.  Any node may be
 marked as a primary output (the same node may drive several named outputs,
 which matters for multi-output reliability consolidation).
 
-The class is mutable during construction and caches derived views
-(topological order, fanout map, levels) lazily; any mutation invalidates the
-caches.  All reliability algorithms operate on these views.
+The class is append-only during construction and keeps its derived views
+(topological order, fanout map, levels) current as nodes arrive: nodes are
+entered in topological order, so each append only adds its own entries.
+All reliability algorithms operate on these views.
 """
 
 from __future__ import annotations
@@ -54,9 +55,7 @@ class Circuit:
         self.name = name
         self._nodes: Dict[str, Node] = {}
         self._outputs: List[str] = []
-        self._caches_valid = False
-        self._topo: List[str] = []
-        self._fanouts: Dict[str, Tuple[str, ...]] = {}
+        self._fanouts: Dict[str, List[str]] = {}
         self._levels: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -90,10 +89,6 @@ class Circuit:
                 "Circuit is combinational — build a SequentialCircuit "
                 "(repro.circuit.sequential) and unroll it for analysis")
         check_arity(gate_type, len(fanins))
-        for fi in fanins:
-            if fi not in self._nodes:
-                raise CircuitError(
-                    f"gate {name!r}: fanin {fi!r} is not defined yet")
         self._add_node(Node(name, gate_type, tuple(fanins)))
         return name
 
@@ -108,15 +103,24 @@ class Circuit:
         if name in self._outputs:
             raise CircuitError(f"node {name!r} is already an output")
         self._outputs.append(name)
-        self._caches_valid = False
 
     def _add_node(self, node: Node) -> None:
-        if node.name in self._nodes:
-            raise CircuitError(f"duplicate node name {node.name!r}")
-        if not node.name:
+        name = node.name
+        if name in self._nodes:
+            raise CircuitError(f"duplicate node name {name!r}")
+        if not name:
             raise CircuitError("node name must be non-empty")
-        self._nodes[node.name] = node
-        self._caches_valid = False
+        levels = self._levels
+        for fi in node.fanins:
+            if fi not in levels:
+                raise CircuitError(
+                    f"gate {name!r}: fanin {fi!r} is not defined yet")
+        # Inputs and constants have no fanins and sit at level 0.
+        levels[name] = 1 + max((levels[fi] for fi in node.fanins),
+                               default=-1)
+        self._nodes[name] = node
+        for fi in dict.fromkeys(node.fanins):
+            self._fanouts.setdefault(fi, []).append(name)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -168,65 +172,34 @@ class Circuit:
         A gate using the same fanin twice appears once here; use
         :meth:`fanout_count` for wire multiplicity.
         """
-        self._ensure_caches()
-        return self._fanouts.get(name, ())
+        return tuple(self._fanouts.get(name, ()))
 
     def fanout_count(self, name: str) -> int:
         """Number of fanout *wires* leaving a node (counts multiplicity)."""
-        self._ensure_caches()
         return sum(self._nodes[g].fanins.count(name)
                    for g in self._fanouts.get(name, ()))
 
     # ------------------------------------------------------------------
     # Derived views
     # ------------------------------------------------------------------
-    def _ensure_caches(self) -> None:
-        if self._caches_valid:
-            return
-        # Nodes were entered in topological order by construction; verify
-        # and record, rather than re-sorting.
-        seen = set()
-        topo: List[str] = []
-        fanouts: Dict[str, List[str]] = {}
-        for node in self._nodes.values():
-            for fi in node.fanins:
-                if fi not in seen:
-                    raise CircuitError(
-                        f"node {node.name!r} uses {fi!r} before definition")
-            seen.add(node.name)
-            topo.append(node.name)
-            for fi in dict.fromkeys(node.fanins):
-                fanouts.setdefault(fi, []).append(node.name)
-        levels: Dict[str, int] = {}
-        for node in self._nodes.values():
-            if node.gate_type.is_input or node.gate_type.is_constant:
-                levels[node.name] = 0
-            else:
-                levels[node.name] = 1 + max(levels[fi] for fi in node.fanins)
-        self._topo = topo
-        self._fanouts = {k: tuple(v) for k, v in fanouts.items()}
-        self._levels = levels
-        self._caches_valid = True
-
     def topological_order(self) -> List[str]:
-        """All node names in a topological order (inputs first)."""
-        self._ensure_caches()
-        return list(self._topo)
+        """All node names in a topological order (inputs first).
+
+        Insertion order is one: every fanin exists before its gate."""
+        return list(self._nodes)
 
     def topological_gates(self) -> List[str]:
         """Logic-gate names only, in topological order."""
-        self._ensure_caches()
-        return [n for n in self._topo if self._nodes[n].gate_type.is_logic]
+        return [n.name for n in self._nodes.values()
+                if n.gate_type.is_logic]
 
     def level(self, name: str) -> int:
         """Logic level of a node: 0 for inputs/constants, else 1 + max fanin."""
-        self._ensure_caches()
         return self._levels[self.node(name).name]
 
     @property
     def depth(self) -> int:
         """Maximum logic level over all nodes (0 for a gate-free circuit)."""
-        self._ensure_caches()
         return max(self._levels.values(), default=0)
 
     def transitive_fanin(self, names: Iterable[str],
@@ -295,6 +268,8 @@ class Circuit:
         dup = Circuit(name or self.name)
         dup._nodes = dict(self._nodes)
         dup._outputs = list(self._outputs)
+        dup._fanouts = {k: list(v) for k, v in self._fanouts.items()}
+        dup._levels = dict(self._levels)
         return dup
 
     # ------------------------------------------------------------------
@@ -337,7 +312,6 @@ class Circuit:
         (warning-level issues are not raised), arity rules already enforced
         at construction.
         """
-        self._ensure_caches()
         if not self._outputs:
             raise CircuitError(f"circuit {self.name!r} declares no outputs")
         for out in self._outputs:

@@ -41,27 +41,36 @@ class GateType(enum.Enum):
     DFF = "dff"
     LATCH = "latch"
 
+    # The predicates are set lookups: netlist-wide comprehensions such as
+    # ``Circuit.inputs`` and ``Circuit.topological_gates`` call them per
+    # node.
     @property
     def is_input(self) -> bool:
-        return self is GateType.INPUT
+        return self in _INPUT_TYPES
 
     @property
     def is_constant(self) -> bool:
-        return self in (GateType.CONST0, GateType.CONST1)
+        return self in _CONSTANT_TYPES
 
     @property
     def is_state(self) -> bool:
         """True for sequential state elements (flip-flops and latches)."""
-        return self in (GateType.DFF, GateType.LATCH)
+        return self in STATE_TYPES
 
     @property
     def is_logic(self) -> bool:
         """True for nodes computing a function of one or more fanins."""
-        return not (self.is_input or self.is_constant or self.is_state)
+        return self in _LOGIC_TYPES
 
+
+_INPUT_TYPES = frozenset({GateType.INPUT})
+_CONSTANT_TYPES = frozenset({GateType.CONST0, GateType.CONST1})
 
 #: Sequential state-element types (one data fanin, no truth table).
 STATE_TYPES = frozenset({GateType.DFF, GateType.LATCH})
+
+_LOGIC_TYPES = (frozenset(GateType) - _INPUT_TYPES - _CONSTANT_TYPES
+                - STATE_TYPES)
 
 #: Gate types that accept exactly one fanin.
 UNARY_TYPES = frozenset({GateType.BUF, GateType.NOT})

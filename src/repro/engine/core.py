@@ -719,6 +719,11 @@ class AnalysisEngine:
                      "slices": slices})
             if len(eligible) < 2:
                 return []
+            # Merge in a canonical order: group order follows first
+            # appearance in the request list, and every arrival order of
+            # one group set should reuse one cached TensorBatch.  Answers
+            # go back by request index, so the order is invisible.
+            eligible.sort(key=lambda g: (repr(g["key"]), id(g["plan"])))
             queue_wait_ms = (max(0.0, (time.time() - received_at) * 1e3)
                              if received_at is not None else 0.0)
             t0 = time.perf_counter()
@@ -780,7 +785,8 @@ class AnalysisEngine:
                           ) -> TensorBatch:
         """The merged :class:`TensorBatch` for this batch composition.
 
-        Keyed by plan identity — plans are memoized on their sessions and
+        ``plans`` arrive in the caller's canonical group order.  Keyed by
+        plan identity — plans are memoized on their sessions and
         the cached batch holds them, so ids cannot be recycled while the
         entry lives.  LRU-capped so a serve loop cycling through many
         workload shapes doesn't hoard merged tensors.

@@ -114,11 +114,19 @@ def bdd_weight_vectors(circuit: Circuit,
 def _literal_conjunctions(circuit: Circuit,
                           bdds: CircuitBdds) -> Dict[str, np.ndarray]:
     """Node ids of each gate's weight-vector functions, entry ``v`` the
-    conjunction of fanin ``t`` (bit ``t`` of ``v`` set) or its complement."""
-    true = bdds.manager.true
+    conjunction of fanin ``t`` (bit ``t`` of ``v`` set) or its complement.
+
+    A 2-input gate's four entries come from one product walk over its
+    fanin pair; wider gates chain :meth:`~repro.bdd.Bdd.__and__`."""
+    manager = bdds.manager
+    true = manager.true
     roots: Dict[str, np.ndarray] = {}
     for gate in circuit.topological_gates():
         fanins = [bdds[fi] for fi in circuit.fanins(gate)]
+        if len(fanins) == 2:
+            roots[gate] = np.array(manager.literal_products(
+                fanins[0].node, fanins[1].node), dtype=np.int64)
+            continue
         ids = np.empty(1 << len(fanins), dtype=np.int64)
         for v in range(len(ids)):
             acc = true
@@ -306,5 +314,9 @@ def _compute_weights(circuit: Circuit, method: str, n_patterns: int,
         _log.info("%s: BDD weights passed the %d-node limit during %s; "
                   "falling back to sampled weights", circuit.name,
                   bdd_node_limit, exc.stage)
-        return sampled_weight_vectors(circuit, n_patterns=n_patterns,
-                                      seed=seed, input_probs=input_probs)
+    # Sample outside the except block and after dropping the manager:
+    # the exception's traceback and this name would otherwise keep the
+    # abandoned tables alive while sampling allocates its own.
+    del manager
+    return sampled_weight_vectors(circuit, n_patterns=n_patterns,
+                                  seed=seed, input_probs=input_probs)

@@ -114,6 +114,26 @@ class TestDerivedViews:
         assert c.depth == 3
         assert "g3" in c.topological_order()
 
+    def test_views_follow_interleaved_appends(self):
+        c = small()
+        assert c.fanouts("g2") == ()
+        c.add_gate("g3", GateType.OR, ["g2", "a"])
+        c.set_output("g3")
+        c.add_gate("g4", GateType.XOR, ["g3", "g3"])
+        assert c.fanouts("a") == ("g1", "g3")
+        assert c.fanouts("g3") == ("g4",)
+        assert [c.level(n) for n in c.topological_order()] == [
+            0, 0, 1, 2, 3, 4]
+        assert c.topological_gates() == ["g1", "g2", "g3", "g4"]
+
+    def test_rejected_gate_leaves_views_untouched(self):
+        c = small()
+        with pytest.raises(CircuitError):
+            c.add_gate("bad", GateType.AND, ["a", "missing"])
+        assert "bad" not in c
+        assert c.fanouts("a") == ("g1",)
+        assert c.topological_order() == ["a", "b", "g1", "g2"]
+
 
 class TestCones:
     def test_transitive_fanin(self):
@@ -141,6 +161,9 @@ class TestCones:
         dup.add_gate("extra", GateType.NOT, ["g2"])
         assert "extra" not in c
         assert dup.name == "dup"
+        assert c.fanouts("g2") == () and dup.fanouts("g2") == ("extra",)
+        assert c.depth == 2 and dup.depth == 3
+        assert c.topological_order() == ["a", "b", "g1", "g2"]
 
 
 class TestEvaluate:

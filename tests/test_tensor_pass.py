@@ -254,6 +254,40 @@ def test_engine_tensor_batch_cache_reused():
         assert next(iter(eng._tensor_batches.values())) is first
 
 
+def test_engine_tensor_batch_merge_ignores_arrival_order(monkeypatch):
+    """Two orders of one group set merge once and answer byte-equal."""
+    from repro.obs import metrics as obs_metrics
+    sweeps = []
+    run_sweep = TensorBatch.run_sweep
+
+    def spy(self, eps_batches):
+        out = run_sweep(self, eps_batches)
+        sweeps.append({s.circuit_name: s for s in out})
+        return out
+
+    monkeypatch.setattr(TensorBatch, "run_sweep", spy)
+    reqs = [_plain("c17", [0.01, 0.05]), _plain("b9", [0.02]),
+            _plain("x2", [0.01])]
+    obs_metrics.reset()
+    obs_metrics.set_enabled(True)
+    try:
+        with AnalysisEngine() as eng:
+            forward = eng.submit_many(reqs)
+            backward = eng.submit_many(reqs[::-1])
+        merges = obs_metrics.get_registry().value("tensor_pass.merges")
+    finally:
+        obs_metrics.set_enabled(False)
+        obs_metrics.reset()
+    assert merges == 1
+    assert [r.result for r in forward] == [r.result for r in backward[::-1]]
+    first, second = sweeps
+    assert sorted(first) == sorted(second) == ["b9", "c17", "x2"]
+    for name, sweep in first.items():
+        for attr in ("per_output", "p01", "p10"):
+            a, b = getattr(sweep, attr), getattr(second[name], attr)
+            assert a.tobytes() == b.tobytes(), (name, attr)
+
+
 def test_engine_tensor_metrics_emitted():
     from repro.obs import metrics as obs_metrics
     obs_metrics.reset()
