@@ -22,53 +22,28 @@ persistent :class:`~repro.engine.AnalysisEngine` that keeps each
 circuit's eps-independent state (weight vectors, compiled plans) hot
 between calls; see ``docs/engine.md``.  The underlying classes
 (:class:`SinglePassAnalyzer` et al.) remain available for direct use.
+
+Every public name resolves on first access (:mod:`repro._lazy`), so
+``import repro`` itself loads no analysis code and no numpy.
 """
 
-from . import obs
-from .circuit import (
-    Circuit,
-    CircuitBuilder,
-    CircuitError,
-    GateType,
-    circuit_stats,
-)
-from .io import load_bench, load_blif, save_bench, save_blif, save_verilog
-from .probability import ErrorProbability, WeightData, compute_weights
-from .reliability import (
-    ConsolidatedAnalyzer,
-    ObservabilityModel,
-    SinglePassAnalyzer,
-    SinglePassResult,
-    TensorBatch,
-    exhaustive_exact_reliability,
-    ptm_reliability,
-)
-from .sim import monte_carlo_reliability
-from .circuits import get_benchmark, list_benchmarks, TABLE2_BENCHMARKS
-from .incremental import CircuitWorkspace, EditReport, parse_edit
-from .engine import (
-    AnalysisEngine,
-    AnalysisRequest,
-    AnalysisResponse,
-    analyze,
-    default_engine,
-    set_default_engine,
-    sweep,
-)
+from ._lazy import attach
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "Circuit", "CircuitBuilder", "CircuitError", "GateType", "circuit_stats",
-    "load_bench", "load_blif", "save_bench", "save_blif", "save_verilog",
-    "ErrorProbability", "WeightData", "compute_weights",
-    "ConsolidatedAnalyzer", "ObservabilityModel", "SinglePassAnalyzer",
-    "SinglePassResult", "TensorBatch", "exhaustive_exact_reliability",
-    "ptm_reliability", "monte_carlo_reliability",
-    "get_benchmark", "list_benchmarks", "TABLE2_BENCHMARKS",
-    "CircuitWorkspace", "EditReport", "parse_edit",
-    "AnalysisEngine", "AnalysisRequest", "AnalysisResponse",
-    "analyze", "sweep", "default_engine", "set_default_engine",
-    "obs",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = attach(__name__, {
+    ".circuit": ["Circuit", "CircuitBuilder", "CircuitError", "GateType",
+                 "circuit_stats"],
+    ".io": ["load_bench", "load_blif", "save_bench", "save_blif",
+            "save_verilog"],
+    ".probability": ["ErrorProbability", "WeightData", "compute_weights"],
+    ".reliability": ["ConsolidatedAnalyzer", "ObservabilityModel",
+                     "SinglePassAnalyzer", "SinglePassResult", "TensorBatch",
+                     "exhaustive_exact_reliability", "ptm_reliability"],
+    ".sim": ["monte_carlo_reliability"],
+    ".circuits": ["get_benchmark", "list_benchmarks", "TABLE2_BENCHMARKS"],
+    ".incremental": ["CircuitWorkspace", "EditReport", "parse_edit"],
+    ".engine": ["AnalysisEngine", "AnalysisRequest", "AnalysisResponse",
+                "analyze", "sweep", "default_engine", "set_default_engine"],
+}, submodules=["obs"])
+__all__ += ["__version__"]

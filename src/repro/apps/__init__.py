@@ -1,34 +1,15 @@
 """Applications built on the reliability analyses (paper Sec. 5.1)."""
 
-from .ser import GateSerModel, SerReport, estimate_ser, uniform_ser_model
-from .redundancy import (
-    HardeningOutcome,
-    asymmetric_targets,
-    hardening_sweep,
-    selective_tmr,
-)
-from .explorer import CandidateScore, explain_ranking, score_candidates
-from .sequential import (
-    SequentialSerReport,
-    SequentialSerRow,
-    sequential_ser_row,
-    sequential_ser_table,
-)
-from .optimize import (
-    DEFAULT_LADDER,
-    AllocationResult,
-    HardeningOption,
-    allocate_hardening,
-    hardening_frontier,
-)
+from .._lazy import attach
 
-__all__ = [
-    "GateSerModel", "SerReport", "estimate_ser", "uniform_ser_model",
-    "HardeningOutcome", "asymmetric_targets", "hardening_sweep",
-    "selective_tmr",
-    "CandidateScore", "explain_ranking", "score_candidates",
-    "SequentialSerReport", "SequentialSerRow",
-    "sequential_ser_row", "sequential_ser_table",
-    "DEFAULT_LADDER", "AllocationResult", "HardeningOption",
-    "allocate_hardening", "hardening_frontier",
-]
+__all__, __getattr__, __dir__ = attach(__name__, {
+    ".ser": ["GateSerModel", "SerReport", "estimate_ser",
+             "uniform_ser_model"],
+    ".redundancy": ["HardeningOutcome", "asymmetric_targets",
+                    "hardening_sweep", "selective_tmr"],
+    ".explorer": ["CandidateScore", "explain_ranking", "score_candidates"],
+    ".sequential": ["SequentialSerReport", "SequentialSerRow",
+                    "sequential_ser_row", "sequential_ser_table"],
+    ".optimize": ["DEFAULT_LADDER", "AllocationResult", "HardeningOption",
+                  "allocate_hardening", "hardening_frontier"],
+})

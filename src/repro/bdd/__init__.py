@@ -1,20 +1,11 @@
 """From-scratch ROBDD engine and circuit bridge."""
 
-from .manager import Bdd, BddManager, BddSizeLimitError
-from .ops import CircuitBdds, build_node_bdds, joint_probability
-from .ordering import (
-    HEURISTICS,
-    best_order,
-    build_with_best_order,
-    declaration_order,
-    dfs_order,
-    fanin_level_order,
-    total_bdd_size,
-)
+from .._lazy import attach
 
-__all__ = [
-    "Bdd", "BddManager", "BddSizeLimitError",
-    "CircuitBdds", "build_node_bdds", "joint_probability",
-    "HEURISTICS", "best_order", "build_with_best_order",
-    "declaration_order", "dfs_order", "fanin_level_order", "total_bdd_size",
-]
+__all__, __getattr__, __dir__ = attach(__name__, {
+    ".manager": ["Bdd", "BddManager", "BddSizeLimitError"],
+    ".ops": ["CircuitBdds", "build_node_bdds", "joint_probability"],
+    ".ordering": ["HEURISTICS", "best_order", "build_with_best_order",
+                  "declaration_order", "dfs_order", "fanin_level_order",
+                  "total_bdd_size"],
+})

@@ -1,48 +1,19 @@
 """Circuit substrate: gate model, netlist DAG, analysis, and transforms."""
 
-from .gate import (
-    GateType,
-    GateArityError,
-    evaluate_gate,
-    truth_table,
-    inverted_type,
-    parse_gate_type,
-)
-from .circuit import Circuit, CircuitError, Node
-from .builder import CircuitBuilder, SequentialBuilder
-from .sequential import FlipFlop, SequentialCircuit, is_sequential
-from .unroll import frame_name, split_frame_name, unroll
-from .analysis import (
-    CircuitStats,
-    circuit_stats,
-    cone_size,
-    fanout_stems,
-    input_support,
-    is_tree,
-    node_index,
-    reconvergent_gates,
-    support_bitsets,
-)
-from .transform import (
-    combinational_envelope,
-    expand_xor,
-    limit_fanout,
-    strip_buffers,
-    triplicate_gates,
-)
-from .restructure import map_to_nand, rebalance_chains
-from .equivalence import EquivalenceResult, are_equivalent
+from .._lazy import attach
 
-__all__ = [
-    "GateType", "GateArityError", "evaluate_gate", "truth_table",
-    "inverted_type", "parse_gate_type",
-    "Circuit", "CircuitError", "Node", "CircuitBuilder",
-    "SequentialBuilder", "FlipFlop", "SequentialCircuit", "is_sequential",
-    "frame_name", "split_frame_name", "unroll", "combinational_envelope",
-    "CircuitStats", "circuit_stats", "cone_size", "fanout_stems",
-    "input_support", "is_tree", "node_index", "reconvergent_gates",
-    "support_bitsets",
-    "expand_xor", "limit_fanout", "strip_buffers", "triplicate_gates",
-    "map_to_nand", "rebalance_chains",
-    "EquivalenceResult", "are_equivalent",
-]
+__all__, __getattr__, __dir__ = attach(__name__, {
+    ".gate": ["GateType", "GateArityError", "evaluate_gate", "truth_table",
+              "inverted_type", "parse_gate_type"],
+    ".circuit": ["Circuit", "CircuitError", "Node"],
+    ".builder": ["CircuitBuilder", "SequentialBuilder"],
+    ".sequential": ["FlipFlop", "SequentialCircuit", "is_sequential"],
+    ".unroll": ["frame_name", "split_frame_name", "unroll"],
+    ".transform": ["combinational_envelope", "expand_xor", "limit_fanout",
+                   "strip_buffers", "triplicate_gates"],
+    ".analysis": ["CircuitStats", "circuit_stats", "cone_size",
+                  "fanout_stems", "input_support", "is_tree", "node_index",
+                  "reconvergent_gates", "support_bitsets"],
+    ".restructure": ["map_to_nand", "rebalance_chains"],
+    ".equivalence": ["EquivalenceResult", "are_equivalent"],
+})

@@ -7,8 +7,9 @@ marked as a primary output (the same node may drive several named outputs,
 which matters for multi-output reliability consolidation).
 
 The class is append-only during construction and keeps its derived views
-(topological order, fanout map, levels) current as nodes arrive: nodes are
-entered in topological order, so each append only adds its own entries.
+(topological order, input and gate lists, fanout map, levels) current as
+nodes arrive: nodes are entered in topological order, so each append only
+adds its own entries.
 All reliability algorithms operate on these views.
 """
 
@@ -57,6 +58,8 @@ class Circuit:
         self._outputs: List[str] = []
         self._fanouts: Dict[str, List[str]] = {}
         self._levels: Dict[str, int] = {}
+        self._inputs: List[str] = []
+        self._gates: List[str] = []
 
     # ------------------------------------------------------------------
     # Construction
@@ -88,8 +91,11 @@ class Circuit:
                 f"gate {name!r}: {gate_type.value} is a state element; "
                 "Circuit is combinational — build a SequentialCircuit "
                 "(repro.circuit.sequential) and unroll it for analysis")
-        check_arity(gate_type, len(fanins))
-        self._add_node(Node(name, gate_type, tuple(fanins)))
+        fanins = tuple(fanins)
+        low, high = gate_type.fanin_bounds
+        if not low <= len(fanins) <= high:
+            check_arity(gate_type, len(fanins))  # raises with the message
+        self._add_node(Node(name, gate_type, fanins))
         return name
 
     def set_output(self, name: str) -> None:
@@ -111,14 +117,23 @@ class Circuit:
         if not name:
             raise CircuitError("node name must be non-empty")
         levels = self._levels
+        # One pass over the fanins checks they exist and finds the level;
+        # inputs and constants have no fanins and sit at level 0.
+        level = 0
         for fi in node.fanins:
-            if fi not in levels:
+            fanin_level = levels.get(fi)
+            if fanin_level is None:
                 raise CircuitError(
                     f"gate {name!r}: fanin {fi!r} is not defined yet")
-        # Inputs and constants have no fanins and sit at level 0.
-        levels[name] = 1 + max((levels[fi] for fi in node.fanins),
-                               default=-1)
+            if fanin_level >= level:
+                level = fanin_level + 1
+        levels[name] = level
         self._nodes[name] = node
+        gate_type = node.gate_type
+        if gate_type.is_input:
+            self._inputs.append(name)
+        elif gate_type.is_logic:
+            self._gates.append(name)
         for fi in dict.fromkeys(node.fanins):
             self._fanouts.setdefault(fi, []).append(name)
 
@@ -146,7 +161,7 @@ class Circuit:
     @property
     def inputs(self) -> List[str]:
         """Primary input names, in insertion order."""
-        return [n.name for n in self._nodes.values() if n.gate_type.is_input]
+        return list(self._inputs)
 
     @property
     def outputs(self) -> List[str]:
@@ -156,12 +171,12 @@ class Circuit:
     @property
     def gates(self) -> List[str]:
         """Names of all logic gates (excludes inputs and constants)."""
-        return [n.name for n in self._nodes.values() if n.gate_type.is_logic]
+        return list(self._gates)
 
     @property
     def num_gates(self) -> int:
         """Number of logic gates — the 'size' column of the paper's Table 2."""
-        return len(self.gates)
+        return len(self._gates)
 
     def fanins(self, name: str) -> Tuple[str, ...]:
         return self.node(name).fanins
@@ -190,8 +205,7 @@ class Circuit:
 
     def topological_gates(self) -> List[str]:
         """Logic-gate names only, in topological order."""
-        return [n.name for n in self._nodes.values()
-                if n.gate_type.is_logic]
+        return list(self._gates)
 
     def level(self, name: str) -> int:
         """Logic level of a node: 0 for inputs/constants, else 1 + max fanin."""
@@ -270,6 +284,8 @@ class Circuit:
         dup._outputs = list(self._outputs)
         dup._fanouts = {k: list(v) for k, v in self._fanouts.items()}
         dup._levels = dict(self._levels)
+        dup._inputs = list(self._inputs)
+        dup._gates = list(self._gates)
         return dup
 
     # ------------------------------------------------------------------

@@ -10,6 +10,7 @@ provided here so the rest of the code base never special-cases gate kinds.
 from __future__ import annotations
 
 import enum
+import sys
 from functools import lru_cache, reduce
 from typing import Sequence, Tuple
 
@@ -41,26 +42,17 @@ class GateType(enum.Enum):
     DFF = "dff"
     LATCH = "latch"
 
-    # The predicates are set lookups: netlist-wide comprehensions such as
-    # ``Circuit.inputs`` and ``Circuit.topological_gates`` call them per
-    # node.
-    @property
-    def is_input(self) -> bool:
-        return self in _INPUT_TYPES
-
-    @property
-    def is_constant(self) -> bool:
-        return self in _CONSTANT_TYPES
-
-    @property
-    def is_state(self) -> bool:
-        """True for sequential state elements (flip-flops and latches)."""
-        return self in STATE_TYPES
-
-    @property
-    def is_logic(self) -> bool:
-        """True for nodes computing a function of one or more fanins."""
-        return self in _LOGIC_TYPES
+    # Plain member attributes, set below: netlist construction reads them
+    # per node, where a set lookup would cost a Python-level
+    # ``Enum.__hash__`` call each time.
+    is_input: bool
+    is_constant: bool
+    #: True for sequential state elements (flip-flops and latches).
+    is_state: bool
+    #: True for nodes computing a function of one or more fanins.
+    is_logic: bool
+    #: ``(min, max)`` fanin count the type accepts (see :func:`check_arity`).
+    fanin_bounds: Tuple[int, int]
 
 
 _INPUT_TYPES = frozenset({GateType.INPUT})
@@ -80,6 +72,19 @@ MULTI_INPUT_TYPES = frozenset(
     {GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
      GateType.XOR, GateType.XNOR}
 )
+
+for _t in GateType:
+    _t.is_input = _t in _INPUT_TYPES
+    _t.is_constant = _t in _CONSTANT_TYPES
+    _t.is_state = _t in STATE_TYPES
+    _t.is_logic = _t in _LOGIC_TYPES
+    if _t in MULTI_INPUT_TYPES:
+        _t.fanin_bounds = (2, sys.maxsize)
+    elif _t in UNARY_TYPES or _t.is_state:
+        _t.fanin_bounds = (1, 1)
+    else:
+        _t.fanin_bounds = (0, 0)
+del _t
 
 #: Gate types whose output is the complement of a simpler base function.
 INVERTING_TYPES = frozenset(

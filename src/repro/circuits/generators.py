@@ -194,6 +194,62 @@ def array_multiplier(width: int, name: Optional[str] = None) -> Circuit:
     return b.build()
 
 
+class _Pcg64Replay:
+    """``Generator.random()`` / ``.integers(n)`` of ``default_rng(seed)``,
+    replayed from bulk raw words.
+
+    PCG64 serves both draws from one stream of 64-bit words.
+    ``random()`` takes the next word ``w`` and returns
+    ``(w >> 11) * 2**-53``.  ``integers(n)`` takes a 32-bit half — the
+    low half of a fresh word, whose high half is buffered for the next
+    32-bit draw — and maps it onto ``[0, n)`` with Lemire's
+    multiply-shift, rejecting the biased low products.  Fetching the
+    words with one ``random_raw`` call per block replays exactly that
+    stream without a numpy call per draw.
+    """
+
+    _BLOCK = 1 << 14
+
+    def __init__(self, seed: int):
+        self._bit_generator = np.random.default_rng(seed).bit_generator
+        self._next_word = iter(()).__next__
+        self._half: Optional[int] = None
+
+    def _word(self) -> int:
+        try:
+            return self._next_word()
+        except StopIteration:
+            block = self._bit_generator.random_raw(self._BLOCK).tolist()
+            self._next_word = iter(block).__next__
+            return self._next_word()
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & 0xFFFF_FFFF
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0 ** -53
+
+    def integers(self, n: int) -> int:
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"bound {n} outside [1, 2**32]")
+        if n == 1:
+            return 0  # numpy draws nothing for an empty range
+        if n == 1 << 32:
+            return self._uint32()
+        product = self._uint32() * n
+        if product & 0xFFFF_FFFF < n:
+            threshold = (1 << 32) % n
+            while product & 0xFFFF_FFFF < threshold:
+                product = self._uint32() * n
+        return product >> 32
+
+
 _DEFAULT_GATE_MIX = (
     (GateType.NAND, 0.28),
     (GateType.NOR, 0.18),
@@ -238,7 +294,10 @@ def random_circuit(n_inputs: int,
     """
     if n_inputs < 2 or n_gates < 1 or n_outputs < 1:
         raise ValueError("need >= 2 inputs, >= 1 gate, >= 1 output")
-    rng = np.random.default_rng(seed)
+    # The same draws ``np.random.default_rng(seed)`` would make, call for
+    # call, without numpy's per-call overhead.
+    rng = _Pcg64Replay(seed)
+    random, integers = rng.random, rng.integers
     mix = list(gate_mix)
     if xor_weight is not None:
         non_xor = [(t, w) for t, w in mix
@@ -261,32 +320,36 @@ def random_circuit(n_inputs: int,
     circuit = Circuit(name or f"rand_{n_inputs}x{n_gates}x{n_outputs}_s{seed}")
     nodes: List[str] = [circuit.add_input(f"pi{i}") for i in range(n_inputs)]
     fanout = {n: 0 for n in nodes}
+    # Unused nodes in creation order (draws index into the list), with a
+    # set beside it for membership tests.
     unused = list(nodes)
+    unused_set = set(nodes)
 
     def eligible(pool: List[str]) -> List[str]:
         if max_fanout is None:
             return pool
         return [n for n in pool if fanout[n] < max_fanout]
 
+    drain_above = max(n_outputs, 1)
+
     for k in range(n_gates):
-        gate_type = types[bisect.bisect_right(cdf_list, rng.random())]
+        gate_type = types[bisect.bisect_right(cdf_list, random())]
         arity = 1 if gate_type in (GateType.NOT, GateType.BUF) else 2
         chosen: List[str] = []
         # Drain unused nodes while we have more than we can expose as
         # outputs at the end.
-        gates_left = n_gates - k
-        if len(unused) > max(n_outputs, 1) and unused:
+        if len(unused) > drain_above:
             pool = eligible(unused)
             if pool:
-                chosen.append(pool[int(rng.integers(len(pool)))])
+                chosen.append(pool[integers(len(pool))])
         while len(chosen) < arity:
             pool = eligible(nodes)
             if not pool:
                 pool = nodes  # relax the bound rather than fail
-            if rng.random() < depth_bias and len(pool) > window:
-                candidate = pool[len(pool) - 1 - int(rng.integers(window))]
+            if random() < depth_bias and len(pool) > window:
+                candidate = pool[len(pool) - 1 - integers(window)]
             else:
-                candidate = pool[int(rng.integers(len(pool)))]
+                candidate = pool[integers(len(pool))]
             if candidate in chosen:
                 continue
             chosen.append(candidate)
@@ -294,12 +357,13 @@ def random_circuit(n_inputs: int,
         circuit.add_gate(gate_name, gate_type, chosen)
         for fi in chosen:
             fanout[fi] += 1
-            if fi in unused:
+            if fi in unused_set:
+                unused_set.remove(fi)
                 unused.remove(fi)
         nodes.append(gate_name)
         fanout[gate_name] = 0
         unused.append(gate_name)
-        del gates_left
+        unused_set.add(gate_name)
 
     # Outputs: every unused gate (no dead logic), topped up with the
     # deepest used gates if the target is not met.

@@ -38,25 +38,18 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from . import obs
-from .circuit import Circuit, circuit_stats, is_sequential
-from .circuits import (
-    benchmark_entry,
-    get_benchmark,
-    get_sequential_benchmark,
-    list_benchmarks,
-    list_sequential_benchmarks,
-    sequential_benchmark_entry,
-)
-from .io import load_bench, load_blif, save_bench, save_blif, save_verilog
-from .obs import metrics as obs_metrics
-from .obs import runlog as obs_runlog
-from .obs import trace_span
-from .spec import parse_eps_list
-from .reliability import ObservabilityModel, SinglePassAnalyzer
-from .sim import monte_carlo_reliability
+
+if TYPE_CHECKING:
+    from .circuit import Circuit
+    from .engine import AnalysisEngine
+
+# Each handler imports the modules it runs, so a cold process pays only
+# for its own command: ``repro --help`` loads no numpy, and ``repro
+# analyze`` never loads the serve loop, the SAT tier or the netlist
+# writers (docs/performance.md, "Cold start").
 
 log = obs.get_logger("cli")
 
@@ -104,7 +97,8 @@ class _ObsSession:
         """Append one runlog record covering the work since the last emit."""
         if not self.metrics_out:
             return
-        record = obs_runlog.build_record(self.command, circuit=circuit,
+        from .obs import runlog
+        record = runlog.build_record(self.command, circuit=circuit,
                                          params=params, results=results)
         # Phase entries are tracer totals; report this record's share only.
         now = {p["name"]: p["duration_s"] for p in record.phases}
@@ -114,7 +108,7 @@ class _ObsSession:
             for name, duration in sorted(now.items())
             if duration - self._prev_phases.get(name, 0.0) > 0.0]
         self._prev_phases = now
-        obs_runlog.append_record(self.metrics_out, record)
+        runlog.append_record(self.metrics_out, record)
         self.records_emitted += 1
 
     def finish(self) -> None:
@@ -134,16 +128,20 @@ class _ObsSession:
 def _load_netlist(ref: str):
     """Load a :class:`Circuit` or :class:`SequentialCircuit` by path/name."""
     path = Path(ref)
-    with trace_span("cli.load_circuit", ref=ref):
+    with obs.trace_span("cli.load_circuit", ref=ref):
         if path.exists():
             if path.suffix == ".bench":
+                from .io.bench import load_bench
                 return load_bench(path)
             if path.suffix == ".blif":
+                from .io.blif import load_blif
                 return load_blif(path)
             raise SystemExit(f"unsupported netlist extension: {path.suffix}")
+        from .circuits.catalog import get_benchmark
         try:
             circuit = get_benchmark(ref)
         except KeyError:
+            from .circuits.sequential import get_sequential_benchmark
             try:
                 circuit = get_sequential_benchmark(ref)
             except KeyError:
@@ -163,7 +161,7 @@ def _load_circuit(ref: str, frames: Optional[int] = None) -> Circuit:
     A stateful netlist without ``frames`` exits with the same guidance
     the library raises (``pass frames=k ...``) instead of a traceback.
     """
-    from .engine.session import resolve_analysis_circuit
+    from .engine.resolve import resolve_analysis_circuit
     raw = _load_netlist(ref)
     try:
         return resolve_analysis_circuit(raw, frames)
@@ -174,6 +172,7 @@ def _load_circuit(ref: str, frames: Optional[int] = None) -> Circuit:
 def _eps_list(spec: str) -> List[float]:
     # One canonical parser (repro.spec); the CLI only converts its
     # ValueError messages into exit-status errors.
+    from .spec import parse_eps_list
     try:
         return parse_eps_list(spec)
     except ValueError as exc:
@@ -181,6 +180,7 @@ def _eps_list(spec: str) -> List[float]:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    from .circuit.analysis import circuit_stats
     circuit = _load_circuit(args.circuit)
     stats = circuit_stats(circuit)
     print(stats.as_row())
@@ -190,6 +190,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .circuits.catalog import (benchmark_entry, large_catalog,
+                                   list_benchmarks)
+    from .circuits.sequential import (list_sequential_benchmarks,
+                                      sequential_benchmark_entry)
     for name in list_benchmarks():
         entry = benchmark_entry(name)
         paper = f"paper-gates={entry.paper_gates}" if entry.paper_gates else ""
@@ -199,7 +203,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"{name:16s} {entry.description} flops={entry.flops} "
               f"(use --frames)")
     if getattr(args, "large", False):
-        from .circuits import large_catalog
         for name in large_catalog():
             entry = benchmark_entry(name)
             print(f"{name:16s} {entry.description} "
@@ -210,7 +213,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _analyze_steady_state(args: argparse.Namespace, seq) -> int:
     """The ``analyze --steady-state`` path: fixed point of the frame
     recurrence instead of a k-frame unroll."""
-    from .reliability import SequentialAnalyzer
+    from .circuit.sequential import is_sequential
+    from .reliability.sequential import SequentialAnalyzer
     if not is_sequential(seq):
         raise SystemExit(
             f"--steady-state requires a sequential circuit; "
@@ -251,7 +255,8 @@ def _analyze_steady_state(args: argparse.Namespace, seq) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .engine.requests import analyze_payload
-    from .engine.session import resolve_analysis_circuit
+    from .engine.resolve import resolve_analysis_circuit
+    from .reliability.single_pass import SinglePassAnalyzer
     raw = _load_netlist(args.circuit)
     outputs = ([o for o in args.outputs.split(",") if o]
                if args.outputs else None)
@@ -336,6 +341,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
+    from .sim.montecarlo import monte_carlo_reliability
     circuit = _load_circuit(args.circuit)
     for eps in _eps_list(args.eps):
         t0 = time.perf_counter()
@@ -359,6 +365,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 
 def _cmd_closed(args: argparse.Namespace) -> int:
+    from .reliability.closed_form import ObservabilityModel
     circuit = _load_circuit(args.circuit)
     output = args.output or circuit.outputs[0]
     model = ObservabilityModel(circuit, output=output, seed=args.seed)
@@ -368,6 +375,8 @@ def _cmd_closed(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
+    from .reliability.single_pass import SinglePassAnalyzer
+    from .sim.montecarlo import monte_carlo_reliability
     circuit = _load_circuit(args.circuit)
     output = args.output or circuit.outputs[0]
     analyzer = SinglePassAnalyzer(
@@ -394,7 +403,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_testability(args: argparse.Namespace) -> int:
-    from .testing import full_fault_list, simulate_faults
+    from .testing.fault_sim import simulate_faults
+    from .testing.faults import full_fault_list
     circuit = _load_circuit(args.circuit)
     faults = full_fault_list(circuit)
     sim = simulate_faults(circuit, faults, n_patterns=args.patterns,
@@ -411,7 +421,7 @@ def _cmd_testability(args: argparse.Namespace) -> int:
 
 
 def _cmd_stratified(args: argparse.Namespace) -> int:
-    from .sim import StratifiedEstimator
+    from .sim.rare_event import StratifiedEstimator
     circuit = _load_circuit(args.circuit)
     estimator = StratifiedEstimator(circuit, max_failures=args.max_failures,
                                     n_patterns=args.patterns,
@@ -436,8 +446,8 @@ def _cmd_stratified(args: argparse.Namespace) -> int:
 
 
 def _cmd_harden(args: argparse.Namespace) -> int:
-    from .apps import allocate_hardening
-    from .reliability import ObservabilityModel
+    from .apps.optimize import allocate_hardening
+    from .reliability.closed_form import ObservabilityModel
     circuit = _load_circuit(args.circuit)
     output = args.output or circuit.outputs[0]
     model = ObservabilityModel(circuit, output=output, seed=args.seed)
@@ -454,7 +464,7 @@ def _cmd_harden(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from .reliability import compare_methods
+    from .reliability.comparison import compare_methods
     circuit = _load_circuit(args.circuit)
     eps_values = _eps_list(args.eps)
     for eps in eps_values:
@@ -490,13 +500,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_convert(args: argparse.Namespace) -> int:
     # Conversion is netlist-to-netlist: state elements pass through
     # unchanged (.bench DFF lines <-> BLIF .latch), no unrolling.
+    from .circuit.sequential import is_sequential
     circuit = _load_netlist(args.circuit)
     out = Path(args.out)
     if out.suffix == ".bench":
+        from .io.bench import save_bench
         save_bench(circuit, out)
     elif out.suffix == ".blif":
+        from .io.blif import save_blif
         save_blif(circuit, out)
     elif out.suffix in (".v", ".sv"):
+        from .io.verilog import save_verilog
         if is_sequential(circuit):
             raise SystemExit(
                 f"Verilog export does not support state elements yet; "
@@ -509,7 +523,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _make_engine(args: argparse.Namespace) -> "AnalysisEngine":
-    from .engine import AnalysisEngine
+    from .engine.core import AnalysisEngine
     state_dir = getattr(args, "state_dir", None)
     # A state directory doubles as the warm artifact store: unless the
     # weight cache is pointed elsewhere, replicas sharing one --state-dir
@@ -522,7 +536,7 @@ def _make_engine(args: argparse.Namespace) -> "AnalysisEngine":
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .engine import serve_stream, serve_tcp
+    from .engine.serve import serve_stream, serve_tcp
     engine = _make_engine(args)
     if engine.state_dir:
         summary = engine.load_state()
@@ -568,7 +582,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    from .engine import run_batch
+    from .engine.serve import run_batch
     path = Path(args.requests)
     if not path.exists():
         raise SystemExit(f"no such requests file: {args.requests}")
@@ -711,7 +725,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from .engine import AnalysisEngine
+    from .engine.core import AnalysisEngine
+    from .obs import metrics
     # Tracing is forced on for the whole run — that is the point of the
     # command — regardless of the --metrics-out/--trace-out obs flags.
     obs.reset()
@@ -746,7 +761,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         share = min(total / wall, 1.0) * 100 if wall > 0 else 0.0
         print(f"{name:<44s} {total * 1e3:>8.2f}ms {share:>6.1f}%")
     try:
-        registry = obs_metrics.get_registry()
+        registry = metrics.get_registry()
         rows = registry.value("compiled_pass.coefficient_rows",
                               circuit=circuit.name)
         groups = registry.value("compiled_pass.correlated_groups",
@@ -1017,7 +1032,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         verbose=getattr(args, "verbose", 0))
     args.obs_session = session
     try:
-        with trace_span(f"cli.{args.command}"):
+        with obs.trace_span(f"cli.{args.command}"):
             return args.func(args)
     finally:
         session.finish()

@@ -14,27 +14,14 @@ The library's long-lived service layer (see ``docs/engine.md``):
   engine, re-exported as ``repro.analyze`` / ``repro.sweep``.
 """
 
-from .core import AnalysisEngine
-from .facade import analyze, default_engine, set_default_engine, sweep
-from .requests import AnalysisRequest, AnalysisResponse
-from .serve import (
-    handle_line,
-    run_batch,
-    serve_stream,
-    serve_tcp,
-)
-from .session import (
-    CircuitSession,
-    SessionConfig,
-    resolve_analysis_circuit,
-    resolve_circuit,
-)
-from .stats import EngineStats
+from .._lazy import attach
 
-__all__ = [
-    "AnalysisEngine", "AnalysisRequest", "AnalysisResponse",
-    "CircuitSession", "SessionConfig", "resolve_circuit",
-    "resolve_analysis_circuit", "EngineStats",
-    "analyze", "sweep", "default_engine", "set_default_engine",
-    "handle_line", "run_batch", "serve_stream", "serve_tcp",
-]
+__all__, __getattr__, __dir__ = attach(__name__, {
+    ".core": ["AnalysisEngine"],
+    ".requests": ["AnalysisRequest", "AnalysisResponse"],
+    ".session": ["CircuitSession", "SessionConfig"],
+    ".resolve": ["resolve_circuit", "resolve_analysis_circuit"],
+    ".stats": ["EngineStats"],
+    ".facade": ["analyze", "sweep", "default_engine", "set_default_engine"],
+    ".serve": ["handle_line", "run_batch", "serve_stream", "serve_tcp"],
+})

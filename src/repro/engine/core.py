@@ -48,13 +48,8 @@ from .requests import (
     curve_payload,
     result_payload,
 )
-from .session import (
-    CircuitRef,
-    CircuitSession,
-    SessionConfig,
-    resolve_analysis_circuit,
-    resolve_circuit,
-)
+from .resolve import CircuitRef, resolve_analysis_circuit
+from .session import CircuitSession, SessionConfig
 from .stats import EngineStats
 
 #: Analyzer kwargs that cannot key a shared session (unhashable or

@@ -22,7 +22,7 @@ from typing import Any, Optional, Sequence
 
 from ..spec import EpsilonSpec
 from .core import AnalysisEngine
-from .session import CircuitRef
+from .resolve import CircuitRef
 
 _DEFAULT_ENGINE: Optional[AnalysisEngine] = None
 _LOCK = threading.Lock()

@@ -21,13 +21,10 @@ from __future__ import annotations
 import numbers
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..circuit import Circuit, SequentialCircuit, unroll
-from ..circuits import get_benchmark, get_sequential_benchmark
+from ..circuit import Circuit
 from ..incremental import CircuitWorkspace, EditReport, parse_edit
-from ..io import load_bench, load_blif
 from ..obs import trace_span
 from ..probability.weight_cache import (
     memory_tier,
@@ -41,69 +38,6 @@ from ..reliability.closed_form import (
 )
 from ..reliability.consolidated import ConsolidatedAnalyzer
 from ..reliability.single_pass import SinglePassAnalyzer
-
-#: What callers may hand to the engine as "a circuit".
-CircuitRef = Union[str, Circuit, SequentialCircuit]
-
-
-def resolve_circuit(ref: CircuitRef) -> Union[Circuit, SequentialCircuit]:
-    """Turn a circuit reference into a circuit object.
-
-    Accepts a ready :class:`Circuit` / :class:`SequentialCircuit`, a
-    netlist path (``.bench`` / ``.blif``), or a built-in benchmark name
-    (combinational catalog first, then the sequential fixtures).  Netlist
-    files declaring DFF/LATCH elements resolve to a
-    :class:`SequentialCircuit`.  Raises :class:`ValueError` for anything
-    else — the serve loop converts that into an error envelope instead of
-    dying.
-    """
-    if isinstance(ref, (Circuit, SequentialCircuit)):
-        return ref
-    path = Path(ref)
-    if path.exists():
-        if path.suffix == ".bench":
-            return load_bench(path)
-        if path.suffix == ".blif":
-            return load_blif(path)
-        raise ValueError(f"unsupported netlist extension: {path.suffix}")
-    try:
-        return get_benchmark(ref)
-    except KeyError:
-        pass
-    try:
-        return get_sequential_benchmark(ref)
-    except KeyError:
-        raise ValueError(
-            f"{ref!r} is neither a file nor a known benchmark "
-            f"(try: repro bench)") from None
-
-
-def resolve_analysis_circuit(ref: CircuitRef,
-                             frames: Optional[int] = None) -> Circuit:
-    """Resolve a reference to the combinational circuit a session analyzes.
-
-    Sequential circuits must come with a frame count: they are unrolled
-    into ``frames`` time frames (:func:`repro.circuit.unroll`), and a
-    sequential reference without ``frames`` raises a clear
-    :class:`ValueError` instead of failing deep inside the analyzer.
-    Combinational circuits pass through untouched when ``frames`` is None
-    (the default — nothing changes for existing callers); with ``frames``
-    set they go through the same unroll transform (``frames=1`` is the
-    structural identity).
-    """
-    resolved = resolve_circuit(ref)
-    if isinstance(resolved, SequentialCircuit):
-        if frames is None:
-            raise ValueError(
-                f"circuit {resolved.name!r} is sequential "
-                f"({resolved.num_flops} flops): pass frames=k to unroll "
-                f"it into k time frames, e.g. repro.analyze(..., frames=4) "
-                f"or repro analyze --frames 4")
-        return unroll(resolved, frames)
-    if frames is not None:
-        return unroll(resolved, frames)
-    return resolved
-
 
 #: Integer session options and their smallest accepted value (``None``
 #: means any integer).  A negative level gap or pair budget would

@@ -4,27 +4,10 @@ See docs/incremental.md for the edit model, the dirty-cone rules, and the
 patch-vs-relower ladder.
 """
 
-from .edits import (
-    AddGate,
-    Edit,
-    RemoveGate,
-    SetEps,
-    SwapGate,
-    Triplicate,
-    edit_to_dict,
-    parse_edit,
-)
-from .workspace import CircuitWorkspace, EditReport
+from .._lazy import attach
 
-__all__ = [
-    "AddGate",
-    "CircuitWorkspace",
-    "Edit",
-    "EditReport",
-    "RemoveGate",
-    "SetEps",
-    "SwapGate",
-    "Triplicate",
-    "edit_to_dict",
-    "parse_edit",
-]
+__all__, __getattr__, __dir__ = attach(__name__, {
+    ".edits": ["AddGate", "Edit", "RemoveGate", "SetEps", "SwapGate",
+               "Triplicate", "edit_to_dict", "parse_edit"],
+    ".workspace": ["CircuitWorkspace", "EditReport"],
+})

@@ -1,28 +1,14 @@
 """Netlist I/O: ISCAS-85 ``.bench``, BLIF, and structural Verilog."""
 
-from .bench import (
-    BenchFormatError,
-    dumps_bench,
-    load_bench,
-    loads_bench,
-    save_bench,
-)
-from .blif import (
-    BlifFormatError,
-    dumps_blif,
-    load_blif,
-    loads_blif,
-    save_blif,
-)
-from .verilog import dumps_verilog, save_verilog
-from .verilog_reader import VerilogFormatError, load_verilog, loads_verilog
-from .dot import dumps_dot, save_dot
+from .._lazy import attach
 
-__all__ = [
-    "BenchFormatError", "dumps_bench", "load_bench", "loads_bench",
-    "save_bench",
-    "BlifFormatError", "dumps_blif", "load_blif", "loads_blif", "save_blif",
-    "dumps_verilog", "save_verilog",
-    "VerilogFormatError", "load_verilog", "loads_verilog",
-    "dumps_dot", "save_dot",
-]
+__all__, __getattr__, __dir__ = attach(__name__, {
+    ".bench": ["BenchFormatError", "dumps_bench", "load_bench", "loads_bench",
+               "save_bench"],
+    ".blif": ["BlifFormatError", "dumps_blif", "load_blif", "loads_blif",
+              "save_blif"],
+    ".verilog": ["dumps_verilog", "save_verilog"],
+    ".verilog_reader": ["VerilogFormatError", "load_verilog",
+                        "loads_verilog"],
+    ".dot": ["dumps_dot", "save_dot"],
+})

@@ -34,6 +34,7 @@ from ..circuit import (
     SequentialCircuit,
     parse_gate_type,
 )
+from .dependency import DependencyCycle, UndefinedReference, dependency_order
 
 _LINE_RE = re.compile(
     r"^\s*(?P<name>[^\s=()]+)\s*=\s*(?P<op>[A-Za-z0-9_]+)\s*"
@@ -113,32 +114,17 @@ def loads_bench(text: str, name: str = "bench"
                 f"output (dangling state element)")
 
     # Emit gates in dependency order (files may forward-reference).
-    emitted = set(inputs) | set(flops)
-    pending = list(order)
-    while pending:
-        progressed = False
-        still_pending = []
-        for g in pending:
+    try:
+        for g in dependency_order(order, {g: gates[g][1] for g in order},
+                                  set(inputs) | set(flops)):
             gate_type, args = gates[g]
-            if all(a in emitted for a in args):
-                for a in args:
-                    if a not in circuit:
-                        raise BenchFormatError(
-                            f"gate {g!r} references undefined node {a!r}")
-                circuit.add_gate(g, gate_type, args)
-                emitted.add(g)
-                progressed = True
-            else:
-                missing = [a for a in args
-                           if a not in emitted and a not in gates]
-                if missing:
-                    raise BenchFormatError(
-                        f"gate {g!r} references undefined node {missing[0]!r}")
-                still_pending.append(g)
-        if not progressed:
-            raise BenchFormatError(
-                f"combinational cycle involving: {', '.join(still_pending[:5])}")
-        pending = still_pending
+            circuit.add_gate(g, gate_type, args)
+    except UndefinedReference as exc:
+        raise BenchFormatError(f"gate {exc.target!r} references undefined "
+                               f"node {exc.ref!r}") from None
+    except DependencyCycle as exc:
+        raise BenchFormatError(f"combinational cycle involving: "
+                               f"{', '.join(exc.names[:5])}") from None
 
     for po in outputs:
         if po not in circuit:

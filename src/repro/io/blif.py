@@ -22,6 +22,7 @@ from ..circuit import (
     GateType,
     SequentialCircuit,
 )
+from .dependency import DependencyCycle, UndefinedReference, dependency_order
 
 
 class BlifFormatError(CircuitError):
@@ -136,8 +137,6 @@ class _BlifBuilder:
             if d not in defined:
                 raise BlifFormatError(
                     f".latch {q!r}: data input {d!r} is undefined")
-        emitted = set(self.inputs) | set(latch_outputs)
-        pending = list(self.order)
         counter = [0]
 
         def fresh() -> str:
@@ -171,30 +170,17 @@ class _BlifBuilder:
                 return
             _synthesize_cover(circuit, target, fanins, cubes, fresh)
 
-        while pending:
-            progressed = False
-            still = []
-            for t in pending:
-                fanins, _ = self.covers[t]
-                if all(f in emitted for f in fanins):
-                    for f in fanins:
-                        if f not in circuit:
-                            raise BlifFormatError(
-                                f".names {t!r} references undefined {f!r}")
-                    emit(t)
-                    emitted.add(t)
-                    progressed = True
-                else:
-                    missing = [f for f in fanins
-                               if f not in emitted and f not in self.covers]
-                    if missing:
-                        raise BlifFormatError(
-                            f".names {t!r} references undefined {missing[0]!r}")
-                    still.append(t)
-            if not progressed:
-                raise BlifFormatError(
-                    f"combinational cycle involving: {', '.join(still[:5])}")
-            pending = still
+        try:
+            for t in dependency_order(
+                    self.order, {t: self.covers[t][0] for t in self.order},
+                    set(self.inputs) | set(latch_outputs)):
+                emit(t)
+        except UndefinedReference as exc:
+            raise BlifFormatError(f".names {exc.target!r} references "
+                                  f"undefined {exc.ref!r}") from None
+        except DependencyCycle as exc:
+            raise BlifFormatError(f"combinational cycle involving: "
+                                  f"{', '.join(exc.names[:5])}") from None
         for po in self.outputs:
             if po not in circuit:
                 raise BlifFormatError(f"output {po!r} is undefined")

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..circuit import Circuit, CircuitError, GateType
+from .dependency import DependencyCycle, UndefinedReference, dependency_order
 
 _MODULE_RE = re.compile(r"module\s+(\S+)\s*\((.*?)\)\s*;", re.DOTALL)
 _DECL_RE = re.compile(r"^\s*(input|output|wire)\s+(.+?)\s*;\s*$")
@@ -90,6 +91,8 @@ def loads_verilog(text: str) -> Circuit:
         assign = _ASSIGN_RE.match(stmt)
         if assign:
             target = _unescape(assign.group(1))
+            if target in assigns:
+                raise VerilogFormatError(f"assign {target!r} defined twice")
             expr = assign.group(2).strip()
             inverted = False
             if expr.startswith("~"):
@@ -117,38 +120,20 @@ def loads_verilog(text: str) -> Circuit:
     circuit = Circuit(name)
     for pi in inputs:
         circuit.add_input(pi)
-    emitted = set(inputs)
-    pending = list(order)
-    while pending:
-        progressed = False
-        still = []
-        for target in pending:
+    try:
+        for target in dependency_order(
+                order, {t: assigns[t][1] for t in order}, set(inputs)):
             gate_type, operands, const = assigns[target]
             if gate_type is None:
                 circuit.add_const(target, const)
-                emitted.add(target)
-                progressed = True
-                continue
-            if all(o in emitted for o in operands):
-                for o in operands:
-                    if o not in circuit:
-                        raise VerilogFormatError(
-                            f"assign {target!r} references undefined {o!r}")
-                circuit.add_gate(target, gate_type, operands)
-                emitted.add(target)
-                progressed = True
             else:
-                missing = [o for o in operands
-                           if o not in emitted and o not in assigns]
-                if missing:
-                    raise VerilogFormatError(
-                        f"assign {target!r} references undefined "
-                        f"{missing[0]!r}")
-                still.append(target)
-        if not progressed:
-            raise VerilogFormatError(
-                f"combinational cycle involving: {', '.join(still[:5])}")
-        pending = still
+                circuit.add_gate(target, gate_type, operands)
+    except UndefinedReference as exc:
+        raise VerilogFormatError(f"assign {exc.target!r} references "
+                                 f"undefined {exc.ref!r}") from None
+    except DependencyCycle as exc:
+        raise VerilogFormatError(f"combinational cycle involving: "
+                                 f"{', '.join(exc.names[:5])}") from None
     for po in outputs:
         if po not in circuit:
             raise VerilogFormatError(f"output {po!r} undefined")

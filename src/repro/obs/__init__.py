@@ -30,48 +30,41 @@ or use the CLI plumbing: every subcommand accepts ``--metrics-out``,
 
 from __future__ import annotations
 
-from . import metrics
-from . import runlog
-from .logging import configure as configure_logging
-from .logging import get_logger
-from .metrics import (
-    MetricsRegistry,
-    get_registry,
-)
-from .runlog import RunRecord, append_record, build_record, read_runlog
-from .trace import Span, Tracer, get_tracer, trace_span
+from .._lazy import attach
 
-from . import trace as _trace_mod
-
-__all__ = [
-    "trace_span", "Span", "Tracer", "get_tracer",
-    "metrics", "MetricsRegistry", "get_registry",
-    "get_logger", "configure_logging",
-    "runlog", "RunRecord", "build_record", "append_record", "read_runlog",
-    "enable", "disable", "is_enabled", "reset",
-]
+__all__, __getattr__, __dir__ = attach(__name__, {
+    ".trace": ["trace_span", "Span", "Tracer", "get_tracer"],
+    ".metrics": ["MetricsRegistry", "get_registry"],
+    ".logging": ["get_logger", "configure_logging"],
+    ".runlog": ["RunRecord", "build_record", "append_record", "read_runlog"],
+}, submodules=["metrics", "runlog"])
+__all__ += ["enable", "disable", "is_enabled", "reset"]
 
 
 def enable(tracing: bool = True, metrics_: bool = True) -> None:
     """Turn on span and/or metric collection process-wide."""
+    from . import metrics, trace
     if tracing:
-        _trace_mod.set_enabled(True)
+        trace.set_enabled(True)
     if metrics_:
         metrics.set_enabled(True)
 
 
 def disable() -> None:
     """Turn off both tracing and metrics."""
-    _trace_mod.set_enabled(False)
+    from . import metrics, trace
+    trace.set_enabled(False)
     metrics.set_enabled(False)
 
 
 def is_enabled() -> bool:
     """True if either tracing or metrics collection is on."""
-    return _trace_mod.is_enabled() or metrics.is_enabled()
+    from . import metrics, trace
+    return trace.is_enabled() or metrics.is_enabled()
 
 
 def reset() -> None:
     """Clear collected spans and metric series (flags unchanged)."""
-    _trace_mod.reset()
+    from . import metrics, trace
+    trace.reset()
     metrics.reset()

@@ -85,6 +85,10 @@ def configure(verbosity: int = 0, stream=None) -> logging.Logger:
     return root
 
 
+#: The name :mod:`repro.obs` exports :func:`configure` under.
+configure_logging = configure
+
+
 def reset() -> None:
     """Detach the handler :func:`configure` installed and restore the
     ``repro`` logger's default level."""

@@ -1,78 +1,30 @@
 """Reliability analysis algorithms: the paper's core contribution."""
 
-from .observability import (
-    bdd_observabilities,
-    compute_observabilities,
-    sampled_observabilities,
-)
-from .closed_form import (
-    ClosedFormResult,
-    MultiOutputObservabilityModel,
-    ObservabilityModel,
-    closed_form_delta,
-)
-from .protocol import ResultProtocol
-from .compiled_pass import (
-    CompiledCorrelatedPass,
-    CompiledPassUnsupported,
-    CompiledSinglePass,
-    SweepResult,
-)
-from .single_pass import (
-    SinglePassAnalyzer,
-    SinglePassResult,
-    group_per_frame,
-)
-from .sequential import SequentialAnalyzer, SteadyStateResult
-from .tensor_pass import TensorBatch
-from .exact import (
-    ExactResult,
-    bdd_exact_reliability,
-    evaluate_polynomial,
-    exhaustive_exact_reliability,
-    fixed_failure_error_probability,
-    frontier_exact_reliability,
-    reliability_polynomial,
-)
-from .ptm import PtmWidthError, ptm_reliability
-from .consolidated import (
-    ConsolidatedAnalyzer,
-    ConsolidatedResult,
-    output_joint_distributions,
-)
-from .sensitivity import (
-    asymmetry_report,
-    epsilon_map,
-    rank_critical_gates,
-    single_pass_sensitivities,
-)
-from .comparison import Comparison, MethodRow, compare_methods
-from .analytical import (
-    compositional_delta,
-    multiplexing_trajectory,
-    nand_excitation_step,
-    nand_fixed_points,
-    von_neumann_threshold,
-)
+from .._lazy import attach
 
-__all__ = [
-    "bdd_observabilities", "compute_observabilities",
-    "sampled_observabilities",
-    "ClosedFormResult", "MultiOutputObservabilityModel",
-    "ObservabilityModel", "ResultProtocol", "closed_form_delta",
-    "CompiledCorrelatedPass", "CompiledPassUnsupported",
-    "CompiledSinglePass", "SweepResult", "TensorBatch",
-    "SinglePassAnalyzer", "SinglePassResult", "group_per_frame",
-    "SequentialAnalyzer", "SteadyStateResult",
-    "ExactResult", "bdd_exact_reliability", "evaluate_polynomial",
-    "exhaustive_exact_reliability", "fixed_failure_error_probability",
-    "frontier_exact_reliability", "reliability_polynomial",
-    "PtmWidthError", "ptm_reliability",
-    "ConsolidatedAnalyzer", "ConsolidatedResult",
-    "output_joint_distributions",
-    "asymmetry_report", "epsilon_map", "rank_critical_gates",
-    "single_pass_sensitivities",
-    "Comparison", "MethodRow", "compare_methods",
-    "compositional_delta", "multiplexing_trajectory",
-    "nand_excitation_step", "nand_fixed_points", "von_neumann_threshold",
-]
+__all__, __getattr__, __dir__ = attach(__name__, {
+    ".observability": ["bdd_observabilities", "compute_observabilities",
+                       "sampled_observabilities"],
+    ".closed_form": ["ClosedFormResult", "MultiOutputObservabilityModel",
+                     "ObservabilityModel", "closed_form_delta"],
+    ".protocol": ["ResultProtocol"],
+    ".compiled_pass": ["CompiledCorrelatedPass", "CompiledPassUnsupported",
+                       "CompiledSinglePass", "SweepResult"],
+    ".tensor_pass": ["TensorBatch"],
+    ".single_pass": ["SinglePassAnalyzer", "SinglePassResult",
+                     "group_per_frame"],
+    ".sequential": ["SequentialAnalyzer", "SteadyStateResult"],
+    ".exact": ["ExactResult", "bdd_exact_reliability", "evaluate_polynomial",
+               "exhaustive_exact_reliability",
+               "fixed_failure_error_probability",
+               "frontier_exact_reliability", "reliability_polynomial"],
+    ".ptm": ["PtmWidthError", "ptm_reliability"],
+    ".consolidated": ["ConsolidatedAnalyzer", "ConsolidatedResult",
+                      "output_joint_distributions"],
+    ".sensitivity": ["asymmetry_report", "epsilon_map", "rank_critical_gates",
+                     "single_pass_sensitivities"],
+    ".comparison": ["Comparison", "MethodRow", "compare_methods"],
+    ".analytical": ["compositional_delta", "multiplexing_trajectory",
+                    "nand_excitation_step", "nand_fixed_points",
+                    "von_neumann_threshold"],
+})

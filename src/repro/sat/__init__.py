@@ -1,14 +1,11 @@
 """From-scratch SAT substrate: CNF, Tseitin encoding, CDCL solver, ATPG."""
 
-from .cnf import Cnf, CircuitEncoder, encode_circuit, miter
-from .solver import SatSolver, SolverBudgetExceeded, solve_cnf
-from .counting import (ConeCounter, CountResult, XorHashCounter,
-                       count_cone_models)
-from .atpg import SatAtpg, sat_equivalent
+from .._lazy import attach
 
-__all__ = [
-    "Cnf", "CircuitEncoder", "encode_circuit", "miter",
-    "SatSolver", "SolverBudgetExceeded", "solve_cnf",
-    "ConeCounter", "CountResult", "XorHashCounter", "count_cone_models",
-    "SatAtpg", "sat_equivalent",
-]
+__all__, __getattr__, __dir__ = attach(__name__, {
+    ".cnf": ["Cnf", "CircuitEncoder", "encode_circuit", "miter"],
+    ".solver": ["SatSolver", "SolverBudgetExceeded", "solve_cnf"],
+    ".counting": ["ConeCounter", "CountResult", "XorHashCounter",
+                  "count_cone_models"],
+    ".atpg": ["SatAtpg", "sat_equivalent"],
+})

@@ -11,16 +11,9 @@ The scaling tier (docs/scaling.md) combines three pieces:
   engine/CLI on top of it, which only ever touches the union cone.
 """
 
-from .lazy_weights import (
-    LazyWeightData,
-    cone_weight_vectors,
-    full_circuit_pack,
-    resolve_lazy_method,
-)
+from .._lazy import attach
 
-__all__ = [
-    "LazyWeightData",
-    "cone_weight_vectors",
-    "full_circuit_pack",
-    "resolve_lazy_method",
-]
+__all__, __getattr__, __dir__ = attach(__name__, {
+    ".lazy_weights": ["LazyWeightData", "cone_weight_vectors",
+                      "full_circuit_pack", "resolve_lazy_method"],
+})

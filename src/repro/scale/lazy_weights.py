@@ -23,9 +23,11 @@ analysis answers bit-identical to full runs.  Per method:
   rounded) float ratios coincide bit-for-bit.
 * ``sampled`` — :func:`~repro.sim.patterns.random_pack` draws one
   stream, per input, in full-circuit input order.  The cone path draws
-  the pack for the *full* input list (keeping the stream aligned), keeps
-  the cone's columns, and simulates only the cone; per-gate counting is
-  batch-independent, so every shared node gets identical words.
+  that stream in input order up to the cone's last input — a prefix of
+  the full pack, extended on demand when a later cone reaches further —
+  keeps the cone's columns, and simulates only the cone; per-gate
+  counting is batch-independent, so every shared node gets identical
+  words.
 * ``sat`` — every per-node value is derived from that node's own cone
   with a name-derived seed, so it never depends on which region of the
   circuit is being materialized.
@@ -83,9 +85,10 @@ def cone_weight_vectors(circuit: Circuit, cone: Circuit, *,
     ``circuit`` is the full netlist the cone was cut from (its input
     list anchors the sampled path's pattern stream and the ``auto``
     resolution); ``cone`` is a :meth:`~repro.circuit.Circuit.subcircuit`
-    of it.  ``pack``, when given, must be the full circuit's
-    ``random_pack`` for ``(n_patterns, seed, input_probs)`` — callers
-    materializing many cones pass it to amortize pattern generation.
+    of it.  ``pack``, when given, must hold the full circuit's
+    ``random_pack`` columns for ``(n_patterns, seed, input_probs)``, at
+    least for the cone's inputs — callers materializing many cones pass
+    it to amortize pattern generation.
     """
     method = resolve_lazy_method(circuit, method, input_probs)
     if method == "exhaustive":
@@ -176,7 +179,11 @@ class LazyWeightData(WeightData):
         self.cache_dir = cache_dir
         self._weight_table: Dict[str, np.ndarray] = {}
         self._signal_table: Dict[str, float] = {}
-        self._pack: Optional[Dict[str, np.ndarray]] = None
+        # The sampled tier's input pack, drawn in input order as far as
+        # the cones materialized so far reach (see _shared_pack).
+        self._pack: Dict[str, np.ndarray] = {}
+        self._pack_rng: Optional[np.random.Generator] = None
+        self._input_index: Dict[str, int] = {}
         #: Cone materializations performed (cache hits included).
         self.cones_materialized = 0
         super().__init__(
@@ -236,7 +243,7 @@ class LazyWeightData(WeightData):
         data = cone_weight_vectors(
             self.circuit, cone, method=self.method,
             n_patterns=self.n_patterns, seed=self.seed,
-            input_probs=self.input_probs, pack=self._shared_pack())
+            input_probs=self.input_probs, pack=self._shared_pack(cone))
         if self.cache_dir is not None:
             from ..probability import weight_cache
             weight_cache.store_cone_weights(
@@ -244,10 +251,22 @@ class LazyWeightData(WeightData):
                 self.n_patterns, self.seed, self.input_probs, data)
         return data
 
-    def _shared_pack(self) -> Optional[Dict[str, np.ndarray]]:
+    def _shared_pack(self, cone: Circuit
+                     ) -> Optional[Dict[str, np.ndarray]]:
+        """The full circuit's pack, drawn at least up to ``cone``'s last
+        input: a prefix of :func:`full_circuit_pack`'s stream."""
         if self.method != "sampled":
             return None
-        if self._pack is None:
-            self._pack = full_circuit_pack(
-                self.circuit, self.n_patterns, self.seed, self.input_probs)
+        inputs = self.circuit.inputs
+        if not self._input_index:
+            self._input_index = {name: i for i, name in enumerate(inputs)}
+        end = 1 + max((self._input_index[name] for name in cone.inputs),
+                      default=-1)
+        drawn = len(self._pack)
+        if end > drawn:
+            if self._pack_rng is None:
+                self._pack_rng = np.random.default_rng(self.seed)
+            self._pack.update(patterns.random_pack(
+                inputs[drawn:end], patterns.words_for_patterns(
+                    self.n_patterns), self._pack_rng, self.input_probs))
         return self._pack

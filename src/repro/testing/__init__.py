@@ -1,22 +1,11 @@
 """Testing substrate: stuck-at faults, fault simulation, BDD-based ATPG."""
 
-from .faults import (
-    Fault,
-    FaultSimulationResult,
-    StuckAt,
-    collapse_faults,
-    full_fault_list,
-)
-from .fault_sim import (
-    hard_faults,
-    random_pattern_testability,
-    simulate_faults,
-)
-from .atpg import AtpgEngine, redundant_faults
+from .._lazy import attach
 
-__all__ = [
-    "Fault", "FaultSimulationResult", "StuckAt", "collapse_faults",
-    "full_fault_list",
-    "hard_faults", "random_pattern_testability", "simulate_faults",
-    "AtpgEngine", "redundant_faults",
-]
+__all__, __getattr__, __dir__ = attach(__name__, {
+    ".faults": ["Fault", "FaultSimulationResult", "StuckAt",
+                "collapse_faults", "full_fault_list"],
+    ".fault_sim": ["hard_faults", "random_pattern_testability",
+                   "simulate_faults"],
+    ".atpg": ["AtpgEngine", "redundant_faults"],
+})

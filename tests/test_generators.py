@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.circuit import circuit_stats, is_tree
 from repro.circuits import (
@@ -19,7 +20,7 @@ from repro.circuits import (
     ripple_carry_adder,
     sec_circuit,
 )
-from repro.circuits.generators import fanin_network
+from repro.circuits.generators import _Pcg64Replay, fanin_network
 from repro.probability.weight_cache import structural_hash
 
 
@@ -204,12 +205,53 @@ RANDOM_PRESET_HASHES = {
         "325955f5e09934193baa5ed49d07a81188240c350fab1fa5165cc4406ba23561",
     "rand50k":
         "0ab029aa187965a9f1a7d3a4e24d017f23665fee98ae564e6fb7ab9ed2cee79c",
+    # Recorded while every draw was still a Generator call.
+    "rand100k":
+        "391b19cdc107323b5f54e61cd4347cf58b21a39863a4c80cb31b917c361c36c3",
 }
 
 
 @pytest.mark.parametrize("name", sorted(RANDOM_PRESET_HASHES))
 def test_random_presets_are_pinned(name):
     assert structural_hash(get_benchmark(name)) == RANDOM_PRESET_HASHES[name]
+
+
+#: Bounds for ``integers(n)``: the trivial range, small pools, and two
+#: bounds whose Lemire draw rejects (often for 2**31 + 1).
+_REPLAY_BOUNDS = [1, 2, 24, 2**31 + 1, 2**32 - 1]
+
+
+class TestPcg64Replay:
+    """``random_circuit`` replays ``default_rng(seed)`` from raw words."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           calls=st.lists(st.sampled_from(["random"] + _REPLAY_BOUNDS),
+                          max_size=200))
+    def test_interleavings_match_generator(self, seed, calls):
+        rng = np.random.default_rng(seed)
+        replay = _Pcg64Replay(seed)
+        for call in calls:
+            if call == "random":
+                assert replay.random() == rng.random()
+            else:
+                assert replay.integers(call) == int(rng.integers(call))
+
+    def test_crosses_raw_word_blocks(self):
+        rng = np.random.default_rng(5)
+        replay = _Pcg64Replay(5)
+        n_words = 3 * _Pcg64Replay._BLOCK
+        for k in range(n_words):
+            if k % 3:
+                assert replay.integers(24) == int(rng.integers(24))
+            else:
+                assert replay.random() == rng.random()
+
+    def test_rejects_bounds_beyond_32_bits(self):
+        with pytest.raises(ValueError):
+            _Pcg64Replay(0).integers(2**32 + 1)
+        with pytest.raises(ValueError):
+            _Pcg64Replay(0).integers(0)
 
 
 class TestSecCircuit:
