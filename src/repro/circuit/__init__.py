@@ -5,7 +5,7 @@ from .._lazy import attach
 __all__, __getattr__, __dir__ = attach(__name__, {
     ".gate": ["GateType", "GateArityError", "evaluate_gate", "truth_table",
               "inverted_type", "parse_gate_type"],
-    ".circuit": ["Circuit", "CircuitError", "Node"],
+    ".circuit": ["Circuit", "CircuitError", "Node", "structural_hash"],
     ".builder": ["CircuitBuilder", "SequentialBuilder"],
     ".sequential": ["FlipFlop", "SequentialCircuit", "is_sequential"],
     ".unroll": ["frame_name", "split_frame_name", "unroll"],

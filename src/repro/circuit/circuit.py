@@ -15,6 +15,7 @@ All reliability algorithms operate on these views.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -340,3 +341,19 @@ class Circuit:
 
     def __iter__(self) -> Iterator[Node]:
         return iter(self._nodes.values())
+
+
+def structural_hash(circuit: Circuit) -> str:
+    """SHA-256 digest of the circuit's structure (not its name).
+
+    Two circuits hash equal iff they have the same inputs (in order), the
+    same outputs (in order), and the same gates — name, type and ordered
+    fanin list — in topological order.  Gate failure probabilities, weight
+    sources and other analysis state do not participate.
+    """
+    lines = ["inputs:" + ",".join(circuit._inputs),
+             "outputs:" + ",".join(circuit._outputs)]
+    lines.extend(f"{node.name}|{node.gate_type.value}|{','.join(node.fanins)}"
+                 for node in circuit._nodes.values())
+    lines.append("")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()

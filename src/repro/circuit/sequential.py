@@ -21,7 +21,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .circuit import Circuit, CircuitError
+from .circuit import Circuit, CircuitError, structural_hash
 from .gate import GateType
 
 
@@ -130,11 +130,10 @@ class SequentialCircuit:
         """SHA-256 over the core structure plus the flop wiring.
 
         The sequential analogue of
-        :func:`repro.probability.weight_cache.structural_hash`: two
+        :func:`repro.circuit.structural_hash`: two
         wrappers with identical cores and identical flop records share a
         signature, so engine sessions can be keyed on it.
         """
-        from ..probability.weight_cache import structural_hash
         h = hashlib.sha256()
         h.update(structural_hash(self.core).encode())
         for ff in self.flops:

@@ -3,8 +3,8 @@
 :class:`AnalysisEngine` owns an LRU registry of
 :class:`~repro.engine.session.CircuitSession` objects so that the Nth
 query on a circuit pays only kernel time — weights, compiled plans and
-closed-form models all stay hot in memory, with the ``weight_cache`` disk
-tier as backing store across processes.
+closed-form models all stay hot in memory, with the artifact store
+(:mod:`repro.store`) as backing store across processes.
 
 On top of the registry sits a small request scheduler:
 
@@ -33,7 +33,7 @@ import time
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..circuit import Circuit, SequentialCircuit
+from ..circuit import Circuit, SequentialCircuit, structural_hash
 from ..incremental import parse_edit
 from ..obs import metrics as obs_metrics
 from ..obs import trace_span
@@ -190,7 +190,6 @@ class AnalysisEngine:
         if isinstance(ref, Circuit):
             # Structure-keyed: two equal netlists share a session even if
             # the caller rebuilt the object.
-            from ..probability.weight_cache import structural_hash
             return (structural_hash(ref), config)
         return (str(ref), config)
 
@@ -232,7 +231,6 @@ class AnalysisEngine:
             session = CircuitSession(
                 resolve_analysis_circuit(circuit_or_name, config.frames),
                 config)
-            session.pin()
         self._sessions[key] = session
         self._evict()
         return session
@@ -244,7 +242,6 @@ class AnalysisEngine:
             if victim_key is None:
                 break
             victim = self._sessions.pop(victim_key)
-            victim.unpin()
             if obs_metrics.is_enabled():
                 obs_metrics.inc("engine.session.evictions",
                                 circuit=victim.circuit.name)
@@ -1086,9 +1083,7 @@ class AnalysisEngine:
         return text + registry_text
 
     def close(self) -> None:
-        """Release sessions and pinned cache entries."""
-        for session in self._sessions.values():
-            session.unpin()
+        """Release sessions and session pins."""
         self._sessions.clear()
         self._edit_sessions.clear()
         self._pinned.clear()

@@ -10,10 +10,10 @@ half: the parsed :class:`~repro.circuit.Circuit`, its
 consolidated models, all behind one object the
 :class:`~repro.engine.core.AnalysisEngine` keeps in an LRU registry.
 
-The existing ``weight_cache`` disk tier is the backing store: a session
-constructed with ``weights_cache_dir`` set loads (and pins) its weight
-entry through :mod:`repro.probability.weight_cache`, so a recycled session
-warms back up from disk instead of re-estimating.
+The artifact store (:mod:`repro.store`) is the backing store: a session
+constructed with ``weights_cache_dir`` set loads its weight entry from
+there, so a recycled session warms back up from disk instead of
+re-estimating.
 """
 
 from __future__ import annotations
@@ -23,14 +23,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..circuit import Circuit
+from ..circuit import Circuit, structural_hash
 from ..incremental import CircuitWorkspace, EditReport, parse_edit
 from ..obs import trace_span
-from ..probability.weight_cache import (
-    memory_tier,
-    pin_weights,
-    structural_hash,
-)
 from ..probability.weights import WeightData, compute_weights
 from ..reliability.closed_form import (
     MultiOutputObservabilityModel,
@@ -169,7 +164,6 @@ class CircuitSession:
         self._analyzers: Dict[bool, SinglePassAnalyzer] = {}
         self._closed: Dict[Optional[str], Any] = {}
         self._consolidated: Optional[ConsolidatedAnalyzer] = None
-        self._pin_path: Optional[str] = None
         self._workspace: Optional[CircuitWorkspace] = None
 
     # -- identity -------------------------------------------------------
@@ -360,18 +354,3 @@ class CircuitSession:
     # -- lifecycle ------------------------------------------------------
     def touch(self) -> None:
         self.queries += 1
-
-    def pin(self) -> None:
-        """Exempt this session's weight-cache entry from memory eviction."""
-        cfg = self.config
-        if cfg.weights_cache_dir is None or self._pin_path is not None:
-            return
-        self._pin_path = pin_weights(
-            cfg.weights_cache_dir, self.circuit, cfg.weight_method,
-            cfg.n_patterns, cfg.seed,
-            dict(cfg.input_probs) if cfg.input_probs else None)
-
-    def unpin(self) -> None:
-        if self._pin_path is not None:
-            memory_tier().unpin(self._pin_path)
-            self._pin_path = None

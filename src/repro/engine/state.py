@@ -3,44 +3,42 @@
 A serve process accumulates expensive per-session state — simulation
 packs, weight vectors, incrementally maintained eps maps and edit logs —
 that historically died with the process.  This module makes it durable:
-:func:`save_engine_state` serializes every named edit session's
-:class:`~repro.incremental.CircuitWorkspace` into the weight cache's
-on-disk ``.npz`` format (one ``wstate-*.npz`` per session, see
-:mod:`repro.probability.weight_cache`) plus one ``engine-state.json``
-manifest listing the sessions, and :func:`load_engine_state` rebuilds
-them on the next start.  Restores are best-effort per session: a missing
-or corrupt entry skips that session (counted in
+:func:`save_engine_state` writes every named edit session's
+:class:`~repro.incremental.CircuitWorkspace` as a ``wstate`` entry of
+:mod:`repro.store` (one ``wstate-*.npz`` per session name) plus one
+``engine-state.json`` manifest listing the sessions, and
+:func:`load_engine_state` rebuilds them on the next start.  Restores are
+best-effort per session: a missing or corrupt entry, or one that does
+not match the manifest, skips that session (counted in
 ``engine.state.load_errors``) and never aborts the rest.
 
 The same directory doubles as a shared warm artifact store: pointing the
 engine's ``weights_cache_dir`` at it (the CLI's ``--state-dir`` does
 this automatically when ``--weights-cache`` is unset) lets N serve
-replicas share weight vectors and correlation plans through the existing
-disk tier while each checkpoints its own sessions.
+replicas share weight vectors and correlation plans through the store
+while each checkpoints its own sessions.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
+from .. import store
 from ..incremental import CircuitWorkspace
 from ..obs import metrics as obs_metrics
 from ..obs import trace_span
-from ..probability.weight_cache import (
-    load_workspace_state,
-    store_workspace_state,
-)
 from .session import CircuitSession, SessionConfig
 
 __all__ = [
     "ENGINE_STATE_FORMAT_VERSION",
     "STATE_MANIFEST_NAME",
     "load_engine_state",
+    "load_workspace_state",
     "save_engine_state",
+    "store_workspace_state",
 ]
 
 #: Bump when the engine-state manifest layout changes.
@@ -48,6 +46,36 @@ ENGINE_STATE_FORMAT_VERSION = 1
 
 #: File name of the per-directory snapshot manifest.
 STATE_MANIFEST_NAME = "engine-state.json"
+
+
+def store_workspace_state(state_dir: str, session_name: str,
+                          manifest: dict, arrays: dict) -> str:
+    """Write one session's ``CircuitWorkspace.to_state()`` output as its
+    ``wstate`` entry; returns the entry path.
+
+    The session name is the entry's key, so an entry can never be
+    replayed under a different name.
+    """
+    return store.save(state_dir, "wstate", {"session": session_name},
+                      arrays, meta=manifest, session=session_name)
+
+
+def load_workspace_state(state_dir: str, session_name: str,
+                         circuit_hash: Optional[str] = None
+                         ) -> Optional[CircuitWorkspace]:
+    """The workspace stored for one session, or None on a miss.
+
+    With ``circuit_hash`` set, an entry whose workspace has another
+    structural hash is a miss too.
+    """
+    key = {"session": session_name}
+    if circuit_hash is not None:
+        key["structural_hash"] = circuit_hash
+    return store.load(
+        state_dir, "wstate", key,
+        lambda archive, manifest: CircuitWorkspace.from_state(manifest,
+                                                              archive),
+        session=session_name)
 
 
 def _config_options(config: SessionConfig) -> Dict[str, Any]:
@@ -65,11 +93,12 @@ def save_engine_state(engine, state_dir: str) -> Dict[str, Any]:
     """Snapshot every named edit session into ``state_dir``.
 
     Each session's workspace is written as its own atomic ``.npz`` entry
-    first; the ``engine-state.json`` manifest is replaced last, so a
-    crash mid-snapshot leaves the previous manifest pointing at entries
-    that still exist.  Returns a summary dict
-    (``{state_dir, sessions, elapsed_ms}``) that the serve ``save``
-    control op echoes to the client.
+    first; the ``engine-state.json`` manifest is replaced last.  A crash
+    in between leaves the previous manifest in place; an entry it lists
+    that was already overwritten no longer matches the manifest's
+    structural hash, and :func:`load_engine_state` skips that session.
+    Returns a summary dict (``{state_dir, sessions, elapsed_ms}``) that
+    the serve ``save`` control op echoes to the client.
     """
     started = time.perf_counter()
     os.makedirs(state_dir, exist_ok=True)
@@ -92,17 +121,9 @@ def save_engine_state(engine, state_dir: str) -> Dict[str, Any]:
             "saved_at": time.time(),
             "sessions": entries,
         }
-        fd, tmp = tempfile.mkstemp(suffix=".json.tmp", dir=state_dir)
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh, sort_keys=True, indent=1)
-            os.replace(tmp, os.path.join(state_dir, STATE_MANIFEST_NAME))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        blob = json.dumps(doc, sort_keys=True, indent=1).encode()
+        store.atomic_write(os.path.join(state_dir, STATE_MANIFEST_NAME),
+                           lambda fh: fh.write(blob))
     elapsed_ms = (time.perf_counter() - started) * 1e3
     if obs_metrics.is_enabled():
         obs_metrics.inc("engine.state.snapshots")
@@ -116,9 +137,9 @@ def load_engine_state(engine, state_dir: str) -> Dict[str, Any]:
 
     Returns ``{state_dir, found, sessions, errors}``; ``found`` is False
     when no (readable) manifest exists.  Individual sessions that fail to
-    restore — corrupt entry, structural-hash mismatch, bad config — are
-    reported in ``errors`` and skipped, so one bad entry cannot poison a
-    restart.  Already-registered session names are left untouched.
+    restore — corrupt entry, an entry newer than the manifest (its
+    structural hash differs), bad config — are reported in ``errors``
+    and skipped, so one bad entry cannot poison a restart.  Already-registered session names are left untouched.
     """
     manifest_path = os.path.join(state_dir, STATE_MANIFEST_NAME)
     summary: Dict[str, Any] = {"state_dir": state_dir, "found": False,
@@ -143,11 +164,11 @@ def load_engine_state(engine, state_dir: str) -> Dict[str, Any]:
             if not isinstance(name, str) or name in engine._edit_sessions:
                 continue
             try:
-                loaded = load_workspace_state(state_dir, name)
-                if loaded is None:
-                    raise ValueError("state entry missing or corrupt")
-                ws_manifest, arrays = loaded
-                workspace = CircuitWorkspace.from_state(ws_manifest, arrays)
+                workspace = load_workspace_state(
+                    state_dir, name, entry.get("structural_hash"))
+                if workspace is None:
+                    raise ValueError("state entry missing, corrupt or "
+                                     "not the one the manifest lists")
                 options = dict(entry.get("config") or {})
                 # Manifests written before the array-backend option was
                 # removed carry ``"backend": null``; drop it so those

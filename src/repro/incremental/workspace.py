@@ -47,17 +47,18 @@ from typing import (
 
 import numpy as np
 
-from ..circuit.circuit import Circuit, CircuitError, Node
+from ..circuit.circuit import Circuit, CircuitError, Node, structural_hash
 from ..circuit.gate import GateType
 from ..circuit.transform import triplicate_gates
 from ..obs import metrics as obs_metrics
 from ..obs import trace_span
 from ..probability.correlation import PairStructure
-from ..probability.weight_cache import (
-    WORKSPACE_STATE_FORMAT_VERSION,
-    structural_hash,
+from ..probability.weights import (
+    WeightData,
+    _weights_from_packs,
+    flatten_weights,
+    unflatten_weights,
 )
-from ..probability.weights import WeightData, _weights_from_packs
 from ..reliability.closed_form import (
     MultiOutputObservabilityModel,
     ObservabilityModel,
@@ -650,22 +651,17 @@ class CircuitWorkspace:
         estimator parameters, the eps state, and the typed edit log in its
         :func:`~repro.incremental.edits.edit_to_dict` wire form.  The
         arrays carry the bulk artifacts: the retained simulation packs
-        (truncated to the live word count), the weight vectors flattened
-        the same way the weight disk cache stores them, and the signal
-        probabilities.  Compiled plans are *not* serialized: they re-lower
+        (truncated to the live word count) and the weight vectors and
+        signal probabilities as
+        :func:`~repro.probability.weights.flatten_weights` lays them out.
+        Compiled plans are *not* serialized: they re-lower
         deterministically from the restored weights (and the correlated
-        plan's pair table lives in the correlation-plan disk cache), so
+        plan's pair table is a ``corrplan`` entry of :mod:`repro.store`), so
         :meth:`from_state` round-trips to a workspace whose analyses are
         bit-identical without persisting kernel internals.
         """
         pack_nodes = list(self._values)
-        weight_gates = list(self._weights.weights)
-        prob_nodes = list(self._weights.signal_prob)
-        vectors = [np.asarray(self._weights.weights[g], dtype=np.float64)
-                   for g in weight_gates]
         manifest: Dict[str, Any] = {
-            "format": WORKSPACE_STATE_FORMAT_VERSION,
-            "kind": "workspace_state",
             "circuit": {
                 "name": self.circuit.name,
                 "nodes": [[node.name, node.gate_type.value,
@@ -689,23 +685,14 @@ class CircuitWorkspace:
             "eps": {str(k): float(v) for k, v in self._eps.items()},
             "edit_log": [edit_to_dict(e) for e in self._edit_log],
             "pack_nodes": pack_nodes,
-            "weight_gates": weight_gates,
-            "prob_nodes": prob_nodes,
+            "weight_gates": list(self._weights.weights),
+            "prob_nodes": list(self._weights.signal_prob),
         }
-        arrays = {
-            "packs": (np.stack(
-                [np.asarray(self._values[n][:self._n_words],
-                            dtype=np.uint64) for n in pack_nodes])
-                if pack_nodes
-                else np.empty((0, self._n_words), dtype=np.uint64)),
-            "weights_flat": (np.concatenate(vectors) if vectors
-                             else np.empty(0, dtype=np.float64)),
-            "weights_len": np.asarray([len(v) for v in vectors],
-                                      dtype=np.int64),
-            "signal_prob": np.asarray(
-                [self._weights.signal_prob[n] for n in prob_nodes],
-                dtype=np.float64),
-        }
+        arrays = dict(flatten_weights(self._weights), packs=(
+            np.stack([np.asarray(self._values[n][:self._n_words],
+                                 dtype=np.uint64) for n in pack_nodes])
+            if pack_nodes
+            else np.empty((0, self._n_words), dtype=np.uint64)))
         return manifest, arrays
 
     @classmethod
@@ -742,23 +729,10 @@ class CircuitWorkspace:
         packs = np.asarray(arrays["packs"], dtype=np.uint64)
         if packs.shape != (len(pack_nodes), n_words):
             raise ValueError("workspace state: pack layout mismatch")
-        weight_gates = [str(g) for g in manifest["weight_gates"]]
-        lengths = np.asarray(arrays["weights_len"], dtype=np.int64)
-        flat = np.asarray(arrays["weights_flat"], dtype=np.float64)
-        if len(lengths) != len(weight_gates) or lengths.sum() != len(flat):
-            raise ValueError("workspace state: weight layout mismatch")
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
-        weights = {}
-        for i, gate in enumerate(weight_gates):
-            vec = flat[offsets[i]:offsets[i + 1]].copy()
-            if len(vec) == 0 or len(vec) & (len(vec) - 1):
-                raise ValueError("workspace state: weight vector not "
-                                 "2**k long")
-            weights[gate] = vec
-        prob_nodes = [str(n) for n in manifest["prob_nodes"]]
-        signal = np.asarray(arrays["signal_prob"], dtype=np.float64)
-        if len(signal) != len(prob_nodes):
-            raise ValueError("workspace state: signal_prob length mismatch")
+        weights = unflatten_weights(
+            [str(g) for g in manifest["weight_gates"]],
+            [str(n) for n in manifest["prob_nodes"]], arrays,
+            str(manifest["weights_source"]))
 
         ws = cls.__new__(cls)
         ws.circuit = circuit
@@ -778,10 +752,7 @@ class CircuitWorkspace:
         ws.n_patterns = int(manifest["n_patterns"])
         ws._n_words = n_words
         ws._values = {n: packs[i].copy() for i, n in enumerate(pack_nodes)}
-        ws._weights = WeightData(
-            weights=weights,
-            signal_prob={n: float(p) for n, p in zip(prob_nodes, signal)},
-            source=str(manifest["weights_source"]))
+        ws._weights = weights
         ws._eps = {str(k): float(v) for k, v in manifest["eps"].items()}
         ws._plans = {}
         ws._plan_reasons = {}

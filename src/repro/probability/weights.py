@@ -19,12 +19,12 @@ Three interchangeable sources are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..bdd import BddManager, BddSizeLimitError, CircuitBdds, build_node_bdds
-from ..circuit import Circuit
+from ..circuit import Circuit, structural_hash
 from ..obs import get_logger, trace_span
 from ..obs import metrics as obs_metrics
 from ..sim import patterns
@@ -260,26 +260,126 @@ def compute_weights(circuit: Circuit,
     enumeration for small cones, XOR-hash approximate model counting in
     the mid range, per-cone sampling beyond.
 
-    ``cache_dir``, when given, consults a persistent disk cache first
-    (see :mod:`repro.probability.weight_cache`) keyed by the circuit's
-    structural hash plus ``(method, seed, n_patterns, input_probs)``, and
-    ``bdd_node_limit`` for ``auto``; stale or corrupt entries are
-    recomputed and overwritten.
+    ``cache_dir``, when given, consults the artifact store
+    (:mod:`repro.store`, kind ``weights``) first, keyed by
+    :func:`weights_key`; stale or corrupt entries are recomputed and
+    overwritten.
     """
-    if cache_dir is not None:
-        from . import weight_cache
-        cached = weight_cache.load_weights(
-            cache_dir, circuit, method, n_patterns, seed, input_probs,
-            bdd_node_limit)
-        if cached is not None:
-            return cached
+    if cache_dir is None:
+        return _compute_weights(circuit, method, n_patterns, seed,
+                                bdd_node_limit, input_probs)
+    from .. import store
+    key = weights_key(structural_hash(circuit), method, n_patterns, seed,
+                      input_probs, bdd_node_limit)
+    data = store.load(cache_dir, "weights", key, decode_weights,
+                      circuit=circuit.name)
+    if data is None:
         data = _compute_weights(circuit, method, n_patterns, seed,
                                 bdd_node_limit, input_probs)
-        weight_cache.store_weights(cache_dir, circuit, method, n_patterns,
-                                   seed, input_probs, data, bdd_node_limit)
-        return data
-    return _compute_weights(circuit, method, n_patterns, seed,
-                            bdd_node_limit, input_probs)
+        store.save(cache_dir, "weights", key, encode_weights(data), data,
+                   circuit=circuit.name)
+    return data
+
+
+def weights_key(circuit_hash: str, method: str, n_patterns: int, seed: int,
+                input_probs: Optional[Dict[str, float]] = None,
+                bdd_node_limit: int = DEFAULT_BDD_NODE_LIMIT) -> dict:
+    """The store key of one weight computation.
+
+    ``bdd_node_limit`` only decides ``auto``'s outcome (exact or
+    sampled), so only ``auto`` entries carry it.
+    """
+    key = {"circuit_hash": circuit_hash, "method": method,
+           "n_patterns": int(n_patterns), "seed": int(seed),
+           "input_probs": sorted((input_probs or {}).items())}
+    if method == "auto":
+        key["bdd_node_limit"] = int(bdd_node_limit)
+    return key
+
+
+def cache_key(circuit: Circuit, method: str, n_patterns: int, seed: int,
+              input_probs: Optional[Dict[str, float]] = None,
+              bdd_node_limit: int = DEFAULT_BDD_NODE_LIMIT) -> str:
+    """Digest naming the store entry for one (circuit, parameters) pair."""
+    from .. import store
+    return store.digest("weights", weights_key(
+        structural_hash(circuit), method, n_patterns, seed, input_probs,
+        bdd_node_limit))
+
+
+def load_weights(cache_dir: str, circuit: Circuit, method: str,
+                 n_patterns: int, seed: int,
+                 input_probs: Optional[Dict[str, float]] = None,
+                 bdd_node_limit: int = DEFAULT_BDD_NODE_LIMIT
+                 ) -> Optional[WeightData]:
+    """The stored :class:`WeightData`, or None on a miss."""
+    from .. import store
+    return store.load(cache_dir, "weights", weights_key(
+        structural_hash(circuit), method, n_patterns, seed, input_probs,
+        bdd_node_limit), decode_weights, circuit=circuit.name)
+
+
+def store_weights(cache_dir: str, circuit: Circuit, method: str,
+                  n_patterns: int, seed: int,
+                  input_probs: Optional[Dict[str, float]],
+                  data: WeightData,
+                  bdd_node_limit: int = DEFAULT_BDD_NODE_LIMIT) -> None:
+    """Atomically persist one weight computation."""
+    from .. import store
+    store.save(cache_dir, "weights", weights_key(
+        structural_hash(circuit), method, n_patterns, seed, input_probs,
+        bdd_node_limit), encode_weights(data), data, circuit=circuit.name)
+
+
+def flatten_weights(data: WeightData) -> Dict[str, np.ndarray]:
+    """The weight vectors and signal probabilities as three flat arrays,
+    in ``data``'s gate and node order."""
+    vectors = [np.asarray(v, dtype=np.float64) for v in data.weights.values()]
+    return {
+        "weights_flat": (np.concatenate(vectors) if vectors
+                         else np.empty(0, dtype=np.float64)),
+        "weights_len": np.asarray([len(v) for v in vectors], dtype=np.int64),
+        "signal_prob": np.asarray(list(data.signal_prob.values()),
+                                  dtype=np.float64),
+    }
+
+
+def unflatten_weights(gates: List[str], nodes: List[str], arrays,
+                      source: str) -> WeightData:
+    """Inverse of :func:`flatten_weights`; raises ValueError on a layout
+    that does not fit ``gates``/``nodes``."""
+    signal = np.asarray(arrays["signal_prob"], dtype=np.float64)
+    if len(nodes) != len(signal):
+        raise ValueError("signal_prob length mismatch")
+    flat = np.asarray(arrays["weights_flat"], dtype=np.float64)
+    lengths = np.asarray(arrays["weights_len"], dtype=np.int64)
+    if len(lengths) != len(gates) or lengths.sum() != len(flat):
+        raise ValueError("weight vector layout mismatch")
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    weights = {}
+    for i, gate in enumerate(gates):
+        vec = flat[offsets[i]:offsets[i + 1]].copy()
+        if len(vec) == 0 or len(vec) & (len(vec) - 1):
+            raise ValueError("weight vector not 2**k long")
+        weights[gate] = vec
+    return WeightData(weights=weights,
+                      signal_prob={n: float(p) for n, p in zip(nodes, signal)},
+                      source=source)
+
+
+def encode_weights(data: WeightData) -> Dict[str, np.ndarray]:
+    """The store's array codec for ``weights`` and ``conewt`` entries."""
+    return dict(flatten_weights(data),
+                gate_names=np.asarray(list(data.weights)),
+                node_names=np.asarray(list(data.signal_prob)),
+                source=np.asarray(data.source))
+
+
+def decode_weights(archive, manifest=None) -> WeightData:
+    """Inverse of :func:`encode_weights`."""
+    return unflatten_weights([str(n) for n in archive["gate_names"]],
+                             [str(n) for n in archive["node_names"]],
+                             archive, str(archive["source"][()]))
 
 
 def _compute_weights(circuit: Circuit, method: str, n_patterns: int,

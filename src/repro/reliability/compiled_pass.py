@@ -72,7 +72,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuit import Circuit, truth_table
+from ..circuit import Circuit, structural_hash, truth_table
 from ..obs import metrics as obs_metrics
 from ..obs import trace_span
 from ..probability.correlation import PairStructure
@@ -80,10 +80,6 @@ from ..probability.error_propagation import (
     ErrorProbability,
     correlated_transition_lowering,
     transition_lowering,
-)
-from ..probability.weight_cache import (
-    load_correlation_plan,
-    store_correlation_plan,
 )
 from ..probability.weights import WeightData
 from ..spec import (
@@ -1196,6 +1192,55 @@ def _split_rows(bits: np.ndarray) -> List[np.ndarray]:
     return _split_by(key, order)
 
 
+class _PlanStore:
+    """One compile's ``corrplan`` entry in the artifact store.
+
+    Pair discovery depends only on circuit structure and the two
+    correlation knobs, never on eps.  The entry holds the canonical pair
+    table as an ``(n, 4)`` int array of ``(later_slot, event,
+    earlier_slot, event)`` rows over the topological order, or an
+    "unsupported" marker when the pair budget was exceeded, so repeat
+    runs go straight to the scalar fallback.  The circuit is hashed once,
+    for the load and the store alike.
+    """
+
+    def __init__(self, cache_dir: str, circuit: Circuit,
+                 max_level_gap: Optional[int], max_pairs: int):
+        self.cache_dir = cache_dir
+        self.circuit = circuit
+        self.key = {"circuit_hash": structural_hash(circuit),
+                    "max_level_gap": max_level_gap,
+                    "max_pairs": int(max_pairs)}
+
+    def load(self) -> Optional[dict]:
+        """``{"unsupported": bool, "pairs": (n, 4) int array}`` or None."""
+        from .. import store
+        n_nodes = len(self.circuit)
+
+        def decode(archive, manifest):
+            pairs = archive["pairs"].astype(np.int64)
+            if pairs.ndim != 2 or pairs.shape[1] != 4:
+                raise ValueError("pair table layout mismatch")
+            if len(pairs) and (pairs[:, (0, 2)].min() < 0
+                               or pairs[:, (0, 2)].max() >= n_nodes):
+                raise ValueError("pair slot out of range")
+            return {"unsupported": bool(archive["unsupported"][()]),
+                    "pairs": pairs}
+
+        return store.load(self.cache_dir, "corrplan", self.key, decode,
+                          circuit=self.circuit.name)
+
+    def save(self, pairs: Optional[np.ndarray] = None,
+             unsupported: bool = False) -> None:
+        from .. import store
+        table = (np.asarray(pairs, dtype=np.int64).reshape(-1, 4)
+                 if pairs is not None and len(pairs)
+                 else np.empty((0, 4), dtype=np.int64))
+        store.save(self.cache_dir, "corrplan", self.key,
+                   {"unsupported": np.asarray(bool(unsupported)),
+                    "pairs": table}, circuit=self.circuit.name)
+
+
 class CompiledCorrelatedPass:
     """Circuit + weights lowered for vectorized correlation-corrected sweeps.
 
@@ -1230,8 +1275,8 @@ class CompiledCorrelatedPass:
     :class:`CompiledPassUnsupported` and the analyzer falls back to the
     scalar engine's per-query budget degradation), ``max_level_gap`` is
     the Sec. 4.1 locality cap, and ``cache_dir`` persists the discovered
-    pair table across processes (see
-    :func:`repro.probability.weight_cache.store_correlation_plan`).
+    pair table across processes (a ``corrplan`` entry of
+    :mod:`repro.store`, see :class:`_PlanStore`).
     """
 
     def __init__(self, circuit: Circuit,
@@ -1318,11 +1363,13 @@ class CompiledCorrelatedPass:
                 self.index[f] for f in nodes[slot].fanins]
         buckets = self._gate_buckets(nodes, error_free)
 
+        plan_store = None
         cached_plan = None
         if cache_dir is not None:
-            cached_plan = load_correlation_plan(
-                cache_dir, circuit, self.max_level_gap, self.max_pairs)
-        if cached_plan is not None and cached_plan.get("unsupported"):
+            plan_store = _PlanStore(cache_dir, circuit, self.max_level_gap,
+                                    self.max_pairs)
+            cached_plan = plan_store.load()
+        if cached_plan is not None and cached_plan["unsupported"]:
             raise CompiledPassUnsupported(
                 f"correlated pair budget ({self.max_pairs}) exceeded for "
                 f"{circuit.name!r} (cached plan)")
@@ -1334,10 +1381,8 @@ class CompiledCorrelatedPass:
         try:
             found = self._discover(table, buckets)
         except CompiledPassUnsupported:
-            if cache_dir is not None and cached_plan is None:
-                store_correlation_plan(cache_dir, circuit,
-                                       self.max_level_gap, self.max_pairs,
-                                       unsupported=True)
+            if plan_store is not None and cached_plan is None:
+                plan_store.save(unsupported=True)
             raise
 
         # Canonical pair keys, sorted by wire names (the deterministic
@@ -1348,10 +1393,8 @@ class CompiledCorrelatedPass:
             np.arange(len(order))
         by_name = np.lexsort((peb, name_rank[pb], pea, name_rank[pa]))
         pa, pea, pb, peb = pa[by_name], pea[by_name], pb[by_name], peb[by_name]
-        if cache_dir is not None and cached_plan is None:
-            store_correlation_plan(
-                cache_dir, circuit, self.max_level_gap, self.max_pairs,
-                pairs=np.stack([pa, pea, pb, peb], axis=1))
+        if plan_store is not None and cached_plan is None:
+            plan_store.save(pairs=np.stack([pa, pea, pb, peb], axis=1))
         names = np.asarray(order, dtype=object)
         self.n_pair_rows = len(table.keys)
         self.pair_keys: List[Tuple[str, int, str, int]] = list(zip(

@@ -4,8 +4,8 @@ The scaling tier (docs/scaling.md) combines three pieces:
 
 * :class:`LazyWeightData` — a drop-in weight store that materializes
   weight vectors one output cone at a time, on first touch;
-* per-cone disk persistence through the ``conewt-`` namespace of
-  :mod:`repro.probability.weight_cache`;
+* per-cone disk persistence as ``conewt`` entries of the artifact store
+  (:mod:`repro.store`);
 * ``outputs=``-restricted analysis in
   :class:`~repro.reliability.single_pass.SinglePassAnalyzer` and the
   engine/CLI on top of it, which only ever touches the union cone.

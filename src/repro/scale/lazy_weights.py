@@ -7,8 +7,8 @@ route is hopeless.  But a query restricted to a few outputs only ever
 the circuit.  :class:`LazyWeightData` is a drop-in
 :class:`~repro.probability.weights.WeightData` whose ``weights`` /
 ``signal_prob`` mappings materialize one cone at a time, on first touch,
-and persist each materialized cone through the ``conewt-`` namespace of
-:mod:`repro.probability.weight_cache`.
+and persist each materialized cone as a ``conewt`` entry of
+:mod:`repro.store`.
 
 Bit-identity contract
 ---------------------
@@ -49,7 +49,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..circuit import Circuit
+from ..circuit import Circuit, structural_hash
 from ..obs import trace_span
 from ..sim import patterns
 from ..sim.simulator import simulate
@@ -57,6 +57,8 @@ from ..probability.weights import (
     WeightData,
     _weights_from_packs,
     bdd_weight_vectors,
+    decode_weights,
+    encode_weights,
     exhaustive_weight_vectors,
 )
 
@@ -177,6 +179,9 @@ class LazyWeightData(WeightData):
         self.seed = int(seed)
         self.input_probs = dict(input_probs) if input_probs else None
         self.cache_dir = cache_dir
+        #: Structural hash of ``circuit``, taken on the first cone that
+        #: goes through the store.
+        self._circuit_hash: Optional[str] = None
         self._weight_table: Dict[str, np.ndarray] = {}
         self._signal_table: Dict[str, float] = {}
         # The sampled tier's input pack, drawn in input order as far as
@@ -233,23 +238,28 @@ class LazyWeightData(WeightData):
 
     # -- internals ------------------------------------------------------
     def _cone_data(self, cone: Circuit, label: str) -> WeightData:
-        if self.cache_dir is not None:
-            from ..probability import weight_cache
-            cached = weight_cache.load_cone_weights(
-                self.cache_dir, self.circuit, label, self.method,
-                self.n_patterns, self.seed, self.input_probs)
-            if cached is not None:
-                return cached
-        data = cone_weight_vectors(
+        if self.cache_dir is None:
+            return self._compute_cone(cone)
+        from .. import store
+        if self._circuit_hash is None:
+            self._circuit_hash = structural_hash(self.circuit)
+        key = {"circuit_hash": self._circuit_hash, "cone_root": label,
+               "method": self.method, "n_patterns": self.n_patterns,
+               "seed": self.seed,
+               "input_probs": sorted((self.input_probs or {}).items())}
+        data = store.load(self.cache_dir, "conewt", key, decode_weights,
+                          circuit=self.circuit.name)
+        if data is None:
+            data = self._compute_cone(cone)
+            store.save(self.cache_dir, "conewt", key, encode_weights(data),
+                       data, circuit=self.circuit.name)
+        return data
+
+    def _compute_cone(self, cone: Circuit) -> WeightData:
+        return cone_weight_vectors(
             self.circuit, cone, method=self.method,
             n_patterns=self.n_patterns, seed=self.seed,
             input_probs=self.input_probs, pack=self._shared_pack(cone))
-        if self.cache_dir is not None:
-            from ..probability import weight_cache
-            weight_cache.store_cone_weights(
-                self.cache_dir, self.circuit, label, self.method,
-                self.n_patterns, self.seed, self.input_probs, data)
-        return data
 
     def _shared_pack(self, cone: Circuit
                      ) -> Optional[Dict[str, np.ndarray]]:

@@ -128,3 +128,18 @@ def test_engine_doc_covers_every_wire_op():
                if f"`{op}`" not in engine_doc]
     assert not missing, (
         "wire ops absent from docs/engine.md: " + ", ".join(missing))
+
+
+def test_observability_doc_covers_every_store_kind():
+    """Every artifact-store kind and every ``cache.*`` event must appear
+    (backticked) in docs/observability.md, so a new kind or counter
+    can't ship undocumented."""
+    from repro.store import EVENTS, KINDS
+
+    doc = (DOCS / "observability.md").read_text()
+    names = [f"`{kind}`" for kind in KINDS]
+    names += [f"`cache.{event}`" for event in EVENTS]
+    missing = [name for name in names if name not in doc]
+    assert not missing, (
+        "store kinds/events absent from docs/observability.md: "
+        + ", ".join(missing))

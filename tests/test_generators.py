@@ -21,7 +21,7 @@ from repro.circuits import (
     sec_circuit,
 )
 from repro.circuits.generators import _Pcg64Replay, fanin_network
-from repro.probability.weight_cache import structural_hash
+from repro.circuit import structural_hash
 
 
 class TestArithmetic:

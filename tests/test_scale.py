@@ -308,7 +308,7 @@ class TestLargePresets:
         assert len(circuit.gates) >= 10_000
 
     def test_deterministic_generation(self):
-        from repro.probability.weight_cache import structural_hash
+        from repro.circuit import structural_hash
         assert structural_hash(rand10k()) == structural_hash(rand10k())
         a = large_random_netlist(2_000, seed=9)
         b = large_random_netlist(2_000, seed=9)

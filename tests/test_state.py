@@ -11,6 +11,7 @@ resumes from its ``--state-dir`` with byte-identical analysis results.
 
 import json
 import os
+import shutil
 import signal
 import socket
 import subprocess
@@ -25,7 +26,7 @@ import pytest
 from repro.circuits.catalog import get_benchmark
 from repro.engine import AnalysisEngine, handle_line, run_batch, serve_tcp
 from repro.engine.serve import AdmissionControl, overload_envelope
-from repro.probability.weight_cache import (
+from repro.engine.state import (
     load_workspace_state,
     store_workspace_state,
 )
@@ -222,6 +223,42 @@ class TestEngineStateFiles:
             assert circuit.inputs  # circuit untouched by the corruption
         finally:
             engine.close()
+
+
+class TestSnapshotCompatibility:
+    """``tests/data/engine_state_v1`` was written by ``save_state`` before
+    the four cache namespaces became one store (commit 53c99cc): two edited
+    sessions, ``alpha`` on c17 and ``beta`` on fig1a, plus each session's
+    ``reanalyze`` result at that commit in ``expected.json``."""
+
+    FIXTURE = REPO_ROOT / "tests" / "data" / "engine_state_v1"
+
+    @staticmethod
+    def _entries(state_dir):
+        entries = {}
+        for name in sorted(os.listdir(state_dir)):
+            if name.startswith("wstate-"):
+                with np.load(state_dir / name) as archive:
+                    entries[name] = {key: archive[key].tobytes()
+                                     for key in archive.files}
+        return entries
+
+    def test_restores_byte_equal(self, tmp_path):
+        state_dir = tmp_path / "state"
+        shutil.copytree(self.FIXTURE, state_dir)
+        expected = json.loads((state_dir / "expected.json").read_text())
+        written = self._entries(state_dir)
+        engine = AnalysisEngine(max_sessions=4, state_dir=str(state_dir))
+        try:
+            summary = engine.load_state()
+            assert summary["sessions"] == 2 and summary["errors"] == []
+            for name in ("alpha", "beta"):
+                assert _result_bytes(_reanalyze(engine, name)) == \
+                    json.dumps(expected[name], sort_keys=True).encode()
+            engine.save_state()
+        finally:
+            engine.close()
+        assert self._entries(state_dir) == written
 
 
 class TestBatchResume:

@@ -6,16 +6,15 @@ import os
 import numpy as np
 import pytest
 
-from repro.circuit import Circuit, GateType
+from repro.circuit import Circuit, GateType, structural_hash
 from repro.circuits import c17, get_benchmark
 from repro.cli import main
-from repro.probability.weight_cache import (
+from repro.probability.weights import (
     cache_key,
+    compute_weights,
     load_weights,
     store_weights,
-    structural_hash,
 )
-from repro.probability.weights import compute_weights
 
 
 def _entries(cache_dir):
