@@ -61,6 +61,8 @@ class Circuit:
         self._levels: Dict[str, int] = {}
         self._inputs: List[str] = []
         self._gates: List[str] = []
+        #: Memoized :func:`structural_hash`; every mutator clears it.
+        self._structural_hash: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -110,6 +112,7 @@ class Circuit:
         if name in self._outputs:
             raise CircuitError(f"node {name!r} is already an output")
         self._outputs.append(name)
+        self._structural_hash = None
 
     def _add_node(self, node: Node) -> None:
         name = node.name
@@ -130,6 +133,7 @@ class Circuit:
                 level = fanin_level + 1
         levels[name] = level
         self._nodes[name] = node
+        self._structural_hash = None
         gate_type = node.gate_type
         if gate_type.is_input:
             self._inputs.append(name)
@@ -349,11 +353,17 @@ def structural_hash(circuit: Circuit) -> str:
     Two circuits hash equal iff they have the same inputs (in order), the
     same outputs (in order), and the same gates — name, type and ordered
     fanin list — in topological order.  Gate failure probabilities, weight
-    sources and other analysis state do not participate.
+    sources and other analysis state do not participate.  The digest is
+    memoized on the circuit until its next mutation.
     """
-    lines = ["inputs:" + ",".join(circuit._inputs),
-             "outputs:" + ",".join(circuit._outputs)]
-    lines.extend(f"{node.name}|{node.gate_type.value}|{','.join(node.fanins)}"
-                 for node in circuit._nodes.values())
-    lines.append("")
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    digest = circuit._structural_hash
+    if digest is None:
+        lines = ["inputs:" + ",".join(circuit._inputs),
+                 "outputs:" + ",".join(circuit._outputs)]
+        lines.extend(
+            f"{node.name}|{node.gate_type.value}|{','.join(node.fanins)}"
+            for node in circuit._nodes.values())
+        lines.append("")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        circuit._structural_hash = digest
+    return digest

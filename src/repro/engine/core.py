@@ -130,6 +130,64 @@ def _pair_budget_fallbacks(session: "CircuitSession",
              "budget": budget, "pairs_dropped_budget": n_dropped}]
 
 
+def _request_points(request: AnalysisRequest,
+                    session: CircuitSession) -> List[EpsilonSpec]:
+    """A request's eps points; a ``reanalyze`` without eps analyzes at the
+    session's live eps state."""
+    if request.op == "reanalyze" and request.eps is None:
+        return [session.workspace().current_eps()]
+    return list(request.eps_points())
+
+
+def _point_key(spec: Optional[EpsilonSpec]) -> Any:
+    """Hashable identity of one eps point: a per-gate map by its frozen
+    items, a number (or an absent ``eps10``) as itself."""
+    return frozenset(spec.items()) if hasattr(spec, "items") else spec
+
+
+class _GroupPoints:
+    """One coalesced group's eps points, reduced to distinct kernel columns.
+
+    ``specs`` lists every member's points in member order and ``slices``
+    each member's ``(start, count)`` in it.  ``columns`` (with
+    ``columns10``, their ``eps10`` points, or None) holds each distinct
+    ``(eps, eps10)`` point once, and ``index[j]`` is the column that
+    answers point ``j``.  A column of a kernel sweep does not depend on
+    the sweep's width, so sharing it changes no bit of any answer.
+    """
+
+    def __init__(self, members, sessions: List[CircuitSession],
+                 with_eps10: bool):
+        self.specs: List[EpsilonSpec] = []
+        self.slices: List[Tuple[int, int]] = []
+        self.index: List[int] = []
+        seen: Dict[Any, int] = {}
+        pairs: List[tuple] = []
+        for (_, request), session in zip(members, sessions):
+            points = _request_points(request, session)
+            e10 = (request.eps10_points() if with_eps10
+                   else [None] * len(points))
+            if e10 is None or len(e10) != len(points):
+                raise ValueError("eps10 must cover every eps point")
+            self.slices.append((len(self.specs), len(points)))
+            self.specs.extend(points)
+            for pair in zip(points, e10):
+                column = seen.setdefault(tuple(map(_point_key, pair)),
+                                         len(pairs))
+                if column == len(pairs):
+                    pairs.append(pair)
+                self.index.append(column)
+        self.columns = [spec for spec, _ in pairs]
+        self.columns10 = [e for _, e in pairs] if with_eps10 else None
+
+    def expand(self, column_results: Sequence[Any]) -> List[Any]:
+        """One result per point; repeated points share their column's."""
+        duplicates = len(self.index) - len(column_results)
+        if duplicates and obs_metrics.is_enabled():
+            obs_metrics.inc("engine.duplicate_points", duplicates)
+        return [column_results[c] for c in self.index]
+
+
 class AnalysisEngine:
     """A long-lived, multi-circuit reliability analysis service.
 
@@ -579,14 +637,6 @@ class AnalysisEngine:
         shared = self.session(first.circuit, **first.options)
         return [shared] * len(members)
 
-    @staticmethod
-    def _member_specs(request: AnalysisRequest,
-                      session: CircuitSession) -> List[EpsilonSpec]:
-        """One member's eps points (honouring reanalyze's live-eps rule)."""
-        if request.op == "reanalyze" and request.eps is None:
-            return [session.workspace().current_eps()]
-        return list(request.eps_points())
-
     def _run_coalesced(self, members,
                        received_at: Optional[float] = None
                        ) -> List[Tuple[int, AnalysisResponse]]:
@@ -599,31 +649,20 @@ class AnalysisEngine:
         t0 = time.perf_counter()
         try:
             sessions = self._member_sessions(members)
-            slices: List[Tuple[int, int]] = []
-            specs: List[EpsilonSpec] = []
-            eps10_specs: Optional[List[EpsilonSpec]] = (
-                None if first.eps10 is None else [])
-            for (_, request), session in zip(members, sessions):
-                points = self._member_specs(request, session)
-                slices.append((len(specs), len(points)))
-                specs.extend(points)
-                if eps10_specs is not None:
-                    e10 = request.eps10_points()
-                    if e10 is None or len(e10) != len(points):
-                        raise ValueError(
-                            "eps10 must cover every eps point")
-                    eps10_specs.extend(e10)
+            points = _GroupPoints(members, sessions, first.eps10 is not None)
             for session in {id(s): s for s in sessions}.values():
                 session.touch()
             exec_session = sessions[0]
             self.requests_served += len(members)
             with trace_span("engine.coalesced_sweep",
                             circuit=exec_session.circuit.name,
-                            requests=len(members), points=len(specs)):
-                results, method, fallbacks, timed_out = \
+                            requests=len(members), points=len(points.specs),
+                            columns=len(points.columns)):
+                columns, method, fallbacks, timed_out = \
                     self._single_pass_with_ladder(
-                        exec_session, first.correlation, specs, eps10_specs,
-                        None)
+                        exec_session, first.correlation, points.columns,
+                        points.columns10, None)
+            results = points.expand(columns)
             if obs_metrics.is_enabled():
                 obs_metrics.inc("engine.coalesced_requests", len(members),
                                 circuit=exec_session.circuit.name)
@@ -632,9 +671,9 @@ class AnalysisEngine:
                 / len(members)
             out = []
             for (idx, request), session, (start, count) in zip(
-                    members, sessions, slices):
+                    members, sessions, points.slices):
                 payload = analyze_payload(
-                    session.circuit.name, specs[start:start + count],
+                    session.circuit.name, points.specs[start:start + count],
                     results[start:start + count])
                 response = AnalysisResponse(
                     ok=True, op=request.op,
@@ -697,18 +736,12 @@ class AnalysisEngine:
                     plan = sessions[0].analyzer(False).plan
                     if not isinstance(plan, CompiledSinglePass):
                         continue
-                    slices: List[Tuple[int, int]] = []
-                    specs: List[EpsilonSpec] = []
-                    for (_, request), session in zip(members, sessions):
-                        points = self._member_specs(request, session)
-                        slices.append((len(specs), len(points)))
-                        specs.extend(points)
+                    points = _GroupPoints(members, sessions, False)
                 except Exception:  # noqa: BLE001 - leave group behind
                     continue
                 eligible.append(
                     {"key": key, "members": members, "sessions": sessions,
-                     "plan": plan, "cache": cache, "specs": specs,
-                     "slices": slices})
+                     "plan": plan, "cache": cache, "points": points})
             if len(eligible) < 2:
                 return []
             # Merge in a canonical order: group order follows first
@@ -724,9 +757,13 @@ class AnalysisEngine:
             with trace_span("engine.tensor_batch",
                             circuits=batch.n_circuits,
                             requests=total_requests,
-                            points=sum(len(g["specs"]) for g in eligible)):
+                            points=sum(len(g["points"].specs)
+                                       for g in eligible),
+                            columns=sum(len(g["points"].columns)
+                                        for g in eligible)):
                 k0 = time.perf_counter()
-                sweeps = batch.run_sweep([g["specs"] for g in eligible])
+                sweeps = batch.run_sweep([g["points"].columns
+                                          for g in eligible])
                 kernel_total = time.perf_counter() - k0
             if obs_metrics.is_enabled():
                 obs_metrics.inc("engine.tensor_batch.circuits",
@@ -742,12 +779,14 @@ class AnalysisEngine:
                     session.touch()
                 members = group["members"]
                 self.requests_served += len(members)
-                specs = group["specs"]
-                results = [sweep.point(j) for j in range(len(specs))]
+                points = group["points"]
+                results = points.expand(
+                    [sweep.point(j) for j in range(sweep.n_points)])
                 for (idx, request), session, (start, count) in zip(
-                        members, sessions, group["slices"]):
+                        members, sessions, points.slices):
                     payload = analyze_payload(
-                        session.circuit.name, specs[start:start + count],
+                        session.circuit.name,
+                        points.specs[start:start + count],
                         results[start:start + count])
                     response = AnalysisResponse(
                         ok=True, op=request.op,
@@ -876,11 +915,7 @@ class AnalysisEngine:
                          session: CircuitSession,
                          deadline: Optional[float]) -> AnalysisResponse:
         name = session.circuit.name
-        if request.op == "reanalyze" and request.eps is None:
-            # No explicit eps: analyze at the session's live eps state.
-            specs = [session.workspace().current_eps()]
-        else:
-            specs = request.eps_points()
+        specs = _request_points(request, session)
         method = request.method
         frames = session.config.frames
         outputs = (list(session.config.outputs)

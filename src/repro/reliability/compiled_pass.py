@@ -12,9 +12,9 @@ its :class:`~repro.probability.weights.WeightData` into integer-indexed
 numpy arrays **once** (mirroring how :class:`repro.sim.simulator.
 CompiledCircuit` compiles for bit-parallel simulation):
 
-* node error state lives in two dense ``(nodes, E)`` matrices ``P01`` /
-  ``P10`` indexed by topological slot, where ``E`` is the number of eps
-  points — the *trailing eps axis*;
+* node error state lives in one dense ``(2, nodes, E)`` array ``P`` —
+  ``P01`` and ``P10`` stacked, indexed by topological slot — where ``E``
+  is the number of eps points — the *trailing eps axis*;
 * gates are grouped by topological level and, within a level, by
   ``(truth table, arity)`` class; each group carries its fanin slot matrix,
   its stacked weight vectors, and the class's shared transition lowering
@@ -82,12 +82,7 @@ from ..probability.error_propagation import (
     transition_lowering,
 )
 from ..probability.weights import WeightData
-from ..spec import (
-    EpsilonSpec,
-    epsilon_of,
-    validate_epsilon,
-    validate_sweep_specs,
-)
+from ..spec import EpsilonSpec, epsilon_of, validate_sweep_specs
 
 
 class CompiledPassUnsupported(ValueError):
@@ -116,23 +111,22 @@ ROW_ZERO = 1
 
 @dataclass
 class _OpGroup:
-    """All same-level gates sharing one (truth, arity) class.
+    """Same-level gates evaluated by one :func:`_eval_group` call.
 
-    In a single-circuit plan the slot arrays index rows of the flat
-    ``(nodes, E)`` state.  The multi-circuit tensor pass
-    (:mod:`repro.reliability.tensor_pass`) reuses the same structure over
-    a padded ``(circuits, rows, E)`` state by setting ``circ`` — a
-    per-gate circuit-index column that pairs with ``slots`` /
-    ``fanin_slots`` for 3-D fancy indexing — and merges groups across
-    circuits by their shared ``truth`` key.
+    Slot arrays index rows of a stacked ``(2, rows, E)`` state — p01 and
+    p10 on the leading axis.  In a single-circuit plan the rows are the
+    circuit's nodes; the multi-circuit tensor pass
+    (:mod:`repro.reliability.tensor_pass`) merges groups of several plans
+    into one, with each circuit's row offset folded into ``slots`` and
+    ``fanin_slots``, keyed by ``truth`` for wide gates.
     """
 
     arity: int
-    #: Node slots written by this group, shape (m,).
+    #: State rows written by this group, shape (m,).
     slots: np.ndarray
-    #: Rows into the (gates, E) local-failure matrices, shape (m,).
+    #: Rows into the (2, gates, E) local-failure matrix, shape (m,).
     eps_rows: np.ndarray
-    #: Fanin node slots, shape (m, k).
+    #: Fanin state rows, shape (m, k).
     fanin_slots: np.ndarray
     #: bits[v, t] = value of fanin t in error-free vector v, shape (V, k).
     bits: np.ndarray
@@ -140,24 +134,14 @@ class _OpGroup:
     #: shared by the class — or (m, V, V) per-gate when the tensor pass
     #: fuses several truth classes of one arity into a single group.
     flip_mask: np.ndarray
-    #: Weight vectors masked by output side: w_masked[b][v, m] is gate m's
-    #: weight of vector v when truth[v] == b, else 0.
-    w_masked0: np.ndarray
-    w_masked1: np.ndarray
-    #: Total weight per side W(b), shape (m,).
-    w_side0: np.ndarray = field(default=None)
-    w_side1: np.ndarray = field(default=None)
+    #: Weight vectors masked by output side: w_masked[b, v, m] is gate m's
+    #: weight of vector v when truth[v] == b, else 0; shape (2, V, m).
+    w_masked: np.ndarray
+    #: Total weight per side W(b), shape (2, m).
+    w_side: np.ndarray
     #: The class's truth table — the cross-circuit merge key of the
     #: tensor pass (never consulted by the single-circuit kernel).
     truth: Optional[Tuple[int, ...]] = field(default=None, compare=False)
-    #: Circuit index per gate, shape (m,); None in single-circuit plans.
-    circ: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.w_side0 is None:
-            self.w_side0 = self.w_masked0.sum(axis=0)
-        if self.w_side1 is None:
-            self.w_side1 = self.w_masked1.sum(axis=0)
 
 
 class _LazyNodeErrors(MappingABC):
@@ -350,10 +334,10 @@ def _lower_plain_groups(circuit: Circuit, weights: WeightData,
             # transition_lowering's cache holds shared float64 arrays;
             # narrow a copy rather than mutating the cached original.
             flip_mask = flip_mask.astype(dtype)
-        w = np.stack(entry["weights"])              # (m, V)
-        side1 = truth_arr.astype(bool)              # (V,)
-        w_masked1 = np.where(side1[None, :], w, 0.0).T  # (V, m)
-        w_masked0 = np.where(side1[None, :], 0.0, w).T
+        w = np.stack(entry["weights"]).T            # (V, m)
+        side1 = truth_arr.astype(bool)[:, None]     # (V, 1)
+        w_masked = np.stack([np.where(side1, 0.0, w),
+                             np.where(side1, w, 0.0)]).astype(dtype)
         levels.setdefault(level, []).append(_OpGroup(
             arity=k,
             slots=np.asarray(entry["slots"], dtype=np.intp),
@@ -361,10 +345,8 @@ def _lower_plain_groups(circuit: Circuit, weights: WeightData,
             fanin_slots=np.asarray(entry["fanins"], dtype=np.intp),
             bits=bits,
             flip_mask=flip_mask,
-            w_masked0=np.ascontiguousarray(w_masked0.astype(dtype,
-                                                            copy=False)),
-            w_masked1=np.ascontiguousarray(w_masked1.astype(dtype,
-                                                            copy=False)),
+            w_masked=w_masked,
+            w_side=w_masked.sum(axis=1),
             truth=truth,
         ))
     return levels
@@ -494,12 +476,13 @@ class CompiledSinglePass:
                                 dtype=bool)
                             w = np.asarray(weights.weights[gate],
                                            dtype=self.dtype)
-                            group.w_masked1[:, col] = np.where(side1, w, 0.0)
-                            group.w_masked0[:, col] = np.where(side1, 0.0, w)
+                            group.w_masked[:, :, col] = [
+                                np.where(side1, 0.0, w),
+                                np.where(side1, w, 0.0)]
                             # Same per-column summation order as the fresh
-                            # compile's sum(axis=0) — bit-identical totals.
-                            group.w_side0[col] = group.w_masked0[:, col].sum()
-                            group.w_side1[col] = group.w_masked1[:, col].sum()
+                            # compile's sum over V — bit-identical totals.
+                            group.w_side[:, col] = group.w_masked[
+                                :, :, col].sum(axis=1)
             self.circuit = circuit
             self.weights = weights
             self.output_prob1 = np.asarray(
@@ -508,10 +491,6 @@ class CompiledSinglePass:
         if obs_metrics.is_enabled():
             obs_metrics.inc("compiled_pass.patches", circuit=circuit.name)
         return True
-
-    def _eps_matrix(self, specs: Sequence[EpsilonSpec]) -> np.ndarray:
-        """Broadcast a batch of eps specs to a dense (gates, E) matrix."""
-        return _eps_matrix(self.gate_names, specs, dtype=self.dtype)
 
     def run(self, eps: EpsilonSpec,
             eps10: Optional[EpsilonSpec] = None) -> SweepResult:
@@ -528,33 +507,47 @@ class CompiledSinglePass:
         length and makes every gate's local channel asymmetric exactly as
         in :meth:`SinglePassAnalyzer.run`.
         """
-        specs, eps10_list = _validated_specs(self.circuit, eps_specs,
-                                             eps10_specs)
+        specs, eps10_list = validate_sweep_specs(self.circuit, eps_specs,
+                                                 eps10_specs)
         n_nodes = len(self.node_names)
         n_points = len(specs)
         with trace_span("compiled_pass.run_sweep", circuit=self.circuit.name,
                         points=n_points):
-            e01 = self._eps_matrix(specs)
-            e10 = e01 if eps10_list is None else self._eps_matrix(eps10_list)
-            p01 = np.zeros((n_nodes, n_points), dtype=self.dtype)
-            p10 = np.zeros((n_nodes, n_points), dtype=self.dtype)
+            # A 1-point sweep runs as two identical columns, as in the
+            # correlated kernel: einsum sums a size-1 trailing axis in
+            # another order, and every column must equal its eps's
+            # column in a sweep of any width.
+            width = max(n_points, 2)
+            Eps = np.empty((2, len(self.gate_names), width), dtype=self.dtype)
+            _fill_eps(Eps, self.gate_names, specs, eps10_list)
+            P = np.zeros((2, n_nodes, width), dtype=self.dtype)
             for slot, ep in self.input_error_rows:
-                p01[slot] = ep.p01
-                p10[slot] = ep.p10
+                P[0, slot] = ep.p01
+                P[1, slot] = ep.p10
             for level_groups in self.levels:
                 for group in level_groups:
-                    _eval_group(group, p01, p10,
-                                e01[group.eps_rows], e10[group.eps_rows])
-            per_output = ((1.0 - self.output_prob1)[:, None]
-                          * p01[self.output_slots]
-                          + self.output_prob1[:, None]
-                          * p10[self.output_slots])
+                    _eval_group(group, P, Eps)
+            result = self._sweep_result(specs, eps10_list,
+                                        P[:, :, :n_points])
         if obs_metrics.is_enabled():
             labels = {"circuit": self.circuit.name}
             obs_metrics.inc("compiled_pass.sweeps", **labels)
             obs_metrics.inc("compiled_pass.points", n_points, **labels)
             obs_metrics.inc("compiled_pass.gate_evals",
                             len(self.gate_names) * n_points, **labels)
+        return result
+
+    def _sweep_result(self, specs: List[EpsilonSpec],
+                      eps10_list: Optional[List[EpsilonSpec]],
+                      P: np.ndarray) -> SweepResult:
+        """The :class:`SweepResult` of ``specs`` from their ``(2, nodes,
+        len(specs))`` state (a view into a wider or batched state is
+        copied out)."""
+        p01, p10 = np.ascontiguousarray(P)
+        per_output = ((1.0 - self.output_prob1)[:, None]
+                      * p01[self.output_slots]
+                      + self.output_prob1[:, None]
+                      * p10[self.output_slots])
         return SweepResult(
             circuit_name=self.circuit.name,
             eps_specs=specs,
@@ -566,54 +559,50 @@ class CompiledSinglePass:
             p10=p10,
             signal_prob=dict(self.weights.signal_prob),
             used_correlation=False,
-            correlation_pairs=np.zeros(n_points, dtype=np.int64),
+            correlation_pairs=np.zeros(len(specs), dtype=np.int64),
         )
 
 
-def _eval_group(group: _OpGroup, p01: np.ndarray, p10: np.ndarray,
-                e01: np.ndarray, e10: np.ndarray) -> None:
-    """Evaluate one (truth, arity) gate batch over the eps axis.
+def _eval_group(group: _OpGroup, P: np.ndarray, Eps: np.ndarray) -> None:
+    """Evaluate one gate batch over the eps axis.
 
-    Mutates ``p01`` / ``p10`` in place at ``group.slots`` (with
-    ``group.circ`` selecting the leading circuit axis of a tensor-pass
-    state).  ``e01`` / ``e10`` are the group's local failure
-    probabilities, shape (m, E).
+    ``P`` is the stacked ``(2, rows, E)`` state (p01, p10) and is written
+    in place at ``group.slots``; ``Eps`` is the stacked ``(2, gates, E)``
+    local failure matrix (eps01, eps10).  Both sides share every step:
+    one gather of the fanin state, one einsum for both weighted sums, one
+    fold and one scatter.  ``P`` must be C-contiguous: fanin state is
+    gathered from its ``(2 * rows, E)`` view.
     """
-    if group.circ is None:
-        f01 = p01[group.fanin_slots]        # (m, k, E)
-        f10 = p10[group.fanin_slots]
-    else:
-        f01 = p01[group.circ[:, None], group.fanin_slots]
-        f10 = p10[group.circ[:, None], group.fanin_slots]
-    n_vec = group.bits.shape[0]             # V = 2**k
-    m, k, n_eps = f01.shape
-    dtype = p01.dtype
+    n_vec, k = group.bits.shape             # V = 2**k
+    m = len(group.slots)
+    n_rows, n_eps = P.shape[1:]
+    dtype = P.dtype
+    flat = P.reshape(2 * n_rows, n_eps)
+    # Flat state row of fanin t's flip probability under error-free vector
+    # v — the scalar pass's probs[t][events[t]]: its p01 row where the
+    # fanin reads 0, its p10 row where it reads 1.  Shape (V, m, k).
+    gather = group.fanin_slots[None] + n_rows * group.bits[:, None, :]
 
-    pw0 = np.empty((m, n_eps), dtype=dtype)
-    pw1 = np.empty((m, n_eps), dtype=dtype)
+    pw = np.empty((2, m, n_eps), dtype=dtype)
     # Chunk the gate batch so the (V, chunk, V, E) intermediate stays small.
     rows = max(1, _CHUNK_ELEMENTS // max(1, n_vec * n_vec * n_eps))
     for start in range(0, m, rows):
         sl = slice(start, min(m, start + rows))
-        # Per-fanin flip probability under each error-free vector v: the
-        # scalar pass's probs[t][events[t]] — p01 where fanin t reads 0,
-        # p10 where it reads 1.  Shape (V, mc, k, E).
-        pv = np.where(group.bits[:, None, :, None], f10[None, sl],
-                      f01[None, sl])
+        pv = flat.take(gather[:, sl], axis=0)           # (V, mc, k, E)
+        qv = 1.0 - pv
         # Distribution over flip sets u by successive doubling: after step
         # t, the first 2**(t+1) lanes of axis 2 enumerate all flip subsets
         # of fanins 0..t.  The doubling runs inside one preallocated
         # (V, mc, V, E) buffer — lanes [w, 2w) take old*p, then [0, w)
         # scales in place by (1-p): the same products, no concatenates.
-        mc = pv.shape[1]
-        r = np.empty((n_vec, mc, n_vec, n_eps), dtype=dtype)
-        r[:, :, 0, :] = 1.0
-        width = 1
-        for t in range(k):
-            pt = pv[:, :, t, None, :]
+        r = np.empty((n_vec, pv.shape[1], n_vec, n_eps), dtype=dtype)
+        r[:, :, 0] = qv[:, :, 0]
+        r[:, :, 1] = pv[:, :, 0]
+        width = 2
+        for t in range(1, k):
             old = r[:, :, :width]
-            np.multiply(old, pt, out=r[:, :, width:2 * width])
-            old *= 1.0 - pt
+            np.multiply(old, pv[:, :, t, None], out=r[:, :, width:2 * width])
+            old *= qv[:, :, t, None]
             width *= 2
         # Total probability that fanin errors flip the output, per v —
         # with a per-gate mask when the group fuses several truth classes.
@@ -623,25 +612,34 @@ def _eval_group(group: _OpGroup, p01: np.ndarray, p10: np.ndarray,
             flip = np.einsum("vmue,vu->vme", r, group.flip_mask)
         np.minimum(flip, 1.0, out=flip)
         # Weighted components PW(b) = sum_v W[v] * flip[v] over side b.
-        pw0[sl] = np.einsum("vm,vme->me", group.w_masked0[:, sl], flip)
-        pw1[sl] = np.einsum("vm,vme->me", group.w_masked1[:, sl], flip)
+        pw[:, sl] = np.einsum("bvm,vme->bme", group.w_masked[:, :, sl], flip)
 
     # Fold in the local failure channel: item (iii) of the paper's Sec. 4,
-    # identical to combine_with_local_failure but over the whole batch.
-    w0 = group.w_side0[:, None]
-    w1 = group.w_side1[:, None]
-    r0 = np.divide(pw0, w0, out=np.zeros_like(pw0), where=w0 > 0.0)
-    r1 = np.divide(pw1, w1, out=np.zeros_like(pw1), where=w1 > 0.0)
-    np.clip(r0, 0.0, 1.0, out=r0)
-    np.clip(r1, 0.0, 1.0, out=r1)
-    out01 = r0 * (1.0 - e10) + (1.0 - r0) * e01
-    out10 = r1 * (1.0 - e01) + (1.0 - r1) * e10
-    if group.circ is None:
-        p01[group.slots] = out01
-        p10[group.slots] = out10
+    # identical to combine_with_local_failure but over the whole batch:
+    # side b reads its own channel eps[b] and the opposite one eps[1-b].
+    w = group.w_side[:, :, None]
+    ratio = np.divide(pw, w, out=np.zeros_like(pw), where=w > 0.0)
+    np.clip(ratio, 0.0, 1.0, out=ratio)
+    e = Eps.take(group.eps_rows, axis=1)           # (2, m, E)
+    P[:, group.slots] = ratio * (1.0 - e[::-1]) + (1.0 - ratio) * e
+
+
+def _fill_eps(Eps: np.ndarray, gate_names: Sequence[str],
+              specs: Sequence[EpsilonSpec],
+              eps10_specs: Optional[Sequence[EpsilonSpec]]) -> None:
+    """Write one sweep's stacked local failure channels into ``Eps``.
+
+    ``Eps`` is ``(2, len(gate_names), width)`` with ``width >=
+    len(specs)``; side 1 is ``eps10_specs`` (``specs`` when None) and
+    columns past the batch repeat its last point.
+    """
+    n = len(specs)
+    Eps[0, :, :n] = _eps_matrix(gate_names, specs, dtype=Eps.dtype)
+    if eps10_specs is None:
+        Eps[1, :, :n] = Eps[0, :, :n]
     else:
-        p01[group.circ, group.slots] = out01
-        p10[group.circ, group.slots] = out10
+        Eps[1, :, :n] = _eps_matrix(gate_names, eps10_specs, dtype=Eps.dtype)
+    Eps[:, :, n:] = Eps[:, :, n - 1:n]
 
 
 # ======================================================================
@@ -659,11 +657,6 @@ def _eps_matrix(gate_names: Sequence[str],
         else:
             mat[:, j] = float(spec)
     return mat
-
-
-#: Shared sweep-argument validation of both kernels (canonical home:
-#: :func:`repro.spec.validate_sweep_specs`).
-_validated_specs = validate_sweep_specs
 
 
 @dataclass(frozen=True)
@@ -1830,14 +1823,10 @@ class CompiledCorrelatedPass:
                       Eps: np.ndarray) -> None:
         """Run every level's plain groups, gate step, same-wire batch and
         expansion waves over the columns of ``P`` / ``C`` / ``Eps``."""
-        p01, p10 = P
         flat = P.reshape(-1, P.shape[-1])
-        e01, e10 = Eps
         for plain_groups, gate_step, same, waves in self._schedule:
             for group in plain_groups:
-                _eval_group(group, p01, p10,
-                            e01.take(group.eps_rows, axis=0),
-                            e10.take(group.eps_rows, axis=0))
+                _eval_group(group, P, Eps)
             if gate_step is not None:
                 _run_step(gate_step, flat, P, C, Eps)
             if same is not None:
@@ -1860,8 +1849,8 @@ class CompiledCorrelatedPass:
                   eps10_specs: Optional[Sequence[EpsilonSpec]] = None
                   ) -> SweepResult:
         """Evaluate the corrected pass for every eps point at once."""
-        specs, eps10_list = _validated_specs(self.circuit, eps_specs,
-                                             eps10_specs)
+        specs, eps10_list = validate_sweep_specs(self.circuit, eps_specs,
+                                                 eps10_specs)
         n_nodes = len(self.node_names)
         n_points = len(specs)
         with trace_span("compiled_pass.run_sweep_correlated",
@@ -1872,10 +1861,7 @@ class CompiledCorrelatedPass:
             # sweep must equal the 1-point run at its eps exactly.
             width = max(n_points, 2)
             Eps = np.empty((2, len(self.gate_names), width))
-            Eps[0] = _eps_matrix(self.gate_names, specs * (width // n_points))
-            Eps[1] = (Eps[0] if eps10_list is None
-                      else _eps_matrix(self.gate_names,
-                                       eps10_list * (width // n_points)))
+            _fill_eps(Eps, self.gate_names, specs, eps10_list)
             P = np.zeros((2, n_nodes, width), dtype=np.float64)
             for slot, ep in self.input_error_rows:
                 P[0, slot] = ep.p01

@@ -9,49 +9,53 @@ N times, and run each circuit's (often small) gate batches far below the
 vector widths the arrays could sustain.
 
 :class:`TensorBatch` removes the per-circuit axis from the dispatch.  It
-pads a batch of compiled plans into one ``(circuit, row, eps)`` state
-tensor and merges their level schedules:
+lays a batch of compiled plans out in one stacked ``(2, circuits x
+rows + 1, eps)`` state — one block of rows per circuit plus one
+always-zero row — and merges their level schedules:
 
 * circuits are aligned by topological level **position** — level ``i``
   of the merged schedule runs level ``i`` of every plan that has one
   (correct because circuits are independent: a gate only ever reads
   state of its own circuit's earlier levels);
 * within a level, :class:`~repro.reliability.compiled_pass._OpGroup`\\ s
-  are merged per ``(truth, arity)`` class across circuits — slot /
-  fanin / weight columns concatenated, plus a **circuit-index column**
-  (``_OpGroup.circ``) that routes each gate's reads and writes to its
-  circuit's plane of the state tensor.  The class's shared ``bits`` /
-  ``flip_mask`` tensors appear once, so a NAND2 from circuit 3 and a
-  NAND2 from circuit 11 evaluate in the same einsum;
+  are merged per arity across circuits (per ``(truth, arity)`` for wide
+  gates) — slot / fanin / weight columns concatenated, each circuit's
+  row offset folded into its slot and fanin indices.  Arity-1 gates are
+  lowered as 2-input gates reading the zero row (exact: the extra lanes
+  only multiply by 1.0 or add 0.0), so a level of NOT/BUF and 2-input
+  gates is one group, and a NAND2 from circuit 3 and a NOT from
+  circuit 11 evaluate in the same einsum;
 * the row axis is padded to the widest circuit; pad rows are **inactive
-  by construction** — no merged group ever indexes them, so they stay
+  by construction** — no merged group ever writes them, so they stay
   at their zero initialization and masking is free (the waste is
   surfaced as :attr:`pad_waste_rows`);
 * eps batches of different lengths are padded by replicating each
   circuit's last column; pad columns compute harmless duplicate values
   that are sliced away before results are returned.
 
-Gate-level arithmetic is byte-for-byte the single-circuit kernel's —
-:func:`~repro.reliability.compiled_pass._eval_group` is shared, with the
-circuit column enabling 3-D fancy indexing — so per-circuit results
-match solo sweeps to float rounding (pinned ≤ 1e-10 over the full
-catalog by ``tests/test_tensor_pass.py``).
+Gate-level arithmetic is the single-circuit kernel's —
+:func:`~repro.reliability.compiled_pass._eval_group` is shared — and
+every column's reductions run in the same order at any width of two or
+more (a batch runs at least two columns), so per-circuit results equal
+solo sweeps bit for bit, ragged or not (pinned by
+``tests/test_tensor_pass.py`` and ``tests/test_plain_kernel_digests.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..obs import metrics as obs_metrics
 from ..obs import trace_span
 from ..spec import EpsilonSpec, validate_sweep_specs
+from ..probability.error_propagation import transition_lowering
 from .compiled_pass import (
     CompiledSinglePass,
     SweepResult,
-    _eps_matrix,
     _eval_group,
+    _fill_eps,
     _OpGroup,
 )
 
@@ -60,6 +64,29 @@ from .compiled_pass import (
 #: saving and wide gates fall back to the shared-mask (truth, arity)
 #: merge.
 _FUSE_MAX_ARITY = 6
+
+
+def _as_arity2(group: _OpGroup, zero_row: int) -> _OpGroup:
+    """An arity-1 group lowered as 2-input gates whose second fanin reads
+    the always-zero state row ``zero_row``.
+
+    The output ignores the pad fanin (truth ``t + t``: vectors ``v`` and
+    ``v + 2`` agree), the pad vectors carry zero weight and the pad's
+    flip probability is 0.0, so every extra lane only multiplies by 1.0
+    or adds 0.0: results are bit-identical to the arity-1 evaluation.
+    """
+    truth = tuple(group.truth) * 2
+    bits, flip_mask, _ = transition_lowering(truth, 2)
+    m = len(group.slots)
+    w_masked = np.zeros((2, 4, m), dtype=group.w_masked.dtype)
+    w_masked[:, :2] = group.w_masked
+    return _OpGroup(
+        arity=2, slots=group.slots, eps_rows=group.eps_rows,
+        fanin_slots=np.concatenate(
+            [group.fanin_slots, np.full((m, 1), zero_row, dtype=np.intp)],
+            axis=1),
+        bits=bits, flip_mask=flip_mask.astype(group.flip_mask.dtype),
+        w_masked=w_masked, w_side=group.w_side, truth=truth)
 
 
 class TensorBatch:
@@ -120,13 +147,16 @@ class TensorBatch:
 
     def _merge(self) -> None:
         plans = self.plans
-        #: Row extent of the padded state tensor (widest circuit).
+        #: Row extent of each circuit's block of the state (widest circuit).
         self.n_rows = max(len(p.node_names) for p in plans)
         #: Pad rows across the whole batch — the cost of rectangularity.
         self.pad_waste_rows = sum(self.n_rows - len(p.node_names)
                                   for p in plans)
-        #: Row offset of each circuit in the merged (gates_total, E)
-        #: local-failure matrices.
+        #: The always-zero row every lowered arity-1 gate reads as its
+        #: second fanin; the state has one row past the circuit blocks.
+        self.zero_row = self.n_circuits * self.n_rows
+        #: Row offset of each circuit in the merged (2, gates_total, E)
+        #: local-failure matrix.
         self.gate_offsets: List[int] = []
         total = 0
         for p in plans:
@@ -139,11 +169,12 @@ class TensorBatch:
         # majority) fuse per *arity* with a per-gate (m, V, V) flip mask
         # — ``bits`` depends only on the arity, so gates of different
         # truth classes share one einsum once the mask rides along per
-        # gate.  Wide gates keep the shared-mask (truth, arity) merge:
-        # their per-gate masks would cost ``V**2`` floats each.
+        # gate.  Arity-1 gates join the arity-2 group (see
+        # :func:`_as_arity2`), so a level of NOT/BUF and 2-input gates
+        # is one group.  Wide gates keep the shared-mask (truth, arity)
+        # merge: their per-gate masks would cost ``V**2`` floats each.
         # Iteration is plans-in-order then sorted fuse keys, so the
-        # merged schedule (and therefore the float accumulation order
-        # inside each einsum) is deterministic per batch composition.
+        # merged schedule is deterministic per batch composition.
         n_levels = max(len(p.levels) for p in plans)
         merged: List[List[_OpGroup]] = []
         for li in range(n_levels):
@@ -151,7 +182,11 @@ class TensorBatch:
             for ci, plan in enumerate(plans):
                 if li >= len(plan.levels):
                     continue
+                row0 = ci * self.n_rows
                 for group in plan.levels[li]:
+                    if group.arity == 1:
+                        # Offset below like every fanin: lands on zero_row.
+                        group = _as_arity2(group, self.zero_row - row0)
                     fused = group.arity <= _FUSE_MAX_ARITY
                     key = ((0, group.arity) if fused
                            else (1, group.arity, group.truth))
@@ -159,22 +194,18 @@ class TensorBatch:
                     if entry is None:
                         entry = {"template": group, "fused": fused,
                                  "slots": [], "eps_rows": [], "fanins": [],
-                                 "circ": [], "masks": [],
-                                 "wm0": [], "wm1": [], "ws0": [], "ws1": []}
+                                 "masks": [], "w": [], "w_side": []}
                         classes[key] = entry
                     m = len(group.slots)
-                    entry["slots"].append(group.slots)
+                    entry["slots"].append(group.slots + row0)
                     entry["eps_rows"].append(
                         group.eps_rows + self.gate_offsets[ci])
-                    entry["fanins"].append(group.fanin_slots)
-                    entry["circ"].append(np.full(m, ci, dtype=np.intp))
+                    entry["fanins"].append(group.fanin_slots + row0)
                     if fused:
                         entry["masks"].append(
                             np.repeat(group.flip_mask[None], m, axis=0))
-                    entry["wm0"].append(group.w_masked0)
-                    entry["wm1"].append(group.w_masked1)
-                    entry["ws0"].append(group.w_side0)
-                    entry["ws1"].append(group.w_side1)
+                    entry["w"].append(group.w_masked)
+                    entry["w_side"].append(group.w_side)
             level_groups: List[_OpGroup] = []
             for key in sorted(classes):
                 entry = classes[key]
@@ -188,14 +219,9 @@ class TensorBatch:
                     fanin_slots=np.concatenate(entry["fanins"], axis=0),
                     bits=template.bits,
                     flip_mask=np.ascontiguousarray(flip_mask),
-                    w_masked0=np.ascontiguousarray(
-                        np.concatenate(entry["wm0"], axis=1)),
-                    w_masked1=np.ascontiguousarray(
-                        np.concatenate(entry["wm1"], axis=1)),
-                    w_side0=np.concatenate(entry["ws0"]),
-                    w_side1=np.concatenate(entry["ws1"]),
+                    w_masked=np.concatenate(entry["w"], axis=2),
+                    w_side=np.concatenate(entry["w_side"], axis=1),
                     truth=None if entry["fused"] else template.truth,
-                    circ=np.concatenate(entry["circ"]),
                 ))
             merged.append(level_groups)
         self.levels: List[List[_OpGroup]] = merged
@@ -237,71 +263,32 @@ class TensorBatch:
             validated.append(validate_sweep_specs(
                 plan.circuit, eps_specs[i], e10b))
         n_points = [len(specs) for specs, _ in validated]
-        n_eps = max(n_points)
-        any_eps10 = any(e10 is not None for _, e10 in validated)
+        # At least two columns, as in the solo kernel: a 1-point batch runs
+        # as two identical columns.
+        n_eps = max(max(n_points), 2)
 
         with trace_span("tensor_pass", circuits=self.n_circuits,
                         points=n_eps,
                         pad_waste_rows=self.pad_waste_rows):
-            e01 = np.empty((self.n_gate_rows, n_eps), dtype=self.dtype)
-            e10 = (np.empty((self.n_gate_rows, n_eps), dtype=self.dtype)
-                   if any_eps10 else e01)
+            Eps = np.empty((2, self.n_gate_rows, n_eps), dtype=self.dtype)
             for i, plan in enumerate(plans):
-                specs, e10b = validated[i]
                 off = self.gate_offsets[i]
-                end = off + len(plan.gate_names)
-                block = _eps_matrix(plan.gate_names, specs,
-                                    dtype=self.dtype)
-                e01[off:end, :n_points[i]] = block
-                if n_points[i] < n_eps:
-                    # Replicate the last point into the pad columns; the
-                    # duplicates are sliced away below.
-                    e01[off:end, n_points[i]:] = block[:, -1:]
-                if any_eps10:
-                    b10 = (block if e10b is None
-                           else _eps_matrix(plan.gate_names, e10b,
-                                            dtype=self.dtype))
-                    e10[off:end, :n_points[i]] = b10
-                    if n_points[i] < n_eps:
-                        e10[off:end, n_points[i]:] = b10[:, -1:]
-
-            p01 = np.zeros((self.n_circuits, self.n_rows, n_eps),
-                           dtype=self.dtype)
-            p10 = np.zeros((self.n_circuits, self.n_rows, n_eps),
-                           dtype=self.dtype)
+                _fill_eps(Eps[:, off:off + len(plan.gate_names)],
+                          plan.gate_names, *validated[i])
+            P = np.zeros((2, self.zero_row + 1, n_eps), dtype=self.dtype)
             for i, plan in enumerate(plans):
                 for slot, ep in plan.input_error_rows:
-                    p01[i, slot] = ep.p01
-                    p10[i, slot] = ep.p10
+                    P[0, i * self.n_rows + slot] = ep.p01
+                    P[1, i * self.n_rows + slot] = ep.p10
             for level_groups in self.levels:
                 for group in level_groups:
-                    _eval_group(group, p01, p10,
-                                e01[group.eps_rows], e10[group.eps_rows])
+                    _eval_group(group, P, Eps)
 
-            results: List[SweepResult] = []
-            for i, plan in enumerate(plans):
-                specs, e10b = validated[i]
-                n_nodes = len(plan.node_names)
-                c01 = np.ascontiguousarray(p01[i, :n_nodes, :n_points[i]])
-                c10 = np.ascontiguousarray(p10[i, :n_nodes, :n_points[i]])
-                per_output = ((1.0 - plan.output_prob1)[:, None]
-                              * c01[plan.output_slots]
-                              + plan.output_prob1[:, None]
-                              * c10[plan.output_slots])
-                results.append(SweepResult(
-                    circuit_name=plan.circuit.name,
-                    eps_specs=specs,
-                    eps10_specs=e10b,
-                    node_names=list(plan.node_names),
-                    outputs=list(plan.circuit.outputs),
-                    per_output=per_output,
-                    p01=c01,
-                    p10=c10,
-                    signal_prob=dict(plan.weights.signal_prob),
-                    used_correlation=False,
-                    correlation_pairs=np.zeros(n_points[i],
-                                               dtype=np.int64),
-                ))
+            results = [
+                plan._sweep_result(*validated[i], P[
+                    :, i * self.n_rows:i * self.n_rows + len(plan.node_names),
+                    :n_points[i]])
+                for i, plan in enumerate(plans)]
         if obs_metrics.is_enabled():
             obs_metrics.inc("tensor_pass.sweeps")
             obs_metrics.inc("tensor_pass.circuit_sweeps", self.n_circuits)

@@ -1,8 +1,10 @@
 """Unit tests for the Circuit netlist structure."""
 
+import hashlib
+
 import pytest
 
-from repro.circuit import Circuit, CircuitError, GateType
+from repro.circuit import Circuit, CircuitError, GateType, structural_hash
 
 
 def small() -> Circuit:
@@ -202,3 +204,58 @@ class TestValidate:
     def test_iteration_yields_nodes(self):
         names = [n.name for n in small()]
         assert names == ["a", "b", "g1", "g2"]
+
+
+class TestStructuralHashMemo:
+    """``structural_hash`` is memoized on the circuit; mutators clear it."""
+
+    @staticmethod
+    def _count_digests(monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.circuit import circuit as circuit_mod
+        calls = []
+
+        def sha256(data):
+            calls.append(len(data))
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(circuit_mod, "hashlib",
+                            SimpleNamespace(sha256=sha256))
+        return calls
+
+    def test_every_mutator_changes_the_hash(self):
+        c = small()
+        seen = [structural_hash(c)]
+        for mutate in (lambda: c.add_input("x"),
+                       lambda: c.add_const("one", 1),
+                       lambda: c.add_gate("g3", GateType.OR, ["g1", "x"]),
+                       lambda: c.set_output("g3")):
+            mutate()
+            digest = structural_hash(c)
+            assert digest not in seen
+            seen.append(digest)
+        assert structural_hash(c.copy()) == seen[-1]
+
+    def test_repeat_hash_is_memoized(self, monkeypatch):
+        calls = self._count_digests(monkeypatch)
+        c = small()
+        first = structural_hash(c)
+        assert structural_hash(c) == first
+        assert len(calls) == 1
+        c.add_input("x")
+        assert structural_hash(c) != first
+        assert len(calls) == 2
+
+    def test_repeat_session_hit_hashes_zero_times(self, monkeypatch):
+        from repro.circuits import c17
+        from repro.engine import AnalysisEngine
+
+        circuit = c17()
+        engine = AnalysisEngine()
+        session = engine.session(circuit, weights="sampled")
+        calls = self._count_digests(monkeypatch)
+        for _ in range(3):
+            assert engine.session(circuit, weights="sampled") is session
+        assert calls == []
+        assert engine.session_hits == 3

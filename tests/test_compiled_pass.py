@@ -286,8 +286,8 @@ def test_float32_plan_stays_float32(reconvergent_circuit):
     for level in plan.levels:
         for group in level:
             assert group.flip_mask.dtype == np.float32
-            assert group.w_masked0.dtype == np.float32
-            assert group.w_masked1.dtype == np.float32
+            assert group.w_masked.dtype == np.float32
+            assert group.w_side.dtype == np.float32
     sweep = plan.run_sweep([0.01, 0.05, 0.2])
     assert sweep.p01.dtype == np.float32
     assert sweep.p10.dtype == np.float32

@@ -2,12 +2,11 @@
 
 The contract under test: a :class:`~repro.reliability.tensor_pass.
 TensorBatch` sweep returns, per circuit, the same numbers a solo
-:meth:`CompiledSinglePass.run_sweep` produces — bit-identical when the
-per-circuit eps batches have equal length (no padding), and within
-1e-10 when ragged padding changes array extents (einsum reduction
-order may differ at the ULP level with a different trailing-axis
-extent).  On top of the kernel, the engine's cross-session batching
-must hand back response payloads matching solo ``submit`` calls.
+:meth:`CompiledSinglePass.run_sweep` produces, bit for bit, whether or
+not ragged eps batches are padded to a common width.  On top of the
+kernel, the engine's cross-session batching must hand back response
+payloads matching solo ``submit`` calls, and compute each distinct eps
+point once.
 """
 
 import json
@@ -65,10 +64,11 @@ def test_ragged_batches():
     for plan, sp, sweep in zip(plans, specs, sweeps):
         solo = plan.run_sweep(sp)
         assert sweep.p01.shape == solo.p01.shape
-        np.testing.assert_allclose(sweep.p01, solo.p01, atol=1e-10)
-        np.testing.assert_allclose(sweep.p10, solo.p10, atol=1e-10)
-        np.testing.assert_allclose(sweep.per_output, solo.per_output,
-                                   atol=1e-10)
+        # Every column is independent of the sweep's width (a 1-point
+        # sweep runs as two columns), so padding changes no bit.
+        assert np.array_equal(sweep.p01, solo.p01), plan.circuit.name
+        assert np.array_equal(sweep.p10, solo.p10), plan.circuit.name
+        assert np.array_equal(sweep.per_output, solo.per_output)
 
 
 def test_batch_of_one():
@@ -302,3 +302,82 @@ def test_engine_tensor_metrics_emitted():
     finally:
         obs_metrics.set_enabled(False)
         obs_metrics.reset()
+
+
+def test_engine_computes_each_distinct_point_once(monkeypatch):
+    """Overlapping eps windows reach the kernels as distinct columns only,
+    and every envelope still equals its solo ``submit`` counterpart."""
+    from repro.engine.core import _point_key
+    from repro.obs import metrics as obs_metrics
+    from repro.reliability.compiled_pass import CompiledCorrelatedPass
+
+    gate = get_benchmark("c17").gates[0]
+    per_gate = {"default": 0.02, gate: 0.2}
+    reqs = [
+        _plain("c17", [0.01, 0.02, 0.05]), _plain("c17", [0.02, 0.05, 0.1]),
+        _plain("c17", [dict(per_gate), 0.01]), _plain("c17", [per_gate]),
+        _plain("b9", [0.05, 0.1]), _plain("b9", [0.1, 0.2]),
+        _plain("b9", [0.05]),
+        _plain("x2", [0.01]), _plain("x2", [0.01, 0.03]),
+        # A same-session coalesced group off the tensor path (correlated).
+        {"op": "analyze", "circuit": "cu", "eps": [0.01, 0.05],
+         "correlation": True},
+        {"op": "analyze", "circuit": "cu", "eps": [0.05, 0.1],
+         "correlation": True},
+        # An eps10 group: eps10 is keyed together with its eps.
+        {"op": "analyze", "circuit": "fig2", "eps": [0.01, 0.05],
+         "eps10": [0.02, 0.05], "correlation": False},
+        {"op": "analyze", "circuit": "fig2", "eps": [0.01, 0.05],
+         "eps10": [0.02, 0.1], "correlation": False},
+    ]
+    columns = {}
+
+    def spy(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(self, eps_specs, eps10_specs=None):
+            if cls is TensorBatch:
+                for plan, specs in zip(self.plans, eps_specs):
+                    columns[plan.circuit.name] = [_point_key(s)
+                                                  for s in specs]
+            else:
+                columns[self.circuit.name] = [
+                    (_point_key(s), None if eps10_specs is None
+                     else _point_key(eps10_specs[j]))
+                    for j, s in enumerate(eps_specs)]
+            return original(self, eps_specs, eps10_specs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for cls in (TensorBatch, CompiledSinglePass, CompiledCorrelatedPass):
+        spy(cls, "run_sweep")
+    obs_metrics.reset()
+    obs_metrics.set_enabled(True)
+    try:
+        with AnalysisEngine() as eng:
+            batched = eng.submit_many(reqs)
+        duplicates = obs_metrics.get_registry().value(
+            "engine.duplicate_points")
+    finally:
+        obs_metrics.set_enabled(False)
+        obs_metrics.reset()
+    monkeypatch.undo()
+
+    assert {n: len(c) for n, c in columns.items()} == {
+        "c17": 5, "b9": 3, "x2": 2, "cu": 3, "fig2": 3}
+    assert all(len(set(c)) == len(c) for c in columns.values())
+    assert duplicates == sum(len(r["eps"]) for r in reqs) - 16
+    assert [r.method for r in batched[:9]] == ["single-pass-tensor"] * 9
+    assert batched[0].coalesced == 4 and batched[9].coalesced == 2
+
+    untimed = ("elapsed_s", "telemetry", "obs", "coalesced", "method")
+    with AnalysisEngine() as eng:
+        solo = [eng.submit(dict(req)) for req in reqs]
+    for b, s in zip(batched, solo):
+        assert b.ok and s.ok
+        got, want = b.to_dict(), s.to_dict()
+        for key in untimed:
+            got.pop(key, None)
+            want.pop(key, None)
+        assert json.dumps(got, sort_keys=True) == \
+            json.dumps(want, sort_keys=True)
