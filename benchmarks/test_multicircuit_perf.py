@@ -93,8 +93,7 @@ def test_tensor_batch_speedup(plans, batch):
         f"{'sequential':<12s} {sequential_s:>10.4f} {'1.0x':>9s}",
         f"{'tensor':<12s} {tensor_s:>10.4f} {speedup:>8.2f}x",
         f"merged groups: {batch.num_groups} "
-        f"(vs {batch.unmerged_groups} sequential dispatches), "
-        f"pad waste rows: {batch.pad_waste_rows}",
+        f"(vs {batch.unmerged_groups} sequential dispatches)",
         f"worst parity diff: {worst:.2e}",
     ]
     write_result("multicircuit_perf.txt", "\n".join(lines) + "\n")

@@ -185,7 +185,11 @@ class _GroupPoints:
         duplicates = len(self.index) - len(column_results)
         if duplicates and obs_metrics.is_enabled():
             obs_metrics.inc("engine.duplicate_points", duplicates)
-        return [column_results[c] for c in self.index]
+        return self.take(column_results)
+
+    def take(self, column_values: Sequence[Any]) -> List[Any]:
+        """One per-column value per point (:meth:`expand` sans metrics)."""
+        return [column_values[c] for c in self.index]
 
 
 class AnalysisEngine:
@@ -663,6 +667,7 @@ class AnalysisEngine:
                         exec_session, first.correlation, points.columns,
                         points.columns10, None)
             results = points.expand(columns)
+            dicts = points.take([result.to_dict() for result in columns])
             if obs_metrics.is_enabled():
                 obs_metrics.inc("engine.coalesced_requests", len(members),
                                 circuit=exec_session.circuit.name)
@@ -674,7 +679,7 @@ class AnalysisEngine:
                     members, sessions, points.slices):
                 payload = analyze_payload(
                     session.circuit.name, points.specs[start:start + count],
-                    results[start:start + count])
+                    dicts[start:start + count])
                 response = AnalysisResponse(
                     ok=True, op=request.op,
                     circuit=session.circuit.name, id=request.id,
@@ -768,8 +773,6 @@ class AnalysisEngine:
             if obs_metrics.is_enabled():
                 obs_metrics.inc("engine.tensor_batch.circuits",
                                 batch.n_circuits)
-                obs_metrics.inc("engine.tensor_batch.pad_waste_rows",
-                                batch.pad_waste_rows)
             elapsed = (time.perf_counter() - t0) / total_requests
             kernel_s = kernel_total / total_requests
             out: List[Tuple[int, AnalysisResponse]] = []
@@ -780,14 +783,14 @@ class AnalysisEngine:
                 members = group["members"]
                 self.requests_served += len(members)
                 points = group["points"]
-                results = points.expand(
-                    [sweep.point(j) for j in range(sweep.n_points)])
+                dicts = points.expand([sweep.point(j).to_dict()
+                                       for j in range(sweep.n_points)])
                 for (idx, request), session, (start, count) in zip(
                         members, sessions, points.slices):
                     payload = analyze_payload(
                         session.circuit.name,
                         points.specs[start:start + count],
-                        results[start:start + count])
+                        dicts[start:start + count])
                     response = AnalysisResponse(
                         ok=True, op=request.op,
                         circuit=session.circuit.name, id=request.id,
@@ -819,10 +822,12 @@ class AnalysisEngine:
         ``plans`` arrive in the caller's canonical group order.  Keyed by
         plan identity — plans are memoized on their sessions and
         the cached batch holds them, so ids cannot be recycled while the
-        entry lives.  LRU-capped so a serve loop cycling through many
+        entry lives — and revision: an edit session's type-only swap
+        patches its plan in place, and the batch holds copies of the old
+        arrays.  LRU-capped so a serve loop cycling through many
         workload shapes doesn't hoard merged tensors.
         """
-        key = tuple(id(plan) for plan in plans)
+        key = tuple((id(plan), plan.revision) for plan in plans)
         batch = self._tensor_batches.get(key)
         if batch is None:
             batch = TensorBatch(plans)

@@ -212,9 +212,11 @@ class AnalysisResponse:
 def analyze_payload(circuit_name: str,
                     eps_points: Sequence[EpsilonSpec],
                     results: Sequence[Any]) -> Dict[str, Any]:
-    """The ``repro analyze --json`` document (sans timing)."""
-    points = [{"eps": eps, **result.to_dict()}
-              for eps, result in zip(eps_points, results)]
+    """The ``repro analyze --json`` document (sans timing).  ``results``
+    are result objects or their ``to_dict()`` views, which a caller
+    sharing one result among several points builds once."""
+    points = [{"eps": eps, **(r if isinstance(r, dict) else r.to_dict())}
+              for eps, r in zip(eps_points, results)]
     return {"circuit": circuit_name, "command": "analyze", "points": points}
 
 

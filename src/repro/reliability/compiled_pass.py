@@ -12,23 +12,29 @@ its :class:`~repro.probability.weights.WeightData` into integer-indexed
 numpy arrays **once** (mirroring how :class:`repro.sim.simulator.
 CompiledCircuit` compiles for bit-parallel simulation):
 
-* node error state lives in one dense ``(2, nodes, E)`` array ``P`` —
-  ``P01`` and ``P10`` stacked, indexed by topological slot — where ``E``
-  is the number of eps points — the *trailing eps axis*;
-* gates are grouped by topological level and, within a level, by
-  ``(truth table, arity)`` class; each group carries its fanin slot matrix,
-  its stacked weight vectors, and the class's shared transition lowering
-  (:func:`repro.probability.error_propagation.transition_lowering`);
+* node error state lives in one dense ``(2, nodes + 1, E)`` array ``P``
+  — ``P01`` and ``P10`` stacked, indexed by topological slot, plus one
+  always-zero row — where ``E`` is the number of eps points — the
+  *trailing eps axis*;
+* one lowering (:func:`_lower_plain_groups`) groups the gates by
+  topological level and, within a level, by arity: each group carries
+  its fanin slot matrix, its stacked weight vectors and a per-gate flip
+  mask from :func:`repro.probability.error_propagation.
+  transition_lowering`, so gates of every truth table share one group.
+  Arity-1 gates become 2-input gates reading the zero row; gates wider
+  than six inputs group per ``(truth table, arity)`` with a shared mask;
 * evaluating a group is a handful of vectorized tensor ops over
-  ``(2**k, gates, 2**k, E)`` — every gate of the class, every error-free
+  ``(2**k, gates, 2**k, E)`` — every gate of the group, every error-free
   vector, every perturbation, and every eps point at once.
 
 :meth:`CompiledSinglePass.run_sweep` therefore computes the entire
 delta(eps) curve — including asymmetric ``eps10`` channels and per-gate
 eps maps, broadcast to ``(gates, E)`` — in one pass instead of ``E``
-Python passes.  That kernel implements the plain Sec. 4 independence
-algorithm; parity with the scalar pass is pinned to <= 1e-12 by
-``tests/test_compiled_pass.py``.
+Python passes.  The sweep is a :class:`~repro.reliability.tensor_pass.
+TensorBatch` of one: both run :func:`_run_packed` over plans' row blocks
+packed back to back.  That kernel implements the plain Sec. 4
+independence algorithm; parity with the scalar pass is pinned to
+<= 1e-12 by ``tests/test_compiled_pass.py``.
 
 :class:`CompiledCorrelatedPass` extends the same lowering to the Sec. 4.1
 **correlation-corrected** pass.  On top of the plain plan it compiles the
@@ -45,9 +51,9 @@ per-pair coefficient state into an integer-indexed *coefficient row table*:
   same-wire rows read a wire's propagated state, expansion rows run a
   pre-lowered Fig. 4 program — evaluated in a level schedule that
   guarantees every child row and every fanin state is final before use;
-* gates whose transitions reference only the constant-1 row run through
-  the batched independence kernel unchanged; the remaining gates and all
-  expansion rows run in dependency *steps* — one level's corrected gates,
+* gates whose transitions reference only the constant-1 row run as
+  plain groups (the state keeps their zero row); the remaining gates and
+  all expansion rows run in dependency *steps* — one level's corrected gates,
   or one *wave* (dependency depth) of its expansion rows.  A step gathers
   all its members' operands at once, evaluates each perturbation *form*
   (the op sequence of one term of the scalar ``_correlated_transition``,
@@ -113,12 +119,13 @@ ROW_ZERO = 1
 class _OpGroup:
     """Same-level gates evaluated by one :func:`_eval_group` call.
 
-    Slot arrays index rows of a stacked ``(2, rows, E)`` state — p01 and
-    p10 on the leading axis.  In a single-circuit plan the rows are the
-    circuit's nodes; the multi-circuit tensor pass
-    (:mod:`repro.reliability.tensor_pass`) merges groups of several plans
-    into one, with each circuit's row offset folded into ``slots`` and
-    ``fanin_slots``, keyed by ``truth`` for wide gates.
+    Lowered from gates only by :func:`_lower_plain_groups`.  Slot arrays
+    index rows of a stacked ``(2, rows, E)`` state — p01 and p10 on the
+    leading axis.  In a plan the rows are the circuit's nodes plus one
+    always-zero row; the multi-circuit tensor pass
+    (:mod:`repro.reliability.tensor_pass`) concatenates same-key groups of
+    several plans, with each plan's row offset folded into ``slots`` and
+    ``fanin_slots``.
     """
 
     arity: int
@@ -130,17 +137,17 @@ class _OpGroup:
     fanin_slots: np.ndarray
     #: bits[v, t] = value of fanin t in error-free vector v, shape (V, k).
     bits: np.ndarray
-    #: flip_mask[v, u] = 1.0 iff flip set u changes the output, (V, V)
-    #: shared by the class — or (m, V, V) per-gate when the tensor pass
-    #: fuses several truth classes of one arity into a single group.
+    #: flip_mask[i, v, u] = 1.0 iff flip set u changes gate i's output
+    #: under vector v, (m, V, V) — or the (V, V) mask of the group's one
+    #: truth table past ``_FUSE_MAX_ARITY``.
     flip_mask: np.ndarray
     #: Weight vectors masked by output side: w_masked[b, v, m] is gate m's
     #: weight of vector v when truth[v] == b, else 0; shape (2, V, m).
     w_masked: np.ndarray
     #: Total weight per side W(b), shape (2, m).
     w_side: np.ndarray
-    #: The class's truth table — the cross-circuit merge key of the
-    #: tensor pass (never consulted by the single-circuit kernel).
+    #: The truth table shared by a wide group's gates (None when masks
+    #: are per gate) — part of the group's key (:func:`_group_key`).
     truth: Optional[Tuple[int, ...]] = field(default=None, compare=False)
 
 
@@ -208,6 +215,8 @@ class SweepResult:
     #: Propagated conditional error probabilities, shape (nodes, E).
     p01: np.ndarray
     p10: np.ndarray
+    #: Error-free Pr[node = 1], copied once per sweep and shared, read
+    #: only, by every :meth:`point`.
     signal_prob: Dict[str, float]
     used_correlation: bool = False
     #: Correlation pairs per point (zero on the independence kernel; the
@@ -268,7 +277,8 @@ class SweepResult:
 
         ``node_errors`` is a lazy per-node view (see
         :class:`_LazyNodeErrors`): indexing and iteration behave like the
-        classic dict, but nothing is built until accessed.
+        classic dict, but nothing is built until accessed.  Every point
+        shares the sweep's ``signal_prob`` dict: treat it as read-only.
         """
         from .single_pass import SinglePassResult
         node_errors = _LazyNodeErrors(self.p01, self.p10, j,
@@ -282,13 +292,66 @@ class SweepResult:
         return SinglePassResult(
             per_output=per_output,
             node_errors=node_errors,
-            signal_prob=dict(self.signal_prob),
+            signal_prob=self.signal_prob,
             used_correlation=self.used_correlation,
             correlation_pairs=pairs,
             pairs_dropped_budget=dropped,
             correlation_engine=None,
             frames=self.frames,
         )
+
+
+#: Widest lowered gate with a per-gate flip mask (one group per level and
+#: arity); past it a mask's ``4**k`` floats per gate outweigh the dispatch
+#: saving and gates group per (truth, arity) with a shared mask.
+_FUSE_MAX_ARITY = 6
+
+
+def _lowered_truth(node) -> Tuple[Tuple[int, ...], int]:
+    """A gate's truth table and arity as lowered.  An arity-1 gate becomes
+    a 2-input gate whose second fanin reads the always-zero row: truth
+    ``t + t`` ignores it, its extra vectors weigh 0 and it never flips, so
+    the extra lanes multiply by 1.0 or add 0.0 — bit-identical results."""
+    truth = truth_table(node.gate_type, node.arity)
+    return (truth * 2, 2) if node.arity == 1 else (truth, node.arity)
+
+
+def _group_key(arity: int, truth: Optional[Tuple[int, ...]]) -> tuple:
+    """Key of a lowered gate's group within its level: the arity alone
+    while flip masks ride along per gate, else (arity, truth)."""
+    return (0, arity) if arity <= _FUSE_MAX_ARITY else (1, arity, truth)
+
+
+def _gate_columns(circuit: Circuit, weights: WeightData,
+                  gates: Sequence[str], dtype: np.dtype) -> tuple:
+    """``(bits, flip_mask, w_masked, w_side)`` of ``gates`` (one lowered
+    arity) in an :class:`_OpGroup`'s layout; past :data:`_FUSE_MAX_ARITY`
+    the gates share one truth table and ``flip_mask`` is its ``(V, V)``.
+    Groups are built from it and :meth:`CompiledSinglePass.patch_weights`
+    rewrites columns with it, so patched columns equal fresh ones."""
+    lowered = [_lowered_truth(circuit.node(gate)) for gate in gates]
+    k = lowered[0][1]
+    classes: Dict[Tuple[int, ...], int] = {}
+    cls = [classes.setdefault(truth, len(classes)) for truth, _ in lowered]
+    tables = [transition_lowering(truth, k) for truth in classes]
+    w = np.zeros((1 << k, len(gates)), dtype=dtype)
+    for i, gate in enumerate(gates):
+        vector = weights.weights[gate]
+        w[:len(vector), i] = vector
+    side1 = np.stack([table[2] for table in tables]).astype(bool).T[:, cls]
+    w_masked = np.stack([np.where(side1, 0.0, w),
+                         np.where(side1, w, 0.0)]).astype(dtype)
+    # Each gate's vectors add in order, whatever the group's size (numpy's
+    # pairwise sum would pair up a lone gate's vectors).
+    w_side = np.ascontiguousarray(np.add.accumulate(w_masked, axis=1)[:, -1])
+    if k > _FUSE_MAX_ARITY:
+        # transition_lowering's cache holds shared float64 arrays: narrow
+        # a copy rather than the cached original.
+        flip_mask = tables[0][1].astype(dtype, copy=False)
+    else:
+        flip_mask = np.stack([table[1] for table in tables]).astype(
+            dtype, copy=False)[cls]
+    return tables[0][0], flip_mask, w_masked, w_side
 
 
 def _lower_plain_groups(circuit: Circuit, weights: WeightData,
@@ -298,56 +361,48 @@ def _lower_plain_groups(circuit: Circuit, weights: WeightData,
                         max_arity: int,
                         dtype: np.dtype = np.float64,
                         ) -> Dict[int, List["_OpGroup"]]:
-    """Group ``gates`` by (level, truth, arity) and lower each class.
+    """Lower ``gates`` into the plain level schedule ``{level: [group]}``.
 
-    Shared by the independence kernel (all gates) and the correlated kernel
-    (the subset of gates whose transition math references no nontrivial
-    coefficient row).  Returns ``{level: [_OpGroup, ...]}``.  ``dtype`` is
-    the accumulator precision of the eventual sweep: every float array of
-    the lowered groups is materialized in it so a float32 plan never
-    smuggles float64 operands into the kernel.
+    The one builder of :class:`_OpGroup` s: the independence kernel
+    lowers every gate, the correlated kernel the gates that read no
+    nontrivial coefficient row.  Per level, one group per lowered arity
+    (:func:`_group_key`); arity-1 gates read the zero row ``len(index)``.
+    Groups come in key order and keep the order of ``gates``, so
+    re-lowering one level reproduces a fresh compile's groups.  Every
+    float array is materialized in ``dtype``, the sweep's precision.
     """
     dtype = np.dtype(dtype)
-    grouped: Dict[Tuple[int, Tuple[int, ...], int], Dict] = {}
+    zero_row = len(index)
+    grouped: Dict[tuple, List[str]] = {}
     for gate in gates:
         node = circuit.node(gate)
-        k = node.arity
-        if k > max_arity:
+        if node.arity > max_arity:
             raise CompiledPassUnsupported(
-                f"gate {gate!r} has arity {k} > {max_arity}; "
+                f"gate {gate!r} has arity {node.arity} > {max_arity}; "
                 "use the scalar pass")
-        truth = truth_table(node.gate_type, k)
-        key = (circuit.level(gate), truth, k)
-        entry = grouped.setdefault(
-            key, {"slots": [], "eps_rows": [], "fanins": [],
-                  "weights": []})
-        entry["slots"].append(index[gate])
-        entry["eps_rows"].append(gate_row[gate])
-        entry["fanins"].append([index[f] for f in node.fanins])
-        entry["weights"].append(
-            np.asarray(weights.weights[gate], dtype=dtype))
+        truth, k = _lowered_truth(node)
+        grouped.setdefault((circuit.level(gate),) + _group_key(k, truth),
+                           []).append(gate)
 
     levels: Dict[int, List[_OpGroup]] = {}
-    for (level, truth, k), entry in sorted(grouped.items()):
-        bits, flip_mask, truth_arr = transition_lowering(truth, k)
-        if flip_mask.dtype != dtype:
-            # transition_lowering's cache holds shared float64 arrays;
-            # narrow a copy rather than mutating the cached original.
-            flip_mask = flip_mask.astype(dtype)
-        w = np.stack(entry["weights"]).T            # (V, m)
-        side1 = truth_arr.astype(bool)[:, None]     # (V, 1)
-        w_masked = np.stack([np.where(side1, 0.0, w),
-                             np.where(side1, w, 0.0)]).astype(dtype)
-        levels.setdefault(level, []).append(_OpGroup(
-            arity=k,
-            slots=np.asarray(entry["slots"], dtype=np.intp),
-            eps_rows=np.asarray(entry["eps_rows"], dtype=np.intp),
-            fanin_slots=np.asarray(entry["fanins"], dtype=np.intp),
+    for key, members in sorted(grouped.items()):
+        fanins = np.full((len(members), key[2]), zero_row, dtype=np.intp)
+        for i, gate in enumerate(members):
+            node_fanins = circuit.node(gate).fanins
+            fanins[i, :len(node_fanins)] = [index[f] for f in node_fanins]
+        bits, flip_mask, w_masked, w_side = _gate_columns(
+            circuit, weights, members, dtype)
+        levels.setdefault(key[0], []).append(_OpGroup(
+            arity=key[2],
+            slots=np.asarray([index[g] for g in members], dtype=np.intp),
+            eps_rows=np.asarray([gate_row[g] for g in members],
+                                dtype=np.intp),
+            fanin_slots=fanins,
             bits=bits,
             flip_mask=flip_mask,
             w_masked=w_masked,
-            w_side=w_masked.sum(axis=1),
-            truth=truth,
+            w_side=w_side,
+            truth=key[3] if key[1] else None,
         ))
     return levels
 
@@ -359,7 +414,9 @@ class CompiledSinglePass:
     batch of failure-probability vectors.  The plan is read-only after
     construction and contains only numpy arrays and plain containers, so it
     pickles cleanly (process-pool fan-out) and is safe to share between
-    threads.
+    threads.  Its sweep is a :class:`~repro.reliability.tensor_pass.
+    TensorBatch` of one: the same level schedule and the same loop
+    (:func:`_run_packed`), over one row block.
 
     Parameters
     ----------
@@ -393,6 +450,9 @@ class CompiledSinglePass:
             order = circuit.topological_order()
             self.node_names: List[str] = order
             self.index: Dict[str, int] = {n: i for i, n in enumerate(order)}
+            #: Rows of the plan's state block: one per node, then the
+            #: always-zero row that lowered arity-1 gates read.
+            self.state_rows = len(order) + 1
             gates = circuit.topological_gates()
             self.gate_names: List[str] = gates
             gate_row = {g: i for i, g in enumerate(gates)}
@@ -412,6 +472,9 @@ class CompiledSinglePass:
             self.levels: List[List[_OpGroup]] = [
                 levels[lv] for lv in self.level_values]
             self.num_groups = sum(len(g) for g in self.levels)
+            #: Bumped by every in-place :meth:`patch_weights`: a merged
+            #: ``TensorBatch`` holds copies of the arrays of one revision.
+            self.revision = 0
 
             self.output_slots = np.asarray(
                 [self.index[o] for o in circuit.outputs], dtype=np.intp)
@@ -431,12 +494,11 @@ class CompiledSinglePass:
 
         ``changed_gates`` are gates whose weight vectors changed (their
         fanin cones were edited); ``retruthed_gates`` are gates whose truth
-        table itself changed (a type-only ``swap_gate``).  The former are a
-        pure column rewrite; the latter move between ``(truth, arity)``
-        group classes, so their entire topological level is re-lowered
-        through :func:`_lower_plain_groups` — reproducing, group for group
-        and float for float, what a fresh compile would build for that
-        level.
+        table itself changed (a type-only ``swap_gate``).  Both are column
+        rewrites through :func:`_gate_columns`, mask included; only a
+        retruthed gate past :data:`_FUSE_MAX_ARITY` changes group, so its
+        level is re-lowered.  Either way the plan equals a fresh compile,
+        array for array.
 
         Returns ``False`` (leaving the plan untouched) when the circuit's
         node set or topological order differs from the compiled one; the
@@ -445,12 +507,13 @@ class CompiledSinglePass:
         if (circuit.topological_order() != self.node_names
                 or circuit.topological_gates() != self.gate_names):
             return False
-        retruthed = set(retruthed_gates)
-        relower_levels = {circuit.level(g) for g in retruthed}
-        changed = {g for g in changed_gates
-                   if circuit.level(g) not in relower_levels} - retruthed
+        relower_levels = {circuit.level(g) for g in retruthed_gates
+                          if circuit.node(g).arity > _FUSE_MAX_ARITY}
+        rewrite = {self.index[g]
+                   for g in chain(changed_gates, retruthed_gates)
+                   if circuit.level(g) not in relower_levels}
         with trace_span("compiled_pass.patch", circuit=circuit.name,
-                        changed=len(changed), relevel=len(relower_levels)):
+                        changed=len(rewrite), relevel=len(relower_levels)):
             if relower_levels:
                 level_gates = [g for g in self.gate_names
                                if circuit.level(g) in relower_levels]
@@ -462,32 +525,26 @@ class CompiledSinglePass:
                     return False
                 for lv, groups in lowered.items():
                     self.levels[self.level_values.index(lv)] = groups
-            if changed:
-                targets = {self.index[g]: g for g in changed}
-                for level_groups in self.levels:
-                    for group in level_groups:
-                        for col, slot in enumerate(group.slots):
-                            gate = targets.get(int(slot))
-                            if gate is None:
-                                continue
-                            node = circuit.node(gate)
-                            side1 = np.asarray(
-                                truth_table(node.gate_type, node.arity),
-                                dtype=bool)
-                            w = np.asarray(weights.weights[gate],
-                                           dtype=self.dtype)
-                            group.w_masked[:, :, col] = [
-                                np.where(side1, 0.0, w),
-                                np.where(side1, w, 0.0)]
-                            # Same per-column summation order as the fresh
-                            # compile's sum over V — bit-identical totals.
-                            group.w_side[:, col] = group.w_masked[
-                                :, :, col].sum(axis=1)
+            if rewrite:
+                targets = np.fromiter(rewrite, dtype=np.intp)
+                for group in chain.from_iterable(self.levels):
+                    cols = np.flatnonzero(np.isin(group.slots, targets))
+                    if not len(cols):
+                        continue
+                    _, flip_mask, w_masked, w_side = _gate_columns(
+                        circuit, weights,
+                        [self.node_names[s] for s in group.slots[cols]],
+                        self.dtype)
+                    if group.truth is None:
+                        group.flip_mask[cols] = flip_mask
+                    group.w_masked[:, :, cols] = w_masked
+                    group.w_side[:, cols] = w_side
             self.circuit = circuit
             self.weights = weights
             self.output_prob1 = np.asarray(
                 [weights.signal_prob[o] for o in circuit.outputs],
                 dtype=self.dtype)
+            self.revision += 1
         if obs_metrics.is_enabled():
             obs_metrics.inc("compiled_pass.patches", circuit=circuit.name)
         return True
@@ -507,28 +564,13 @@ class CompiledSinglePass:
         length and makes every gate's local channel asymmetric exactly as
         in :meth:`SinglePassAnalyzer.run`.
         """
-        specs, eps10_list = validate_sweep_specs(self.circuit, eps_specs,
-                                                 eps10_specs)
-        n_nodes = len(self.node_names)
-        n_points = len(specs)
+        validated = validate_sweep_specs(self.circuit, eps_specs,
+                                         eps10_specs)
+        n_points = len(validated[0])
         with trace_span("compiled_pass.run_sweep", circuit=self.circuit.name,
                         points=n_points):
-            # A 1-point sweep runs as two identical columns, as in the
-            # correlated kernel: einsum sums a size-1 trailing axis in
-            # another order, and every column must equal its eps's
-            # column in a sweep of any width.
-            width = max(n_points, 2)
-            Eps = np.empty((2, len(self.gate_names), width), dtype=self.dtype)
-            _fill_eps(Eps, self.gate_names, specs, eps10_list)
-            P = np.zeros((2, n_nodes, width), dtype=self.dtype)
-            for slot, ep in self.input_error_rows:
-                P[0, slot] = ep.p01
-                P[1, slot] = ep.p10
-            for level_groups in self.levels:
-                for group in level_groups:
-                    _eval_group(group, P, Eps)
-            result = self._sweep_result(specs, eps10_list,
-                                        P[:, :, :n_points])
+            result, = _run_packed([self], self.levels, [validated],
+                                  self.dtype)
         if obs_metrics.is_enabled():
             labels = {"circuit": self.circuit.name}
             obs_metrics.inc("compiled_pass.sweeps", **labels)
@@ -541,7 +583,7 @@ class CompiledSinglePass:
                       eps10_list: Optional[List[EpsilonSpec]],
                       P: np.ndarray) -> SweepResult:
         """The :class:`SweepResult` of ``specs`` from their ``(2, nodes,
-        len(specs))`` state (a view into a wider or batched state is
+        len(specs))`` state (a view into a wider or packed state is
         copied out)."""
         p01, p10 = np.ascontiguousarray(P)
         per_output = ((1.0 - self.output_prob1)[:, None]
@@ -561,6 +603,71 @@ class CompiledSinglePass:
             used_correlation=False,
             correlation_pairs=np.zeros(len(specs), dtype=np.int64),
         )
+
+
+def _eps_matrix(gate_names: Sequence[str],
+                specs: Sequence[EpsilonSpec],
+                dtype: np.dtype = np.float64) -> np.ndarray:
+    """Broadcast a batch of eps specs to a dense (gates, E) matrix."""
+    mat = np.empty((len(gate_names), len(specs)), dtype=dtype)
+    for j, spec in enumerate(specs):
+        if isinstance(spec, Mapping):
+            mat[:, j] = [epsilon_of(spec, g) for g in gate_names]
+        else:
+            mat[:, j] = float(spec)
+    return mat
+
+
+def _packed_state(plans: Sequence, validated: Sequence[tuple],
+                  dtype: np.dtype) -> tuple:
+    """``(P, Eps, starts)`` of a sweep of ``plans`` packed back to back.
+
+    Plan ``i`` owns ``state_rows`` rows of the ``(2, rows, width)`` state
+    from ``starts[i]`` (input rows seeded) and its gates' rows of the
+    ``(2, gates, width)`` eps01/eps10 matrix, filled from its validated
+    ``(specs, eps10_specs)``.  ``width`` is ``max(2, longest batch)``; a
+    shorter batch repeats its last point.  (einsum sums a size-1 trailing
+    axis in another order, and a column must not depend on the width.)
+    """
+    width = max(2, max(len(specs) for specs, _ in validated))
+    Eps = np.empty((2, sum(len(p.gate_names) for p in plans), width),
+                   dtype=dtype)
+    P = np.zeros((2, sum(p.state_rows for p in plans), width), dtype=dtype)
+    starts: List[int] = []
+    row0 = gate0 = 0
+    for plan, (specs, eps10_specs) in zip(plans, validated):
+        n, gates = len(specs), plan.gate_names
+        block = Eps[:, gate0:gate0 + len(gates)]
+        block[0, :, :n] = _eps_matrix(gates, specs, dtype)
+        block[1, :, :n] = (block[0, :, :n] if eps10_specs is None
+                           else _eps_matrix(gates, eps10_specs, dtype))
+        block[:, :, n:] = block[:, :, n - 1:n]
+        for slot, ep in plan.input_error_rows:
+            P[0, row0 + slot] = ep.p01
+            P[1, row0 + slot] = ep.p10
+        starts.append(row0)
+        row0 += plan.state_rows
+        gate0 += len(gates)
+    return P, Eps, starts
+
+
+def _run_packed(plans: Sequence[CompiledSinglePass],
+                levels: Sequence[Sequence["_OpGroup"]],
+                validated: Sequence[tuple],
+                dtype: np.dtype) -> List[SweepResult]:
+    """The plain sweep of ``plans`` packed back to back, one result each:
+    the one loop of :meth:`CompiledSinglePass.run_sweep` (a batch of one,
+    on the plan's own schedule) and :meth:`~repro.reliability.tensor_pass.
+    TensorBatch.run_sweep`.  ``levels`` indexes the packed rows."""
+    P, Eps, starts = _packed_state(plans, validated, dtype)
+    for level_groups in levels:
+        for group in level_groups:
+            _eval_group(group, P, Eps)
+    return [plan._sweep_result(
+                specs, eps10_list,
+                P[:, start:start + len(plan.node_names), :len(specs)])
+            for plan, start, (specs, eps10_list)
+            in zip(plans, starts, validated)]
 
 
 def _eval_group(group: _OpGroup, P: np.ndarray, Eps: np.ndarray) -> None:
@@ -624,40 +731,9 @@ def _eval_group(group: _OpGroup, P: np.ndarray, Eps: np.ndarray) -> None:
     P[:, group.slots] = ratio * (1.0 - e[::-1]) + (1.0 - ratio) * e
 
 
-def _fill_eps(Eps: np.ndarray, gate_names: Sequence[str],
-              specs: Sequence[EpsilonSpec],
-              eps10_specs: Optional[Sequence[EpsilonSpec]]) -> None:
-    """Write one sweep's stacked local failure channels into ``Eps``.
-
-    ``Eps`` is ``(2, len(gate_names), width)`` with ``width >=
-    len(specs)``; side 1 is ``eps10_specs`` (``specs`` when None) and
-    columns past the batch repeat its last point.
-    """
-    n = len(specs)
-    Eps[0, :, :n] = _eps_matrix(gate_names, specs, dtype=Eps.dtype)
-    if eps10_specs is None:
-        Eps[1, :, :n] = Eps[0, :, :n]
-    else:
-        Eps[1, :, :n] = _eps_matrix(gate_names, eps10_specs, dtype=Eps.dtype)
-    Eps[:, :, n:] = Eps[:, :, n - 1:n]
-
-
 # ======================================================================
 # Correlated kernel (Sec. 4.1)
 # ======================================================================
-
-def _eps_matrix(gate_names: Sequence[str],
-                specs: Sequence[EpsilonSpec],
-                dtype: np.dtype = np.float64) -> np.ndarray:
-    """Broadcast a batch of eps specs to a dense (gates, E) matrix."""
-    mat = np.empty((len(gate_names), len(specs)), dtype=dtype)
-    for j, spec in enumerate(specs):
-        if isinstance(spec, Mapping):
-            mat[:, j] = [epsilon_of(spec, g) for g in gate_names]
-        else:
-            mat[:, j] = float(spec)
-    return mat
-
 
 @dataclass(frozen=True)
 class _Form:
@@ -758,7 +834,7 @@ class _Step:
 
     #: ``"gate"`` or ``"expand"``.
     kind: str
-    #: Flat ``event * nodes + slot`` state reads and coefficient rows,
+    #: Flat ``event * state_rows + slot`` state reads and coefficient rows,
     #: in form blocks (operand-major within a block).
     state: np.ndarray
     rows: np.ndarray
@@ -797,10 +873,11 @@ def _run_step(st: _Step, flat: np.ndarray, P: np.ndarray, C: np.ndarray,
               Eps: np.ndarray) -> None:
     """Evaluate one step over the eps axis and scatter its results.
 
-    ``P`` is the ``(2, nodes, E)`` state (``flat`` its ``(2 nodes, E)``
-    view), ``C`` the ``(rows, E)`` coefficients and ``Eps`` the stacked
-    ``(2, gates, E)`` local failure probabilities (01 then 10).  Gathers
-    use ``take``, which skips fancy indexing's per-call setup.
+    ``P`` is the ``(2, state_rows, E)`` state (``flat`` its
+    ``(2 state_rows, E)`` view), ``C`` the ``(rows, E)`` coefficients and
+    ``Eps`` the stacked ``(2, gates, E)`` local failure probabilities (01
+    then 10).  Gathers use ``take``, which skips fancy indexing's
+    per-call setup.
     """
     width = flat.shape[1]
     if st.n_terms:
@@ -990,7 +1067,9 @@ class _RowTable:
     wire, disjoint supports, canonicalization, level gap — over whole
     arrays of ``(a, ea, b, eb)`` queries on topological slots, each wire
     event packed as one ``2 slot + event`` integer.  Same-wire
-    rows live in a dense ``event * nodes + slot`` table.  A cross-wire
+    rows live in a dense table indexed like the flat sweep state,
+    ``event * (nodes + 1) + slot`` (the state's last row is the plain
+    kernel's zero row).  A cross-wire
     expansion row is keyed by one packed int64 per canonical pair,
     ``(2 a + ea) * 2n + (2 b + eb)`` — the later wire is the larger half,
     so canonicalization is a max/min — held in a sorted key array that
@@ -1002,7 +1081,7 @@ class _RowTable:
         n = len(structure.order)
         self.n = n
         self.n_rows = 2  # rows 0/1 are the 1.0 / 0.0 constants
-        self.same_row = np.full(2 * n, -1, dtype=np.intp)
+        self.same_row = np.full(2 * (n + 1), -1, dtype=np.intp)
         #: Sorted packed keys of the expansion rows, and their rows.
         self.keys = np.empty(0, dtype=np.int64)
         self.rows = np.empty(0, dtype=np.intp)
@@ -1052,7 +1131,7 @@ class _RowTable:
             # same-wire queries read the constant 0.0 row.
             out[same] = ROW_ZERO
             same_ev = np.flatnonzero(same & (ka == kb))
-            flat = (ka[same_ev] & 1) * self.n + (ka[same_ev] >> 1)
+            flat = (ka[same_ev] & 1) * (self.n + 1) + (ka[same_ev] >> 1)
             fresh = np.unique(flat[self.same_row[flat] < 0])
             self.same_row[fresh] = np.arange(
                 self.n_rows, self.n_rows + len(fresh))
@@ -1313,6 +1392,10 @@ class CompiledCorrelatedPass:
         order = circuit.topological_order()
         self.node_names: List[str] = order
         self.index: Dict[str, int] = {n: i for i, n in enumerate(order)}
+        #: Rows of the sweep state: one per node, then the always-zero row
+        #: that lowered arity-1 plain gates read.  Flat state reads are
+        #: ``event * state_rows + slot``.
+        self.state_rows = len(order) + 1
         gates = circuit.topological_gates()
         self.gate_names: List[str] = gates
         self._gate_row = {g: i for i, g in enumerate(gates)}
@@ -1506,7 +1589,7 @@ class CompiledCorrelatedPass:
         keep pattern's term tables; members, programs and terms are then
         expanded for all batches at once.
         """
-        n_nodes = len(self.node_names)
+        stride = self.state_rows
         # Per batch: member columns; its (members, operands) state reads,
         # spec rows and program weights; its template.
         batches: List[tuple] = []
@@ -1546,7 +1629,7 @@ class CompiledCorrelatedPass:
             batches.append((
                 a, b, eb, rows, np.full(len(a), -1 if side is None else side),
                 totals))
-            state.append(tl.state_ev * n_nodes
+            state.append(tl.state_ev * stride
                          + self._fanin[a][:, tl.state_pos])
             spec_rows.append(resolved)
             weights.append(w[:, tl.vectors])
@@ -1559,8 +1642,8 @@ class CompiledCorrelatedPass:
         # (A gate's marginals are never read.)
         members = (np.where(expand, rows, a), self._eps_row[a],
                    np.maximum(levels[a], levels[b]), ea, totals,
-                   np.stack([np.maximum(ea, 0) * n_nodes + a,
-                             eb * n_nodes + b], axis=1))
+                   np.stack([np.maximum(ea, 0) * stride + a,
+                             eb * stride + b], axis=1))
 
         # Programs, member-major: every member of batch k runs all of its
         # template's programs, in order.
@@ -1642,9 +1725,8 @@ class CompiledCorrelatedPass:
             [self.node_names[s]
              for s in np.sort(np.concatenate(plain)).tolist()]
             if plain else [], max_arity)
-        n_nodes = len(self.node_names)
         same_flat = np.flatnonzero(table.same_row >= 0)
-        same_level = self.structure.slot_levels[same_flat % n_nodes]
+        same_level = self.structure.slot_levels[same_flat % self.state_rows]
         same_by_level = {}
         for sel in _split_by(same_level):
             flat = same_flat[sel]
@@ -1851,21 +1933,13 @@ class CompiledCorrelatedPass:
         """Evaluate the corrected pass for every eps point at once."""
         specs, eps10_list = validate_sweep_specs(self.circuit, eps_specs,
                                                  eps10_specs)
-        n_nodes = len(self.node_names)
         n_points = len(specs)
         with trace_span("compiled_pass.run_sweep_correlated",
                         circuit=self.circuit.name, points=n_points,
                         groups=self.num_corr_groups):
-            # A 1-point sweep runs as two identical columns: einsum sums a
-            # size-1 trailing axis in another order, and column j of any
-            # sweep must equal the 1-point run at its eps exactly.
-            width = max(n_points, 2)
-            Eps = np.empty((2, len(self.gate_names), width))
-            _fill_eps(Eps, self.gate_names, specs, eps10_list)
-            P = np.zeros((2, n_nodes, width), dtype=np.float64)
-            for slot, ep in self.input_error_rows:
-                P[0, slot] = ep.p01
-                P[1, slot] = ep.p10
+            P, Eps, _ = _packed_state([self], [(specs, eps10_list)],
+                                      np.float64)
+            width = P.shape[2]
             C = np.empty((self.n_rows, width), dtype=np.float64)
             C[ROW_ONE] = 1.0
             C[ROW_ZERO] = 0.0
@@ -1883,10 +1957,8 @@ class CompiledCorrelatedPass:
                     self._run_schedule(Pc, Cc, Eps[:, :, cols])
                     P[:, :, cols] = Pc
                     C[:, cols] = Cc
-            if width != n_points:
-                P = P[:, :, :n_points].copy()
-                C = C[:, :n_points]
-            p01, p10 = P
+            p01, p10 = P[:, :-1, :n_points].copy()
+            C = C[:, :n_points]
             per_output = ((1.0 - self.output_prob1)[:, None]
                           * p01[self.output_slots]
                           + self.output_prob1[:, None]

@@ -59,7 +59,8 @@ class SinglePassResult:
         paper highlights this as an application enabler (per-node delta
         curves, asymmetric redundancy targeting).
     signal_prob:
-        Error-free Pr[node = 1] (from the weight data).
+        Error-free Pr[node = 1] (from the weight data).  Read-only: the
+        points of one compiled sweep share one dict.
     correlation_pairs:
         Number of wire-pair coefficients the correlation engine computed
         (0 when correlations were disabled).

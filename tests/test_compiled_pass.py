@@ -311,3 +311,117 @@ def test_compiled_pass_dtype_parameter(full_adder_circuit):
     assert plan.dtype == np.float32
     plan64 = CompiledSinglePass(full_adder_circuit, w)
     assert plan64.dtype == np.float64
+
+
+def test_points_share_the_sweeps_signal_prob(reconvergent_circuit):
+    """Every materialized point hands out the sweep's one (read-only)
+    ``signal_prob`` dict; the serialized view is what a copy gave."""
+    w = compute_weights(reconvergent_circuit, method="exhaustive")
+    sweep = CompiledSinglePass(reconvergent_circuit, w).run_sweep(
+        EPS_POINTS)
+    first, second = sweep.point(0), sweep.point(1)
+    assert first.signal_prob is second.signal_prob
+    assert first.signal_prob is sweep.signal_prob
+    assert sweep.signal_prob is not w.signal_prob
+    data = first.to_dict(include_nodes=True)
+    assert data["signal_prob"] == {n: float(p)
+                                   for n, p in w.signal_prob.items()}
+    assert data["node_errors"] == {
+        node: {"p01": float(sweep.p01[i, 0]), "p10": float(sweep.p10[i, 0])}
+        for i, node in enumerate(sweep.node_names)}
+
+
+# -- the one plain lowering ----------------------------------------------
+def _mixed_circuit(swap=None):
+    """NOT/BUF, 2- and 3-input gates and two 7-input gates over shared
+    levels; ``swap`` maps a gate name to a replacement type."""
+    from repro.circuit import Circuit, GateType as G
+
+    swap = swap or {}
+    c = Circuit("mixed")
+    ins = [c.add_input(f"i{j}") for j in range(8)]
+    spec = [("g0", G.NOT, ins[:1]), ("g1", G.BUF, ins[1:2]),
+            ("g2", G.NAND, ins[2:4]), ("g3", G.XOR, ins[4:6]),
+            ("w0", G.AND, ins[:7]), ("w1", G.OR, ins[1:8]),
+            ("g4", G.NAND, ["g0", "g2"]), ("g5", G.NOR, ["g1", "g3", "w0"]),
+            ("g9", G.OR, ["g2", "g3", "i7"]),
+            ("g6", G.XOR, ["g4", "g5"]), ("g7", G.NOT, ["g6"]),
+            ("g8", G.AND, ["g7", "w1"])]
+    for name, gate_type, fanins in spec:
+        c.add_gate(name, swap.get(name, gate_type), fanins)
+    for out in ("g8", "g5", "g9", "w1"):
+        c.set_output(out)
+    return c
+
+
+def _bdd_weights(circuit, base=0.3):
+    """Exact weights under non-dyadic input probabilities, so that the
+    order in which a gate's vector weights add shows in the last bit."""
+    probs = {name: base + 0.037 * j for j, name in enumerate(circuit.inputs)}
+    return compute_weights(circuit, method="bdd", input_probs=probs)
+
+
+def _assert_same_levels(got_levels, want_levels):
+    assert len(got_levels) == len(want_levels)
+    for got_level, want_level in zip(got_levels, want_levels):
+        assert len(got_level) == len(want_level)
+        for got, want in zip(got_level, want_level):
+            assert (got.arity, got.truth) == (want.arity, want.truth)
+            for field in ("slots", "eps_rows", "fanin_slots", "bits",
+                          "flip_mask", "w_masked", "w_side"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and a.shape == b.shape, field
+                assert np.array_equal(a, b), field
+
+
+@pytest.mark.parametrize("name", list_benchmarks() + ["mixed"])
+def test_lowering_fuses_each_level(name):
+    """At most one group per (level, fused arity), no arity-1 group, and
+    a batch of one keeps the plan's schedule."""
+    from repro.reliability.compiled_pass import _FUSE_MAX_ARITY
+    from repro.reliability.tensor_pass import TensorBatch
+
+    circuit = _mixed_circuit() if name == "mixed" else get_benchmark(name)
+    weights = compute_weights(circuit, method="sampled", n_patterns=256,
+                              seed=0)
+    plan = CompiledSinglePass(circuit, weights)
+    for level in plan.levels:
+        fused = [g.arity for g in level if g.arity <= _FUSE_MAX_ARITY]
+        assert len(fused) == len(set(fused))
+        assert all(g.arity >= 2 for g in level)
+        assert all((g.truth is None) == (g.arity <= _FUSE_MAX_ARITY)
+                   for g in level)
+    batch = TensorBatch([plan])
+    assert batch.num_groups == plan.num_groups
+    _assert_same_levels(batch.levels, plan.levels)
+
+
+@pytest.mark.parametrize("swap", [None, {"g2": "xor"}, {"g2": "and"},
+                                  {"g0": "buf"}, {"g7": "buf"},
+                                  {"w0": "nor"}],
+                         ids=["weights-only", "two-input", "complement",
+                              "not-to-buf", "not-to-buf-deep",
+                              "wide-retruth"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_patch_weights_equals_fresh_compile(swap, dtype):
+    """A plan patched in place equals a fresh compile, array for array."""
+    from repro.circuit import GateType
+
+    before = _mixed_circuit()
+    plan = CompiledSinglePass(before, _bdd_weights(before), dtype=dtype)
+    types = {g: GateType(t) for g, t in (swap or {}).items()}
+    after = _mixed_circuit(types)
+    weights = _bdd_weights(after, base=0.3 if swap else 0.21)
+    old = plan.weights.weights
+    changed = [g for g in after.topological_gates()
+               if not np.array_equal(old[g], weights.weights[g])]
+    assert changed
+    assert plan.patch_weights(after, weights, changed_gates=changed,
+                              retruthed_gates=list(types))
+    fresh = CompiledSinglePass(after, weights, dtype=dtype)
+    assert plan.level_values == fresh.level_values
+    _assert_same_levels(plan.levels, fresh.levels)
+    assert np.array_equal(plan.output_prob1, fresh.output_prob1)
+    for attr in ("p01", "p10", "per_output"):
+        assert np.array_equal(getattr(plan.run_sweep(EPS_POINTS), attr),
+                              getattr(fresh.run_sweep(EPS_POINTS), attr))

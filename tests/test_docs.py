@@ -143,3 +143,37 @@ def test_observability_doc_covers_every_store_kind():
     assert not missing, (
         "store kinds/events absent from docs/observability.md: "
         + ", ".join(missing))
+
+
+def _kernel_metric_names():
+    """Literal metric names passed to ``obs_metrics.inc`` / ``set_gauge``
+    / ``observe`` anywhere under ``src/repro/reliability/``."""
+    import ast
+
+    names = set()
+    for path in sorted((REPO / "src" / "repro" / "reliability")
+                       .glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("inc", "set_gauge", "observe")
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "obs_metrics"
+                    and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str)):
+                names.add(node.args[0].value)
+    return sorted(names)
+
+
+def test_observability_doc_covers_kernel_metrics():
+    """Every metric the reliability kernels emit must appear (backticked,
+    in full) in docs/observability.md, so a new counter or gauge can't
+    ship undocumented."""
+    names = _kernel_metric_names()
+    assert "compiled_pass.groups" in names  # the scan sees the kernels
+    doc = (DOCS / "observability.md").read_text()
+    missing = [name for name in names if f"`{name}`" not in doc]
+    assert not missing, (
+        "kernel metrics absent from docs/observability.md: "
+        + ", ".join(missing))

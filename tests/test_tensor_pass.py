@@ -162,13 +162,25 @@ def test_float32_batch():
                                    atol=1e-6)
 
 
-def test_pad_accounting():
-    plans = [_plan(get_benchmark(n)) for n in ("c17", "c432")]
+def test_packed_row_blocks():
+    """Plans' row blocks (nodes plus their zero row) pack back to back:
+    every merged group writes node rows, each gate once, and reads rows
+    of its own block only (arity-1 gates: their block's zero row)."""
+    plans = [_plan(get_benchmark(n)) for n in ("c17", "c432", "b9")]
     batch = TensorBatch(plans)
-    widest = max(len(p.node_names) for p in plans)
-    assert batch.n_rows == widest
-    assert batch.pad_waste_rows == sum(widest - len(p.node_names)
-                                       for p in plans)
+    assert all(p.state_rows == len(p.node_names) + 1 for p in plans)
+    starts = np.cumsum([0] + [p.state_rows for p in plans])
+    written = np.concatenate([g.slots for level in batch.levels
+                              for g in level])
+    assert len(set(written.tolist())) == len(written) == sum(
+        len(p.gate_names) for p in plans)
+    block = np.searchsorted(starts, written, side="right") - 1
+    assert (written < starts[block + 1] - 1).all()
+    for level in batch.levels:
+        for g in level:
+            owner = np.searchsorted(starts, g.slots, side="right") - 1
+            read = np.searchsorted(starts, g.fanin_slots, side="right") - 1
+            assert (read == owner[:, None]).all()
 
 
 # -- engine cross-session batching --------------------------------------
@@ -297,7 +309,6 @@ def test_engine_tensor_metrics_emitted():
             eng.submit_many([_plain("c17", [0.01]), _plain("b9", [0.01])])
         names = {entry["name"] for entry in obs_metrics.snapshot()}
         assert "engine.tensor_batch.circuits" in names
-        assert "engine.tensor_batch.pad_waste_rows" in names
         assert "tensor_pass.sweeps" in names
     finally:
         obs_metrics.set_enabled(False)
@@ -381,3 +392,70 @@ def test_engine_computes_each_distinct_point_once(monkeypatch):
             want.pop(key, None)
         assert json.dumps(got, sort_keys=True) == \
             json.dumps(want, sort_keys=True)
+
+
+def test_engine_builds_each_distinct_payload_once(monkeypatch):
+    """A result's ``to_dict`` runs once per distinct column — on the
+    tensor-batched and the coalesced path alike — however many request
+    points share it, and the envelopes equal solo ``submit`` ones."""
+    from repro.reliability.single_pass import SinglePassResult
+
+    batches = [
+        # Two circuits: one TensorBatch, 3 + 2 distinct columns.
+        ([_plain("c17", [0.01, 0.02]), _plain("c17", [0.02, 0.01, 0.05]),
+          _plain("b9", [0.05]), _plain("b9", [0.05, 0.1])], 5),
+        # One circuit: one coalesced sweep, 2 distinct columns.
+        ([_plain("x2", [0.01, 0.03]), _plain("x2", [0.03, 0.03])], 2),
+    ]
+    calls = []
+    original = SinglePassResult.to_dict
+
+    def spy(self, include_nodes=False):
+        calls.append(self)
+        return original(self, include_nodes)
+
+    monkeypatch.setattr(SinglePassResult, "to_dict", spy)
+    answers = []
+    with AnalysisEngine() as eng:
+        for reqs, distinct in batches:
+            del calls[:]
+            answers.append(eng.submit_many(reqs))
+            assert len(calls) == distinct
+            assert len({id(r) for r in calls}) == distinct
+    monkeypatch.undo()
+    assert [r.method for r in answers[0]] == ["single-pass-tensor"] * 4
+    assert all(r.coalesced == 2 for r in answers[1])
+
+    untimed = ("elapsed_s", "telemetry", "obs", "coalesced", "method")
+    with AnalysisEngine() as eng:
+        for (reqs, _), batched in zip(batches, answers):
+            for req, got in zip(reqs, batched):
+                want = eng.submit(dict(req)).to_dict()
+                got = got.to_dict()
+                for key in untimed:
+                    got.pop(key, None)
+                    want.pop(key, None)
+                assert json.dumps(got, sort_keys=True) == \
+                    json.dumps(want, sort_keys=True)
+
+
+def test_engine_tensor_batch_follows_patched_plans():
+    """A type-only swap patches an edit session's plain plan in place; the
+    next tensor batch over it must answer from the patched arrays, not
+    from a batch merged before the edit."""
+    def reqs():
+        return [{"op": "analyze", "session": "s1", "eps": [0.05],
+                 "correlation": False}, _plain("b9", [0.05])]
+
+    with AnalysisEngine() as eng:
+        assert eng.submit({"op": "edit", "session": "s1", "circuit": "c17",
+                           "edits": [{"kind": "set_eps", "eps": 0.05}]}).ok
+        eng.submit_many(reqs())
+        gate = get_benchmark("c17").topological_gates()[0]
+        edit = eng.submit({"op": "edit", "session": "s1", "edits": [
+            {"kind": "swap_gate", "gate": gate, "gate_type": "and"}]})
+        assert edit.result["reports"][0]["plans"]["plain"] == "patched"
+        batched = eng.submit_many(reqs())
+        solo = eng.submit(reqs()[0])
+    assert batched[0].method == "single-pass-tensor"
+    assert batched[0].result["points"] == solo.result["points"]
