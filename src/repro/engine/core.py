@@ -111,23 +111,30 @@ def _check_outputs_method(session: "CircuitSession", method: str) -> None:
             f"use method='single-pass'")
 
 
-def _pair_budget_fallbacks(session: "CircuitSession",
-                           results: Sequence[Any]) -> List[Dict[str, Any]]:
-    """The envelope entry for scalar pair-budget degradation, if any.
+def _accuracy_fallbacks(session: "CircuitSession",
+                        results: Sequence[Any]) -> List[Dict[str, Any]]:
+    """The envelope entries for answers less exact than asked for.
 
-    The scalar engine degrades per query once its pair memo is full:
-    those pairs read as independent, silently less accurate unless the
-    envelope says so.  ``results`` are one request's own points, so a
-    coalesced request counts only what its points dropped.
+    Sampled weights after an abandoned BDD attempt come first (see
+    :meth:`CircuitSession.weight_fallbacks`).  Then scalar pair-budget
+    degradation: the scalar engine degrades per query once its pair
+    memo is full, and those pairs read as independent, silently less
+    accurate unless the envelope says so.  ``results`` are one
+    request's own points, so a coalesced request counts only what its
+    points dropped.
     """
+    fallbacks = session.weight_fallbacks()
     n_dropped = sum(getattr(r, "pairs_dropped_budget", 0) for r in results)
     if not n_dropped:
-        return []
+        return fallbacks
     budget = session.config.max_correlation_pairs
-    return [{"from": "correlated-pairs", "to": "independent-pairs",
-             "reason": f"correlation pair budget ({budget}) exhausted: "
-                       f"{n_dropped} pair lookups read as independent",
-             "budget": budget, "pairs_dropped_budget": n_dropped}]
+    return fallbacks + [{"from": "correlated-pairs",
+                         "to": "independent-pairs",
+                         "reason": f"correlation pair budget ({budget}) "
+                                   f"exhausted: {n_dropped} pair lookups "
+                                   f"read as independent",
+                         "budget": budget,
+                         "pairs_dropped_budget": n_dropped}]
 
 
 def _request_points(request: AnalysisRequest,
@@ -684,7 +691,7 @@ class AnalysisEngine:
                     ok=True, op=request.op,
                     circuit=session.circuit.name, id=request.id,
                     method=method,
-                    fallbacks=fallbacks + _pair_budget_fallbacks(
+                    fallbacks=fallbacks + _accuracy_fallbacks(
                         session, results[start:start + count]),
                     timed_out=timed_out, elapsed_s=elapsed,
                     coalesced=len(members),
@@ -795,6 +802,7 @@ class AnalysisEngine:
                         ok=True, op=request.op,
                         circuit=session.circuit.name, id=request.id,
                         method="single-pass-tensor",
+                        fallbacks=session.weight_fallbacks(),
                         elapsed_s=elapsed, coalesced=len(members),
                         frames=session.config.frames,
                         outputs=(list(session.config.outputs)
@@ -935,8 +943,8 @@ class AnalysisEngine:
             return AnalysisResponse(
                 ok=True, op=request.op, circuit=name, id=request.id,
                 method=used,
-                fallbacks=fallbacks + _pair_budget_fallbacks(session,
-                                                             results),
+                fallbacks=fallbacks + _accuracy_fallbacks(session,
+                                                          results),
                 timed_out=timed_out,
                 frames=frames, outputs=outputs,
                 result=analyze_payload(name, specs, results))
@@ -1101,7 +1109,7 @@ class AnalysisEngine:
         """Snapshot every named edit session to disk (see engine/state.py).
 
         Returns the summary the serve ``save`` control op echoes:
-        ``{state_dir, sessions, elapsed_ms}``.
+        ``{state_dir, sessions, written, elapsed_ms}``.
         """
         from .state import save_engine_state
         return save_engine_state(self, self._resolve_state_dir(state_dir))

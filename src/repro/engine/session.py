@@ -26,7 +26,11 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..circuit import Circuit, structural_hash
 from ..incremental import CircuitWorkspace, EditReport, parse_edit
 from ..obs import trace_span
-from ..probability.weights import WeightData, compute_weights
+from ..probability.weights import (
+    DEFAULT_BDD_NODE_LIMIT,
+    WeightData,
+    compute_weights,
+)
 from ..reliability.closed_form import (
     MultiOutputObservabilityModel,
     ObservabilityModel,
@@ -219,6 +223,28 @@ class CircuitSession:
                     if cfg.input_probs else None,
                     cache_dir=cfg.weights_cache_dir)
         return self._weights
+
+    def weight_fallbacks(self) -> List[Dict[str, Any]]:
+        """The envelope entry for an abandoned BDD weight attempt, if any.
+
+        ``auto`` weights of a circuit with more than 20 inputs (or with
+        ``input_probs``) come out sampled only when the BDD attempt
+        passed its node limit: exact weights were asked for and not
+        given, so the envelope says so.  A restricted (``outputs``)
+        session's lazy weights (source ``lazy-<method>``) skip the BDD
+        rung and an edit session's workspace samples by design; neither
+        made the attempt.
+        """
+        if (self.config.weight_method != "auto"
+                or self._workspace is not None or self._weights is None
+                or self._weights.source != "sampled"):
+            return []
+        return [{"from": "bdd-weights", "to": "sampled-weights",
+                 "reason": f"exact BDD weights passed the "
+                           f"{DEFAULT_BDD_NODE_LIMIT}-node limit; weights "
+                           f"estimated from {self.config.n_patterns} "
+                           f"random patterns",
+                 "node_limit": DEFAULT_BDD_NODE_LIMIT}]
 
     def analyzer(self, use_correlation: bool = True) -> SinglePassAnalyzer:
         """The session's single-pass analyzer for one correlation mode.

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import weakref
 from typing import Any, Dict, Optional
 
 from .. import store
@@ -89,6 +90,52 @@ def _config_options(config: SessionConfig) -> Dict[str, Any]:
     return options
 
 
+def _manifest_entry(name: str, path: str, structural_hash: str,
+                    config: SessionConfig) -> Dict[str, Any]:
+    """One session's line in ``engine-state.json``."""
+    return {"name": name, "file": os.path.basename(path),
+            "structural_hash": structural_hash,
+            "config": _config_options(config)}
+
+
+#: Per workspace, ``(state_dir, name, revision, entry, file signature)``
+#: of the ``wstate`` entry last written for it or restored into it.
+_SAVED: "weakref.WeakKeyDictionary[CircuitWorkspace, tuple]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _file_signature(path: str) -> Optional[tuple]:
+    """``(inode, size, mtime_ns)`` of ``path``, or None when it is gone."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def _mark_saved(workspace: CircuitWorkspace, state_dir: str, name: str,
+                entry: Dict[str, Any]) -> None:
+    """Record that ``state_dir``'s entry for ``name`` holds ``workspace``."""
+    _SAVED[workspace] = (os.path.abspath(state_dir), name,
+                         workspace.revision, entry,
+                         _file_signature(os.path.join(state_dir,
+                                                      entry["file"])))
+
+
+def _saved_entry(workspace: CircuitWorkspace, state_dir: str,
+                 name: str) -> Optional[Dict[str, Any]]:
+    """The manifest entry of ``name`` if its file in ``state_dir`` still
+    holds ``workspace`` as it is now, else None."""
+    mark = _SAVED.get(workspace)
+    if (mark is None
+            or mark[:3] != (os.path.abspath(state_dir), name,
+                            workspace.revision)
+            or _file_signature(os.path.join(state_dir, mark[3]["file"]))
+            != mark[4]):
+        return None
+    return mark[3]
+
+
 def save_engine_state(engine, state_dir: str) -> Dict[str, Any]:
     """Snapshot every named edit session into ``state_dir``.
 
@@ -97,24 +144,34 @@ def save_engine_state(engine, state_dir: str) -> Dict[str, Any]:
     in between leaves the previous manifest in place; an entry it lists
     that was already overwritten no longer matches the manifest's
     structural hash, and :func:`load_engine_state` skips that session.
-    Returns a summary dict (``{state_dir, sessions, elapsed_ms}``) that
-    the serve ``save`` control op echoes to the client.
+
+    A session whose workspace applied no edit since its entry in
+    ``state_dir`` was written (or restored from) is not rewritten while
+    that entry file is unchanged (same inode, size and mtime); the
+    manifest still lists it.  Returns a summary dict
+    (``{state_dir, sessions, written, elapsed_ms}``) that the serve
+    ``save`` control op echoes to the client.
     """
     started = time.perf_counter()
     os.makedirs(state_dir, exist_ok=True)
     entries = []
+    written = 0
     with trace_span("engine.state.save",
                     sessions=len(engine._edit_sessions)):
         for name in sorted(engine._edit_sessions):
             session = engine._edit_sessions[name]
-            manifest, arrays = session.workspace().to_state()
-            path = store_workspace_state(state_dir, name, manifest, arrays)
-            entries.append({
-                "name": name,
-                "file": os.path.basename(path),
-                "structural_hash": manifest["structural_hash"],
-                "config": _config_options(session.config),
-            })
+            workspace = session.workspace()
+            entry = _saved_entry(workspace, state_dir, name)
+            if entry is None:
+                manifest, arrays = workspace.to_state()
+                path = store_workspace_state(state_dir, name, manifest,
+                                             arrays)
+                entry = _manifest_entry(name, path,
+                                        manifest["structural_hash"],
+                                        session.config)
+                _mark_saved(workspace, state_dir, name, entry)
+                written += 1
+            entries.append(entry)
         doc = {
             "format": ENGINE_STATE_FORMAT_VERSION,
             "kind": "engine_state",
@@ -127,9 +184,9 @@ def save_engine_state(engine, state_dir: str) -> Dict[str, Any]:
     elapsed_ms = (time.perf_counter() - started) * 1e3
     if obs_metrics.is_enabled():
         obs_metrics.inc("engine.state.snapshots")
-        obs_metrics.inc("engine.state.sessions_saved", len(entries))
+        obs_metrics.inc("engine.state.sessions_saved", written)
     return {"state_dir": state_dir, "sessions": len(entries),
-            "elapsed_ms": round(elapsed_ms, 3)}
+            "written": written, "elapsed_ms": round(elapsed_ms, 3)}
 
 
 def load_engine_state(engine, state_dir: str) -> Dict[str, Any]:
@@ -178,6 +235,10 @@ def load_engine_state(engine, state_dir: str) -> Dict[str, Any]:
                 session = CircuitSession(workspace.circuit, config)
                 session.adopt_workspace(workspace)
                 engine._edit_sessions[name] = session
+                _mark_saved(workspace, state_dir, name, _manifest_entry(
+                    name, store.entry_path(state_dir, "wstate",
+                                           {"session": name}),
+                    entry["structural_hash"], config))
                 summary["sessions"] += 1
             except Exception as exc:
                 summary["errors"].append(f"{name}: {exc}")

@@ -12,10 +12,11 @@ log (:mod:`repro.incremental.edits`).  Each edit computes its *dirty cone*
   :func:`~repro.sim.simulator.evaluate_gate_words` call each, in
   topological order);
 * the signal probabilities of dirty nodes and the weight vectors of gates
-  with a dirty fanin — by exact popcount recount over the retained packs,
-  which reproduces :func:`~repro.probability.weights._weights_from_packs`
-  integer-for-integer, so incremental results are *bit-identical* to a
-  from-scratch analysis of the mutated circuit;
+  with a dirty fanin — recounted over the retained packs by the same
+  batched counting core as
+  :func:`~repro.probability.weights._weights_from_packs`, so incremental
+  results are *bit-identical* to a from-scratch analysis of the mutated
+  circuit;
 * the compiled plans, along a patch-vs-relower ladder: ``set_eps``
   invalidates nothing (eps enters at run time), a type-only ``swap_gate``
   patches the plain plan's arrays in place and re-lowers the correlated
@@ -55,6 +56,7 @@ from ..obs import trace_span
 from ..probability.correlation import PairStructure
 from ..probability.weights import (
     WeightData,
+    _count_weights,
     _weights_from_packs,
     flatten_weights,
     unflatten_weights,
@@ -94,6 +96,12 @@ _UNBUILT = object()
 
 #: Human-readable plan-slot names used in :class:`EditReport` entries.
 _PLAN_NAMES = {False: "plain", True: "correlated"}
+
+#: Gates times pack words per batch of :meth:`CircuitWorkspace._reweight`
+#: (1 MB of 64-bit words): c499's edit cones counted in one batch lifted
+#: a serve process's peak RSS by 3 MB over its set-up peak, and batches
+#: of this size keep it there at nearly the same edit time.
+_REWEIGHT_BATCH_WORDS = 1 << 17
 
 
 @dataclass
@@ -269,6 +277,11 @@ class CircuitWorkspace:
     def edit_log(self) -> List[Edit]:
         """The edits applied so far, in order (a copy)."""
         return list(self._edit_log)
+
+    @property
+    def revision(self) -> int:
+        """Edits applied so far; every state change is an applied edit."""
+        return len(self._edit_log)
 
     # -- individual edit kinds -----------------------------------------
     def _apply_set_eps(self, edit: SetEps) -> EditReport:
@@ -465,34 +478,23 @@ class CircuitWorkspace:
     def _reweight(self, gates: Iterable[str]) -> None:
         """Recount the weight vectors of gates with changed fanin packs.
 
-        The per-vector AND/popcount recount produces the same integer
-        counts as ``_weights_from_packs``'s Möbius transform, so dividing
-        by the same ``n_patterns`` yields bit-identical float vectors —
-        the foundation of the from-scratch parity guarantee.
+        The dirty gates go through ``_weights_from_packs``'s own
+        subset-AND + Möbius core, over a stack of just their fanin packs,
+        so the integer counts and the float vectors are bit-identical to
+        a from-scratch count — the foundation of the from-scratch parity
+        guarantee.
         """
         gates = list(gates)
         with trace_span("incremental.reweight", gates=len(gates)):
-            for gate in gates:
-                self._weights.weights[gate] = self._recount(gate)
-
-    def _recount(self, gate: str) -> np.ndarray:
-        fanins = self.circuit.fanins(gate)
-        k = len(fanins)
-        base = patterns.ones(self._n_words)
-        base[-1] &= patterns.tail_mask(self.n_patterns)
-        fan = [self._values[f][:self._n_words] for f in fanins]
-        counts = np.empty(1 << k, dtype=np.int64)
-        for v in range(1 << k):
-            acc = base.copy()
-            for t in range(k):
-                if (v >> t) & 1:
-                    np.bitwise_and(acc, fan[t], out=acc)
-                else:
-                    # The complement's garbage bits beyond the tail are
-                    # already zeroed in ``acc``, so no extra masking.
-                    np.bitwise_and(acc, np.bitwise_not(fan[t]), out=acc)
-            counts[v] = patterns.popcount(acc)
-        return counts / self.n_patterns
+            step = max(1, _REWEIGHT_BATCH_WORDS // self._n_words)
+            for start in range(0, len(gates), step):
+                batch = gates[start:start + step]
+                fanins = list(dict.fromkeys(
+                    fi for gate in batch for fi in self.circuit.fanins(gate)))
+                fresh, _ = _count_weights(self.circuit, batch, self._values,
+                                          fanins, self.n_patterns)
+                for gate in batch:
+                    self._weights.weights[gate] = fresh[gate]
 
     # -- plan maintenance ----------------------------------------------
     def _built(self, mode: bool) -> bool:

@@ -32,8 +32,12 @@ from ..sim.simulator import exhaustive_simulate, simulate
 
 _log = get_logger("probability.weights")
 
-#: Node limit of the ``auto`` tier's BDD attempt (:func:`compute_weights`).
-DEFAULT_BDD_NODE_LIMIT = 500_000
+#: Node limit of the ``auto`` tier's BDD attempt (:func:`compute_weights`):
+#: the smallest power of two at least twice the largest catalog circuit
+#: that fits (c432, 53,324 nodes).  Every other catalog attempt passes
+#: 500k, so a higher limit only makes the abandoned ones dearer
+#: (docs/performance.md, "Weight-vector cost").
+DEFAULT_BDD_NODE_LIMIT = 1 << 17
 
 
 @dataclass
@@ -138,7 +142,7 @@ def _literal_conjunctions(circuit: Circuit,
 
 
 #: Soft cap on elements of one ``(2**k, k, words)`` selection tensor in
-#: :func:`_weights_from_packs`; the word axis is chunked beyond it.
+#: :func:`_count_weights`; the word axis is chunked beyond it.
 _PACK_CHUNK_ELEMENTS = 1 << 22
 
 
@@ -153,21 +157,28 @@ def _weights_from_packs(circuit: Circuit,
     partial tail word pre-masked on both stacks so plain row popcounts are
     exact — no per-vector Python loop.
     """
-    n_words = patterns.words_for_patterns(n_patterns)
-    tmask = patterns.tail_mask(n_patterns)
-
     names = list(values)
+    weights, counts = _count_weights(circuit, circuit.topological_gates(),
+                                     values, names, n_patterns)
+    signal_prob = {name: int(counts[i]) / n_patterns
+                   for i, name in enumerate(names)}
+    return WeightData(weights=weights, signal_prob=signal_prob, source=source)
+
+
+def _count_weights(circuit: Circuit, gates, values: Dict[str, np.ndarray],
+                   names: List[str], n_patterns: int):
+    """Weight vectors of ``gates``, counted over the packs of ``names``
+    (every fanin of ``gates`` among them), and each of those packs'
+    popcount, in ``names`` order."""
+    n_words = patterns.words_for_patterns(n_patterns)
     row = {name: i for i, name in enumerate(names)}
     masked = np.stack([values[name][:n_words] for name in names])
-    masked[:, -1] &= tmask
-
+    masked[:, -1] &= patterns.tail_mask(n_patterns)
     counts = np.zeros(len(names), dtype=np.int64)
     rows = max(1, _PACK_CHUNK_ELEMENTS // max(1, n_words))
     for start in range(0, len(names), rows):
         counts[start:start + rows] = patterns.rowwise_popcount(
             masked[start:start + rows])
-    signal_prob = {name: int(counts[i]) / n_patterns
-                   for i, name in enumerate(names)}
 
     # Batch gates by arity; for each subset S of fanins count the patterns
     # where every fanin in S is 1 (one AND-reduce + row popcount across the
@@ -175,24 +186,24 @@ def _weights_from_packs(circuit: Circuit,
     # integer superset Möbius transform:
     #   joint[v] = sum_{S >= v} (-1)^{|S|-|v|} m[S].
     by_arity: Dict[int, list] = {}
-    for gate in circuit.topological_gates():
+    for gate in gates:
         by_arity.setdefault(len(circuit.fanins(gate)), []).append(gate)
 
     weights: Dict[str, np.ndarray] = {}
-    for k, gates in by_arity.items():
+    for k, batch_gates in by_arity.items():
         n_vec = 1 << k
         fanin_rows = np.asarray(
-            [[row[fi] for fi in circuit.fanins(g)] for g in gates])
+            [[row[fi] for fi in circuit.fanins(g)] for g in batch_gates])
         chunk = max(1, _PACK_CHUNK_ELEMENTS // max(1, n_vec * n_words))
-        for start in range(0, len(gates), chunk):
-            batch = gates[start:start + chunk]
+        for start in range(0, len(batch_gates), chunk):
+            batch = batch_gates[start:start + chunk]
             rows_sl = fanin_rows[start:start + chunk]
             fan = masked[rows_sl]                            # (m, k, W)
             m = np.empty((len(batch), n_vec), dtype=np.int64)
             m[:, 0] = n_patterns
             # Subset-AND packs built by peeling the lowest set bit, so
             # each multi-bit subset costs one AND + one popcount; the
-            # single-bit counts were already computed for signal_prob.
+            # single-bit counts come with the packs.
             and_packs: Dict[int, np.ndarray] = {}
             for subset in range(1, n_vec):
                 low_bit = subset & -subset
@@ -214,7 +225,7 @@ def _weights_from_packs(circuit: Circuit,
             vecs = joint / n_patterns
             for i, gate in enumerate(batch):
                 weights[gate] = vecs[i]
-    return WeightData(weights=weights, signal_prob=signal_prob, source=source)
+    return weights, counts
 
 
 def exhaustive_weight_vectors(circuit: Circuit) -> WeightData:

@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.bdd import Bdd, BddManager, build_node_bdds
+from repro.bdd import Bdd, BddManager, BddSizeLimitError, build_node_bdds
 from repro.bdd.ops import _gate_bdd
 from repro.circuits import get_benchmark, list_benchmarks
 from repro.obs import metrics as obs_metrics
 from repro.probability.weights import (
+    DEFAULT_BDD_NODE_LIMIT,
     WeightData,
     _literal_conjunctions,
     bdd_weight_vectors,
@@ -208,6 +209,30 @@ def test_auto_source_table_covers_the_catalog():
 def test_auto_tier_choice_unchanged(name):
     data = compute_weights(get_benchmark(name), n_patterns=1 << 8)
     assert data.source == AUTO_SOURCES[name]
+
+
+@pytest.mark.parametrize("name", sorted(
+    n for n, source in AUTO_SOURCES.items() if source == "bdd"))
+def test_exact_circuits_keep_half_the_budget_free(name):
+    """Each circuit the auto tier answers exactly builds its node BDDs and
+    conjunctions in at most half the default limit (c432: 53,324 of
+    131,072), so growth toward the limit fails here first instead of
+    silently moving the circuit to sampled weights."""
+    circuit = get_benchmark(name)
+    manager = BddManager(node_limit=DEFAULT_BDD_NODE_LIMIT)
+    _literal_conjunctions(circuit, build_node_bdds(circuit, manager))
+    assert manager.num_nodes <= DEFAULT_BDD_NODE_LIMIT // 2
+
+
+def test_c499_passes_the_default_limit_in_conjoin():
+    """c499's node BDDs (117,873 nodes) fit the default limit and its
+    conjunctions do not: the limit sits above the build, so the stage
+    that trips is ``conjoin``."""
+    with pytest.raises(BddSizeLimitError) as info:
+        bdd_weight_vectors(get_benchmark("c499"),
+                           manager=BddManager(
+                               node_limit=DEFAULT_BDD_NODE_LIMIT))
+    assert info.value.stage == "conjoin"
 
 
 def test_over_limit_fails_before_any_probability(monkeypatch):

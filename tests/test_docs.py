@@ -177,3 +177,20 @@ def test_observability_doc_covers_kernel_metrics():
     assert not missing, (
         "kernel metrics absent from docs/observability.md: "
         + ", ".join(missing))
+
+
+#: ``DEFAULT_BDD_NODE_LIMIT`` followed by the value a page states for it,
+#: as ``= 131,072`` or ``(131,072``.
+_NODE_LIMIT_RE = re.compile(r"`DEFAULT_BDD_NODE_LIMIT`\s*[=(]\s*([\d,]+)")
+
+
+@pytest.mark.parametrize("page", ["performance.md", "observability.md"])
+def test_doc_states_the_bdd_node_limit(page):
+    """The auto weight tier's node limit the page states is the one the
+    code uses, so a change of the budget can't leave a stale figure."""
+    from repro.probability.weights import DEFAULT_BDD_NODE_LIMIT
+
+    stated = [int(value.replace(",", "")) for value in
+              _NODE_LIMIT_RE.findall((DOCS / page).read_text())]
+    assert stated, f"docs/{page} does not state DEFAULT_BDD_NODE_LIMIT"
+    assert set(stated) == {DEFAULT_BDD_NODE_LIMIT}, stated

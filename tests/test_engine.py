@@ -245,6 +245,55 @@ class TestTimeoutLadder:
         assert not env["timed_out"]
 
 
+class TestWeightFallback:
+    """An ``auto`` session whose BDD weight attempt was abandoned says so
+    in the envelope; sessions that got what they asked for do not."""
+
+    AUTO = {"n_patterns": 1 << 10}
+
+    @staticmethod
+    def _weight_entries(env):
+        assert env["ok"], env.get("error")
+        return [f for f in env["fallbacks"] if f["from"] == "bdd-weights"]
+
+    def test_abandoned_bdd_attempt_is_named(self, engine):
+        from repro.probability.weights import DEFAULT_BDD_NODE_LIMIT
+        env = engine.submit({"op": "analyze", "circuit": "c499",
+                             "eps": 0.05, "options": self.AUTO}).to_dict()
+        (entry,) = self._weight_entries(env)
+        assert entry["to"] == "sampled-weights"
+        assert entry["node_limit"] == DEFAULT_BDD_NODE_LIMIT
+        assert str(DEFAULT_BDD_NODE_LIMIT) in entry["reason"]
+
+    @pytest.mark.parametrize("circuit", ["c432", "c17"])
+    def test_exact_weights_carry_no_entry(self, engine, circuit):
+        env = engine.submit({"op": "analyze", "circuit": circuit,
+                             "eps": 0.05, "options": self.AUTO}).to_dict()
+        assert env["fallbacks"] == []
+
+    def test_restricted_session_made_no_attempt(self, engine):
+        env = engine.submit({"op": "analyze", "circuit": "c499",
+                             "eps": 0.05,
+                             "options": {**self.AUTO,
+                                         "outputs": ["q0"]}}).to_dict()
+        assert env["outputs"] == ["q0"]
+        assert self._weight_entries(env) == []
+
+    def test_tensor_batch_and_coalesced_envelopes(self, engine):
+        envs = [r.to_dict() for r in engine.submit_many(
+            [{"op": "analyze", "circuit": c, "eps": e, "options": self.AUTO,
+              "correlation": False}
+             for c in ("c499", "c17") for e in (0.01, 0.05)])]
+        assert {env["method"] for env in envs} == {"single-pass-tensor"}
+        assert [len(self._weight_entries(env)) for env in envs] == \
+            [1, 1, 0, 0]
+        envs = [r.to_dict() for r in engine.submit_many(
+            [{"op": "analyze", "circuit": "c499", "eps": e,
+              "options": self.AUTO} for e in (0.01, 0.05)])]
+        assert [env["coalesced"] for env in envs] == [2, 2]
+        assert [len(self._weight_entries(env)) for env in envs] == [1, 1]
+
+
 class TestServeLoop:
     def test_pipe_smoke(self, engine):
         lines = [

@@ -25,6 +25,10 @@ from repro.incremental import (
     edit_to_dict,
     parse_edit,
 )
+from repro.probability.weights import (
+    exhaustive_weight_vectors,
+    sampled_weight_vectors,
+)
 from repro.reliability import SinglePassAnalyzer
 
 OPTS = {"weights": "sampled", "n_patterns": 1 << 10}
@@ -301,6 +305,44 @@ def test_randomized_edit_sequence_parity(name):
     for edit in _random_edits(ws, rng):
         ws.apply(edit)
         assert_parity(ws)
+
+
+@pytest.mark.parametrize("name, method, n_patterns, batch_gates", [
+    ("c499", "sampled", 1000, 3), ("c499", "sampled", 1000, None),
+    ("x2", "exhaustive", 1 << 10, None)])
+def test_swap_reweight_is_byte_identical_to_from_scratch(
+        name, method, n_patterns, batch_gates, monkeypatch):
+    """The batched dirty-cone recount leaves every weight vector
+    byte-equal to a from-scratch count of the mutated circuit (a tail
+    word that is only partly used, and a cone split over batches,
+    included)."""
+    if batch_gates is not None:
+        from repro.incremental import workspace
+        monkeypatch.setattr(workspace, "_REWEIGHT_BATCH_WORDS",
+                            batch_gates * (-(-n_patterns // 64)))
+    circuit = get_benchmark(name)
+    ws = CircuitWorkspace(circuit, weight_method=method,
+                          n_patterns=n_patterns, seed=3)
+    rng = random.Random(f"reweight-{name}")
+    pool = [g for g in ws.circuit.topological_gates()
+            if len(ws.circuit.fanins(g)) >= 2
+            and ws.circuit.node(g).gate_type in SWAPPABLE]
+    g = rng.choice(pool)
+    cur = ws.circuit.node(g).gate_type
+    ws.apply(SwapGate(g, next(t for t in SWAPPABLE if t is not cur)))
+    order = ws.circuit.topological_order()
+    g2 = next(x for x in pool[len(pool) // 2:] if order.index(x) >= 2)
+    f1, f2 = rng.sample(order[:order.index(g2)], 2)
+    report = ws.apply(SwapGate(g2, "nand", fanins=(f1, f2)))
+    assert report.reweighted_gates > 1
+    if method == "sampled":
+        fresh = sampled_weight_vectors(ws.circuit, n_patterns=n_patterns,
+                                       seed=3)
+    else:
+        fresh = exhaustive_weight_vectors(ws.circuit)
+    assert sorted(ws.weights.weights) == sorted(fresh.weights)
+    for gate, vec in fresh.weights.items():
+        assert ws.weights.weights[gate].tobytes() == vec.tobytes(), gate
 
 
 def _with_swapped(circuit, gate, gate_type):

@@ -208,6 +208,48 @@ class TestEngineStateFiles:
         finally:
             restored.close()
 
+    def test_snapshot_rewrites_only_changed_sessions(self, tmp_path):
+        state_dir = str(tmp_path)
+        engine = AnalysisEngine(max_sessions=4, state_dir=state_dir)
+        try:
+            _edit(engine, "idle", EDITS_BY_KIND["set_eps"])
+            _edit(engine, "busy", EDITS_BY_KIND["set_eps"])
+            first = engine.save_state()
+            assert first["sessions"] == first["written"] == 2
+
+            def entry_files():
+                doc = json.loads((tmp_path / "engine-state.json")
+                                 .read_text())
+                return {e["name"]: tmp_path / e["file"]
+                        for e in doc["sessions"]}
+
+            before = {n: f.stat().st_ino for n, f in entry_files().items()}
+            _edit(engine, "busy", EDITS_BY_KIND["swap_gate"])
+            second = engine.save_state()
+            assert second["sessions"] == 2 and second["written"] == 1
+            after = {n: f.stat().st_ino for n, f in entry_files().items()}
+            assert after["idle"] == before["idle"]
+            assert after["busy"] != before["busy"]
+            # An entry file that is gone is rewritten.
+            entry_files()["idle"].unlink()
+            assert engine.save_state()["written"] == 1
+            assert engine.save_state()["written"] == 0
+            want = {name: _reanalyze(engine, name)
+                    for name in ("idle", "busy")}
+        finally:
+            engine.close()
+        restored = AnalysisEngine(max_sessions=4, state_dir=state_dir)
+        try:
+            summary = restored.load_state()
+            assert summary["sessions"] == 2 and summary["errors"] == []
+            # Restored sessions are already on disk as they are.
+            assert restored.save_state()["written"] == 0
+            for name, env in want.items():
+                assert _result_bytes(_reanalyze(restored, name)) == \
+                    _result_bytes(env)
+        finally:
+            restored.close()
+
     def test_wstate_corruption_is_a_miss(self, tmp_path):
         circuit = get_benchmark("c17")
         engine = AnalysisEngine(max_sessions=2, state_dir=str(tmp_path))
