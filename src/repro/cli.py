@@ -302,8 +302,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                   "weights": args.weights,
                   "no_correlation": args.no_correlation,
                   "level_gap": args.level_gap,
-                  "compiled": args.compiled,
-                  "jobs": args.jobs}
+                  "compiled": args.compiled}
         if args.frames is not None:
             params["frames"] = args.frames
         if outputs:
@@ -313,16 +312,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             params=params,
             results=result.to_dict())
 
-    if analyzer.uses_compiled and args.jobs > 1:
-        print("warning: --jobs ignored: the compiled kernel evaluates all "
-              "eps points in one vectorized sweep (use --compiled off to "
-              "force the scalar process pool)", file=sys.stderr)
-    # One batched sweep when the compiled kernel handles it (or when the
-    # scalar points fan out over a process pool); otherwise per-point runs
-    # so each point's timing and phases are individually attributable.
-    if analyzer.uses_compiled or args.jobs > 1:
+    # One batched sweep when the compiled kernel handles it; otherwise
+    # per-point runs so each point's timing and phases are individually
+    # attributable.
+    if analyzer.uses_compiled:
         t0 = time.perf_counter()
-        sweep = analyzer.sweep(eps_values, jobs=args.jobs)
+        sweep = analyzer.sweep(eps_values)
         elapsed = (time.perf_counter() - t0) / len(eps_values)
         for j, eps in enumerate(eps_values):
             report_point(eps, sweep.point(j), elapsed)
@@ -386,13 +381,9 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         weights_cache_dir=args.weights_cache)
     eps_values = [args.max_eps * i / (args.points - 1)
                   for i in range(args.points)]
-    if analyzer.uses_compiled and args.jobs > 1:
-        print("warning: --jobs ignored: the compiled kernel evaluates all "
-              "eps points in one vectorized sweep (use --compiled off to "
-              "force the scalar process pool)", file=sys.stderr)
     # The whole single-pass column is one sweep: a single vectorized pass
-    # on the compiled path, a process-pool fan-out with --jobs otherwise.
-    sp_curve = analyzer.curve(eps_values, output=output, jobs=args.jobs)
+    # on the compiled path.
+    sp_curve = analyzer.curve(eps_values, output=output)
     print(f"# {circuit.name} output={output}")
     print(f"{'eps':>8s} {'single-pass':>12s} {'monte-carlo':>12s}")
     for i, eps in enumerate(eps_values):
@@ -820,13 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_obs(p)
     p.set_defaults(func=_cmd_bench)
 
-    def add_jobs(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for scalar eps sweeps "
-                            "(only used when the sweep falls back to the "
-                            "scalar path, e.g. with --compiled off; the "
-                            "vectorized kernels are faster single-process)")
-
     def add_compiled(p: argparse.ArgumentParser) -> None:
         p.add_argument("--compiled", default="auto",
                        choices=["auto", "off"],
@@ -868,7 +852,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "per-flop steady-state flip probabilities and "
                         "the converged per-output deltas")
     add_compiled(p)
-    add_jobs(p)
     add_weights_cache(p)
     p.set_defaults(func=_cmd_analyze)
 
@@ -892,7 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns", type=int, default=1 << 14)
     p.add_argument("--level-gap", type=int, default=8)
     add_compiled(p)
-    add_jobs(p)
     add_weights_cache(p)
     p.set_defaults(func=_cmd_curve)
 

@@ -400,7 +400,6 @@ class AnalysisEngine:
               method: str = "single-pass", correlation: bool = True,
               eps10_values: Optional[Sequence[EpsilonSpec]] = None,
               output: Optional[str] = None,
-              jobs: int = 1,
               **opts: Any):
         """Many eps vectors in one call.
 
@@ -408,10 +407,7 @@ class AnalysisEngine:
         :class:`~repro.reliability.compiled_pass.SweepResult`;
         ``closed-form``, ``consolidated`` and ``mc`` return
         ``{eps: delta}`` curves (matching the shapes their historical
-        free functions produced).  ``jobs`` forwards to
-        :meth:`SinglePassAnalyzer.sweep` — it only parallelizes the
-        scalar fallback; the compiled kernel batches the points instead
-        (and warns when both are requested).
+        free functions produced).
         """
         mc_patterns = opts.pop("mc_patterns", 1 << 16)
         correlation = opts.pop("use_correlation", correlation)
@@ -424,8 +420,7 @@ class AnalysisEngine:
             if method == "single-pass":
                 return session.analyzer(correlation).sweep(
                     list(eps_values),
-                    None if eps10_values is None else list(eps10_values),
-                    jobs=jobs)
+                    None if eps10_values is None else list(eps10_values))
             if method == "closed-form":
                 model = session.closed_form(output)
                 if hasattr(model, "curve"):
@@ -485,6 +480,15 @@ class AnalysisEngine:
         k0 = time.perf_counter()
         sweep = analyzer.sweep(specs, eps10_specs)
         self._scratch.kernel_s = time.perf_counter() - k0
+        plan = analyzer.plan  # a closure over budget fits a narrower gap
+        if correlation and plan and plan.level_gap != plan.max_level_gap:
+            gap, budget = plan.level_gap, plan.max_pairs
+            fallbacks.append({
+                "from": "correlated-pairs", "to": "level-gap",
+                "max_level_gap": gap, "budget": budget,
+                "reason": f"correlation pair budget ({budget}) exceeded by "
+                          f"the full closure: pairs more than {gap} levels "
+                          f"apart read as independent"})
         results = [sweep.point(j) for j in range(len(specs))]
         timed_out = deadline is not None and time.monotonic() > deadline
         return results, rung, fallbacks, timed_out

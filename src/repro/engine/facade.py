@@ -102,7 +102,6 @@ def sweep(circuit_or_name: CircuitRef,
           method: str = "single-pass", correlation: bool = True,
           eps10_values: Optional[Sequence[EpsilonSpec]] = None,
           output: Optional[str] = None,
-          jobs: int = 1,
           frames: Optional[int] = None,
           outputs: Optional[Sequence[str]] = None,
           **opts: Any):
@@ -117,11 +116,6 @@ def sweep(circuit_or_name: CircuitRef,
     before sweeping (see :func:`analyze`); the default None is the
     combinational path, and a sequential circuit without ``frames``
     raises :class:`ValueError`.
-
-    ``jobs > 1`` parallelizes only the *scalar* single-pass fallback;
-    when the compiled kernel handles the sweep the points are already
-    batched into one vectorized call and a warning is logged instead of
-    silently ignoring the flag.
     """
     if frames is not None:
         opts["frames"] = frames
@@ -129,4 +123,4 @@ def sweep(circuit_or_name: CircuitRef,
         opts["outputs"] = list(outputs)
     return default_engine().sweep(
         circuit_or_name, eps_values, method=method, correlation=correlation,
-        eps10_values=eps10_values, output=output, jobs=jobs, **opts)
+        eps10_values=eps10_values, output=output, **opts)

@@ -577,11 +577,10 @@ class CircuitWorkspace:
 
     def sweep(self, eps_values: Sequence[EpsilonSpec],
               eps10_values: Optional[Sequence[EpsilonSpec]] = None,
-              use_correlation: Optional[bool] = None,
-              jobs: int = 1):
+              use_correlation: Optional[bool] = None):
         """A multi-point sweep over the workspace's live artifacts."""
-        return self.analyzer(use_correlation).sweep(
-            eps_values, eps10_values, jobs=jobs)
+        return self.analyzer(use_correlation).sweep(eps_values,
+                                                    eps10_values)
 
     def closed_form(self, output: Optional[str] = None,
                     n_patterns: int = 1 << 12):

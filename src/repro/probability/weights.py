@@ -141,9 +141,10 @@ def _literal_conjunctions(circuit: Circuit,
     return roots
 
 
-#: Soft cap on elements of one ``(2**k, k, words)`` selection tensor in
-#: :func:`_count_weights`; the word axis is chunked beyond it.
-_PACK_CHUNK_ELEMENTS = 1 << 22
+#: Soft cap on the words of one tile of packs in :func:`_count_weights`
+#: (a gate batch's ``(2**k, k, words)`` selection, or a run of packs to
+#: popcount); batches are split beyond it.
+_PACK_CHUNK_ELEMENTS = 1 << 18
 
 
 def _weights_from_packs(circuit: Circuit,
@@ -153,9 +154,9 @@ def _weights_from_packs(circuit: Circuit,
     """Count joint input combinations per gate from simulated packs.
 
     All ``2**k`` joint counts of a gate are produced by one vectorized
-    popcount over the stacked (and complemented) fanin packs, with the
-    partial tail word pre-masked on both stacks so plain row popcounts are
-    exact — no per-vector Python loop.
+    popcount over the stacked fanin packs, with the partial tail word
+    masked in each tile so plain row popcounts are exact — no per-vector
+    Python loop.
     """
     names = list(values)
     weights, counts = _count_weights(circuit, circuit.topological_gates(),
@@ -172,13 +173,19 @@ def _count_weights(circuit: Circuit, gates, values: Dict[str, np.ndarray],
     popcount, in ``names`` order."""
     n_words = patterns.words_for_patterns(n_patterns)
     row = {name: i for i, name in enumerate(names)}
-    masked = np.stack([values[name][:n_words] for name in names])
-    masked[:, -1] &= patterns.tail_mask(n_patterns)
+    tail = patterns.tail_mask(n_patterns)
+
+    def tile(rows) -> np.ndarray:
+        """The packs of ``names[rows]``, stacked, tail word masked."""
+        packs = np.stack([values[names[r]][:n_words] for r in rows])
+        packs[..., -1] &= tail
+        return packs
+
     counts = np.zeros(len(names), dtype=np.int64)
     rows = max(1, _PACK_CHUNK_ELEMENTS // max(1, n_words))
     for start in range(0, len(names), rows):
         counts[start:start + rows] = patterns.rowwise_popcount(
-            masked[start:start + rows])
+            tile(range(start, min(start + rows, len(names)))))
 
     # Batch gates by arity; for each subset S of fanins count the patterns
     # where every fanin in S is 1 (one AND-reduce + row popcount across the
@@ -198,7 +205,7 @@ def _count_weights(circuit: Circuit, gates, values: Dict[str, np.ndarray],
         for start in range(0, len(batch_gates), chunk):
             batch = batch_gates[start:start + chunk]
             rows_sl = fanin_rows[start:start + chunk]
-            fan = masked[rows_sl]                            # (m, k, W)
+            fan = tile(rows_sl.ravel()).reshape(len(batch), k, n_words)
             m = np.empty((len(batch), n_vec), dtype=np.int64)
             m[:, 0] = n_patterns
             # Subset-AND packs built by peeling the lowest set bit, so

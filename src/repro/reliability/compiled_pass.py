@@ -296,7 +296,6 @@ class SweepResult:
             used_correlation=self.used_correlation,
             correlation_pairs=pairs,
             pairs_dropped_budget=dropped,
-            correlation_engine=None,
             frames=self.frames,
         )
 
@@ -1075,9 +1074,13 @@ class _RowTable:
     so canonicalization is a max/min — held in a sorted key array that
     lookups search and inserts merge into.  Rows are created on first
     sight; new expansion rows queue until :meth:`take_new`.
+
+    ``gap`` is the level-gap cap; a ``fitting`` table keeps the keys it
+    rejected on the gap alone, so :meth:`widen` can admit them later.
     """
 
-    def __init__(self, structure: PairStructure, is_logic: np.ndarray):
+    def __init__(self, structure: PairStructure, is_logic: np.ndarray,
+                 gap: Optional[int], fitting: bool = False):
         n = len(structure.order)
         self.n = n
         self.n_rows = 2  # rows 0/1 are the 1.0 / 0.0 constants
@@ -1088,8 +1091,9 @@ class _RowTable:
         self._new: List[Tuple[np.ndarray, np.ndarray]] = []
         self._support = structure.support_words
         self._levels = structure.slot_levels
-        self._gap = structure.max_level_gap
+        self.gap = gap
         self._is_logic = is_logic
+        self._rejected: Optional[List[np.ndarray]] = [] if fitting else None
 
     def _add_pairs(self, keys: np.ndarray) -> np.ndarray:
         """Number sorted, unseen ``keys`` as new rows."""
@@ -1146,8 +1150,11 @@ class _RowTable:
         ua, _, ub, _ = self.decode(keys)
         valid = (np.bitwise_and(self._support[ua], self._support[ub])
                  .any(axis=1) & self._is_logic[ua])
-        if self._gap is not None:
-            valid &= self._levels[ua] - self._levels[ub] <= self._gap
+        if self.gap is not None:
+            near = self._levels[ua] - self._levels[ub] <= self.gap
+            if self._rejected is not None:
+                self._rejected.append(keys[valid & ~near])
+            valid &= near
         keys = keys[valid]
         at = np.searchsorted(self.keys, keys)
         known = at < len(self.keys)
@@ -1160,6 +1167,21 @@ class _RowTable:
         key_rows[valid] = rows
         out[cross] = key_rows[inv]
         return out
+
+    def widen(self, cap: Optional[int]) -> bool:
+        """Raise the gap to the nearest one, at most ``cap``, that admits
+        a rejected key, and number the keys it admits as new rows; False
+        when no rejected key is that near."""
+        keys = np.unique(np.concatenate(self._rejected + [self.keys[:0]]))
+        ua, _, ub, _ = self.decode(keys)
+        apart = self._levels[ua] - self._levels[ub]
+        if not len(keys) or (cap is not None and apart.min() > cap):
+            return False
+        self.gap = int(apart.min())
+        near = apart == self.gap
+        self._rejected = [keys[~near]]
+        self._add_pairs(keys[near])
+        return True
 
 
 @dataclass
@@ -1270,10 +1292,11 @@ class _PlanStore:
     Pair discovery depends only on circuit structure and the two
     correlation knobs, never on eps.  The entry holds the canonical pair
     table as an ``(n, 4)`` int array of ``(later_slot, event,
-    earlier_slot, event)`` rows over the topological order, or an
-    "unsupported" marker when the pair budget was exceeded, so repeat
-    runs go straight to the scalar fallback.  The circuit is hashed once,
-    for the load and the store alike.
+    earlier_slot, event)`` rows over the topological order and the
+    level gap it was discovered at (-1 for none), or an "unsupported"
+    marker when not even gap 0 fits the pair budget, so repeat runs skip
+    the fit.  The circuit is hashed once, for the load and the store
+    alike.
     """
 
     def __init__(self, cache_dir: str, circuit: Circuit,
@@ -1285,7 +1308,7 @@ class _PlanStore:
                     "max_pairs": int(max_pairs)}
 
     def load(self) -> Optional[dict]:
-        """``{"unsupported": bool, "pairs": (n, 4) int array}`` or None."""
+        """``{"unsupported", "pairs", "level_gap"}`` or None."""
         from .. import store
         n_nodes = len(self.circuit)
 
@@ -1296,13 +1319,15 @@ class _PlanStore:
             if len(pairs) and (pairs[:, (0, 2)].min() < 0
                                or pairs[:, (0, 2)].max() >= n_nodes):
                 raise ValueError("pair slot out of range")
+            gap = int(archive["level_gap"][()])
             return {"unsupported": bool(archive["unsupported"][()]),
-                    "pairs": pairs}
+                    "pairs": pairs, "level_gap": None if gap < 0 else gap}
 
         return store.load(self.cache_dir, "corrplan", self.key, decode,
                           circuit=self.circuit.name)
 
     def save(self, pairs: Optional[np.ndarray] = None,
+             level_gap: Optional[int] = None,
              unsupported: bool = False) -> None:
         from .. import store
         table = (np.asarray(pairs, dtype=np.int64).reshape(-1, 4)
@@ -1310,7 +1335,10 @@ class _PlanStore:
                  else np.empty((0, 4), dtype=np.int64))
         store.save(self.cache_dir, "corrplan", self.key,
                    {"unsupported": np.asarray(bool(unsupported)),
-                    "pairs": table}, circuit=self.circuit.name)
+                    "pairs": table,
+                    "level_gap": np.asarray(
+                        -1 if level_gap is None else level_gap)},
+                   circuit=self.circuit.name)
 
 
 class CompiledCorrelatedPass:
@@ -1337,18 +1365,21 @@ class CompiledCorrelatedPass:
     created, bucketed by its wire's template and event — and each round
     resolves all its row queries in one vectorized call
     (:class:`_RowTable`).  The pair budget is tested after every round, so
-    a refused plan lowers nothing.  Once the closure is complete, each
-    (template, side) bucket's keep patterns sort the template's terms
-    into forms, and the members, programs and terms of all buckets are
-    laid out as dependency steps (:class:`_Step`) with array ops.
+    a closure over it lowers nothing (see :meth:`_fit`).  Once the closure
+    is complete, each (template, side) bucket's keep patterns sort the
+    template's terms into forms, and the members, programs and terms of
+    all buckets are laid out as dependency steps (:class:`_Step`) with
+    array ops.
 
     Parameters mirror the analyzer's correlation knobs: ``max_pairs``
-    bounds the expansion-row count (beyond it the plan refuses with
-    :class:`CompiledPassUnsupported` and the analyzer falls back to the
-    scalar engine's per-query budget degradation), ``max_level_gap`` is
-    the Sec. 4.1 locality cap, and ``cache_dir`` persists the discovered
-    pair table across processes (a ``corrplan`` entry of
-    :mod:`repro.store`, see :class:`_PlanStore`).
+    bounds the expansion-row count, ``max_level_gap`` is the Sec. 4.1
+    locality cap, and ``cache_dir`` persists the discovered pair table
+    across processes (a ``corrplan`` entry of :mod:`repro.store`, see
+    :class:`_PlanStore`).  A closure over ``max_pairs`` at the cap is
+    discovered again at the widest gap below it that fits
+    (:attr:`level_gap`); when not even gap 0 fits the plan refuses with
+    :class:`CompiledPassUnsupported`, and the analyzer falls back to the
+    scalar engine's per-query budget degradation.
     """
 
     def __init__(self, circuit: Circuit,
@@ -1364,6 +1395,9 @@ class CompiledCorrelatedPass:
         self.weights = weights
         self.max_pairs = max_pairs
         self.max_level_gap = max_level_gap
+        #: The level gap the closure was discovered at: ``max_level_gap``
+        #: unless the closure there passed ``max_pairs``.
+        self.level_gap = max_level_gap
         #: Coefficient rows numbered so far (all of them once compiled).
         self.n_rows = 2
         #: Lowering batches: the plan's (template, side) buckets.
@@ -1374,7 +1408,8 @@ class CompiledCorrelatedPass:
                 self._compile(dict(input_errors or {}), max_arity,
                               cache_dir, structure)
             finally:
-                span.set(rows=self.n_rows, batches=self.num_batches)
+                span.set(rows=self.n_rows, batches=self.num_batches,
+                         level_gap=self.level_gap)
         if obs_metrics.is_enabled():
             labels = {"circuit": circuit.name}
             obs_metrics.inc("compiled_pass.correlated_compiles", **labels)
@@ -1408,9 +1443,9 @@ class CompiledCorrelatedPass:
                     f"gate {gate!r} has arity {arity} > {max_arity};"
                     " use the scalar pass")
         # A caller holding a still-valid PairStructure (same circuit
-        # structure, same level-gap cap — e.g. an incremental workspace
-        # re-lowering after a type-only swap) can pass it in to skip the
-        # support-bitset recomputation.
+        # structure — e.g. an incremental workspace re-lowering after a
+        # type-only swap) can pass it in to skip the support-bitset
+        # recomputation; the row table, not the structure, holds the gap.
         self.structure = (structure if structure is not None
                           else PairStructure(
                               circuit, max_level_gap=self.max_level_gap))
@@ -1449,17 +1484,24 @@ class CompiledCorrelatedPass:
             raise CompiledPassUnsupported(
                 f"correlated pair budget ({self.max_pairs}) exceeded for "
                 f"{circuit.name!r} (cached plan)")
-        table = _RowTable(self.structure, is_logic)
+        table = _RowTable(self.structure, is_logic, self.max_level_gap
+                          if cached_plan is None else cached_plan["level_gap"])
         if cached_plan is not None:
             # Seed the row table so discovery finds every row numbered;
             # the rounds below still resolve and lower every program.
             table.seed(cached_plan["pairs"])
         try:
             found = self._discover(table, buckets)
-        except CompiledPassUnsupported:
-            if plan_store is not None and cached_plan is None:
-                plan_store.save(unsupported=True)
-            raise
+        except CompiledPassUnsupported:  # never for a cached plan
+            try:
+                table = _RowTable(self.structure, is_logic,
+                                  self._fit(is_logic, buckets))
+            except CompiledPassUnsupported:
+                if plan_store is not None:
+                    plan_store.save(unsupported=True)
+                raise
+            found = self._discover(table, buckets)
+        self.level_gap = table.gap
 
         # Canonical pair keys, sorted by wire names (the deterministic
         # iteration contract of ErrorCorrelationEngine.coefficient_items).
@@ -1470,7 +1512,8 @@ class CompiledCorrelatedPass:
         by_name = np.lexsort((peb, name_rank[pb], pea, name_rank[pa]))
         pa, pea, pb, peb = pa[by_name], pea[by_name], pb[by_name], peb[by_name]
         if plan_store is not None and cached_plan is None:
-            plan_store.save(pairs=np.stack([pa, pea, pb, peb], axis=1))
+            plan_store.save(pairs=np.stack([pa, pea, pb, peb], axis=1),
+                            level_gap=table.gap)
         names = np.asarray(order, dtype=object)
         self.n_pair_rows = len(table.keys)
         self.pair_keys: List[Tuple[str, int, str, int]] = list(zip(
@@ -1517,6 +1560,21 @@ class CompiledCorrelatedPass:
                     truth, k, int.from_bytes(act, "little"), ef, sel,
                     w[members]))
         return buckets
+
+    def _fit(self, is_logic: np.ndarray, buckets: List[_GateBucket]
+             ) -> int:
+        """The widest level gap below ``max_level_gap`` whose closure fits
+        ``max_pairs``, or :class:`CompiledPassUnsupported` if gap 0's
+        does not.  Closures grow with the gap, so one table grows through
+        the gaps (:meth:`_RowTable.widen`) until it passes the budget."""
+        table = _RowTable(self.structure, is_logic, 0, fitting=True)
+        self._discover(table, buckets)
+        try:
+            while table.widen(self.max_level_gap):
+                self._discover(table, buckets)
+        except CompiledPassUnsupported:
+            return table.gap - 1
+        return table.gap
 
     def _discover(self, table: _RowTable, buckets: List[_GateBucket]
                   ) -> Dict[tuple, List[tuple]]:

@@ -17,6 +17,7 @@ independence assumption at reconvergent fanout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,16 +74,23 @@ class SinglePassResult:
     correlation_pairs: int = 0
     #: Pair lookups the scalar engine answered as independent because its
     #: ``max_correlation_pairs`` memo was full (0 on compiled runs, which
-    #: refuse instead of degrading).
+    #: fit their level gap instead of degrading).
     pairs_dropped_budget: int = 0
-    #: The run's correlation engine (memoized coefficients), kept so that
-    #: multi-output consolidation can reuse it; None when disabled.
-    correlation_engine: Optional[ErrorCorrelationEngine] = field(
-        default=None, repr=False, compare=False)
+    #: The run's correlation engine, or (compiled runs) the ``partial``
+    #: that builds it on the first read of :attr:`correlation_engine`.
+    _engine: Any = field(default=None, repr=False, compare=False)
     #: Time-frame count when the analyzed circuit is an unrolled sequential
     #: netlist; None for plain combinational runs (the default — results
     #: and payloads are byte-identical to before frames existed).
     frames: Optional[int] = None
+
+    @property
+    def correlation_engine(self) -> Optional[ErrorCorrelationEngine]:
+        """The run's correlation engine (memoized coefficients), kept so
+        that multi-output consolidation can reuse it; None when disabled."""
+        if isinstance(self._engine, partial):
+            self._engine = self._engine()
+        return self._engine
 
     def delta(self, output: Optional[str] = None) -> float:
         """delta for one output (default: the only output)."""
@@ -234,9 +242,8 @@ class SinglePassAnalyzer:
         :class:`CompiledSinglePass` when it is off.  ``"off"`` forces the
         scalar reference path (the parity oracle); the scalar path also
         runs automatically when no plan can be built — oversized gate
-        arity, or a correlated pair count beyond
-        ``max_correlation_pairs`` (where the scalar engine degrades
-        per-query instead of refusing).
+        arity, or a pair budget below even the level-gap-0 closure (where
+        the scalar engine degrades per-query instead of refusing).
     dtype:
         Accumulator precision of the independence kernel (default
         ``float64``; a float32 plan sweeps entirely in float32).
@@ -346,7 +353,8 @@ class SinglePassAnalyzer:
         """
         return self._build_plan()
 
-    def _seed_engine(self, sweep: SweepResult, result: SinglePassResult,
+    def _seed_engine(self, plan: CompiledCorrelatedPass,
+                     sweep: SweepResult, result: SinglePassResult,
                      eps: EpsilonSpec,
                      eps10: Optional[EpsilonSpec]) -> ErrorCorrelationEngine:
         """An :class:`ErrorCorrelationEngine` equivalent to the scalar run's.
@@ -354,9 +362,10 @@ class SinglePassAnalyzer:
         Consolidation (:mod:`repro.reliability.consolidated`) reuses the
         run's engine for cross-output covariance terms, so a compiled run
         must hand back one with the same memo state: it is built over the
-        compiled node errors and pre-seeded with every compiled coefficient
-        (canonically keyed, per the deterministic pair-ordering contract);
-        pairs outside the compiled closure still expand lazily.
+        compiled node errors and the plan's level gap (fitted or not), and
+        pre-seeded with every compiled coefficient (canonically keyed, per
+        the deterministic pair-ordering contract); pairs outside the
+        compiled closure still expand lazily.
         """
         gates = self.circuit.topological_gates()
         eps_map = {g: epsilon_of(eps, g) for g in gates}
@@ -366,7 +375,7 @@ class SinglePassAnalyzer:
             self.circuit, self.weights, result.node_errors,
             eps_of=lambda g: eps_map[g],
             max_pairs=self.max_correlation_pairs,
-            max_level_gap=self.max_correlation_level_gap,
+            max_level_gap=plan.level_gap,
             eps10_of=(None if eps10_map is None
                       else (lambda g: eps10_map[g])))
         if sweep.correlation_pair_keys:
@@ -393,8 +402,8 @@ class SinglePassAnalyzer:
                 sweep.frames = self.frames
                 result = sweep.point(0)
                 if self.use_correlation:
-                    result.correlation_engine = self._seed_engine(
-                        sweep, result, eps, eps10)
+                    result._engine = partial(self._seed_engine, plan, sweep,
+                                             result, eps, eps10)
                 if obs_metrics.is_enabled():
                     labels = {"circuit": self.circuit.name}
                     obs_metrics.inc("single_pass.runs", **labels)
@@ -468,69 +477,35 @@ class SinglePassAnalyzer:
             used_correlation=self.use_correlation,
             correlation_pairs=corr.pairs_computed if corr else 0,
             pairs_dropped_budget=corr.pairs_dropped_budget if corr else 0,
-            correlation_engine=corr,
+            _engine=corr,
             frames=self.frames,
         )
 
     def sweep(self, eps_values: Sequence[EpsilonSpec],
-              eps10_values: Optional[Sequence[EpsilonSpec]] = None,
-              jobs: int = 1) -> SweepResult:
+              eps10_values: Optional[Sequence[EpsilonSpec]] = None
+              ) -> SweepResult:
         """Evaluate many failure-probability vectors in one call.
 
         In every mode the sweep is normally a single vectorized pass with a
         trailing eps axis (the correlated kernel includes the Sec. 4.1
         coefficients in that axis).  Only when no compiled plan exists —
-        ``compiled="off"``, an unloweable gate, or a correlated pair count
-        beyond the budget — do the points run as independent scalar passes;
-        there ``jobs > 1`` fans them out over a process pool, with the
-        analyzer pickled once per worker so weights and correlation caches
-        are shared per process, not per point.
+        ``compiled="off"``, an unloweable gate, or a pair budget below the
+        level-gap-0 closure — do the points run as scalar passes, one
+        after another.
         """
         specs, eps10_list = validate_sweep_specs(self.circuit, eps_values,
                                                  eps10_values)
         with trace_span("single_pass.sweep", circuit=self.circuit.name,
-                        points=len(specs), jobs=jobs):
+                        points=len(specs)):
             plan = self._build_plan()
             if plan is not None:
-                if jobs > 1:
-                    # Don't silently swallow the flag: the compiled kernel
-                    # already batches every point into one vectorized
-                    # pass, so there is nothing for a pool to split.
-                    from ..obs import get_logger
-                    get_logger("single_pass").warning(
-                        "jobs=%d ignored: the compiled kernel evaluates "
-                        "all %d sweep points in one vectorized pass "
-                        "(use compiled='off' to force the scalar pool)",
-                        jobs, len(specs))
-                    if obs_metrics.is_enabled():
-                        obs_metrics.inc("single_pass.jobs_ignored",
-                                        circuit=self.circuit.name)
                 sweep = plan.run_sweep(specs, eps10_list)
                 sweep.frames = self.frames
                 return sweep
-            tasks = [(spec, None if eps10_list is None else eps10_list[j])
-                     for j, spec in enumerate(specs)]
-            if jobs > 1 and len(tasks) > 2:
-                results = [self.run(*tasks[0])] + self._pool_run(
-                    tasks[1:], jobs)
-            else:
-                results = [self.run(eps, eps10) for eps, eps10 in tasks]
+            results = [self.run(spec, None if eps10_list is None
+                                else eps10_list[j])
+                       for j, spec in enumerate(specs)]
             return self._assemble_sweep(specs, eps10_list, results)
-
-    def _pool_run(self, tasks, jobs: int) -> List[SinglePassResult]:
-        from concurrent.futures import ProcessPoolExecutor
-        workers = min(jobs, len(tasks))
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_sweep_worker_init,
-                                 initargs=(self,)) as pool:
-            results = list(pool.map(_sweep_worker_point, tasks))
-        if obs_metrics.is_enabled():
-            labels = {"circuit": self.circuit.name}
-            obs_metrics.inc("single_pass.runs", len(tasks), **labels)
-            obs_metrics.inc(
-                "single_pass.gates_processed",
-                len(self.circuit.topological_gates()) * len(tasks), **labels)
-        return results
 
     def _assemble_sweep(self, specs, eps10_list,
                         results: Sequence[SinglePassResult]) -> SweepResult:
@@ -568,31 +543,11 @@ class SinglePassAnalyzer:
         )
 
     def curve(self, eps_values: Iterable[float],
-              output: Optional[str] = None,
-              jobs: int = 1) -> Dict[float, float]:
+              output: Optional[str] = None) -> Dict[float, float]:
         """delta(eps) over a sweep of uniform gate failure probabilities."""
         eps_list = list(eps_values)
         if not eps_list:
             return {}
-        result = self.sweep(eps_list, jobs=jobs)
+        result = self.sweep(eps_list)
         values = result.delta(output)
         return {e: float(v) for e, v in zip(eps_list, values)}
-
-
-#: Per-process analyzer for scalar sweep fan-out; set by the pool
-#: initializer so each worker unpickles the (read-only) analyzer once.
-_SWEEP_ANALYZER: Optional[SinglePassAnalyzer] = None
-
-
-def _sweep_worker_init(analyzer: SinglePassAnalyzer) -> None:
-    global _SWEEP_ANALYZER
-    _SWEEP_ANALYZER = analyzer
-
-
-def _sweep_worker_point(task) -> SinglePassResult:
-    eps, eps10 = task
-    result = _SWEEP_ANALYZER.run(eps, eps10)
-    # The engine holds closures over the eps spec and cannot cross the
-    # process boundary; drop it from the shipped result.
-    result.correlation_engine = None
-    return result

@@ -75,7 +75,7 @@ class Kind(NamedTuple):
 KINDS: Dict[str, Kind] = {kind.prefix: kind for kind in (
     Kind("weights", 1, None, memory=True),
     Kind("conewt", 1, "cone_weights", memory=True),
-    Kind("corrplan", 1, "correlation_plan", memory=False),
+    Kind("corrplan", 2, "correlation_plan", memory=False),
     Kind("wstate", 1, "workspace_state", memory=False, slot="session"),
 )}
 

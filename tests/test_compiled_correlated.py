@@ -8,7 +8,9 @@ tests pin it to the scalar correlated engine (``compiled="off"``) to
 catalog benchmark (with the level-gap locality cap on the big ones, exactly
 as the scalar engine would be run there) plus generated random circuits,
 and prove the scalar oracle fallback still works when forced or when the
-pair budget refuses a plan.
+pair budget is too small for even the level-gap-0 closure.  A closure over
+the budget at the requested cap is fitted to the widest level gap that
+fits (``TestPlanFit``).
 """
 
 import numpy as np
@@ -154,7 +156,8 @@ class TestPropertyCorrelatedParity:
 
 
 class TestScalarOracleFallback:
-    """The scalar engine stays available: forced off, or budget-refused."""
+    """The scalar engine stays available: forced off, or budget-refused
+    (a budget below the level-gap-0 closure)."""
 
     def test_forced_oracle_matches_compiled(self, reconvergent_circuit):
         weights = compute_weights(reconvergent_circuit, method="exhaustive")
@@ -168,16 +171,24 @@ class TestScalarOracleFallback:
                 assert abs(ref.per_output[out] - res.per_output[out]) <= TOL
 
     def test_budget_refusal_falls_back_to_scalar(self, reconvergent_circuit):
-        """A plan over budget refuses; the analyzer degrades per-query."""
-        analyzer = SinglePassAnalyzer(reconvergent_circuit,
-                                      weight_method="exhaustive",
+        """A budget below even the gap-0 closure (4 rows here) refuses;
+        the analyzer degrades per-query.  One row more compiles at gap 0."""
+        weights = compute_weights(reconvergent_circuit, method="exhaustive")
+        gap0 = CompiledCorrelatedPass(reconvergent_circuit, weights,
+                                      max_level_gap=0).n_pair_rows
+        analyzer = SinglePassAnalyzer(reconvergent_circuit, weights=weights,
                                       use_correlation=True,
-                                      max_correlation_pairs=2)
+                                      max_correlation_pairs=gap0 - 1)
         assert not analyzer.uses_compiled  # CompiledPassUnsupported inside
+        assert "budget" in analyzer.plan_unsupported_reason
         result = analyzer.run(0.1)
         assert result.correlation_engine.budget_exceeded
         sweep = analyzer.sweep([0.05, 0.1])
         assert sweep.per_output.shape[1] == 2
+        fitted = SinglePassAnalyzer(reconvergent_circuit, weights=weights,
+                                    use_correlation=True,
+                                    max_correlation_pairs=gap0)
+        assert fitted.uses_compiled and fitted.plan.level_gap == 0
 
     def test_compiled_plan_refuses_over_budget(self, reconvergent_circuit):
         from repro.reliability import CompiledPassUnsupported
@@ -188,8 +199,8 @@ class TestScalarOracleFallback:
 
 
 class TestPairBudgetBoundary:
-    """Refuse iff the closure has more than ``max_pairs`` rows, and refuse
-    before lowering anything."""
+    """Fit iff the closure has more than ``max_pairs`` rows, refuse iff
+    the gap-0 closure does too, and lower only the plan that fits."""
 
     @pytest.fixture(scope="class")
     def b9(self):
@@ -207,17 +218,30 @@ class TestPairBudgetBoundary:
 
     def test_budget_below_closure_refuses_before_lowering(self, b9,
                                                          monkeypatch):
+        """Below the gap-0 closure nothing is lowered; one row below the
+        full closure lowers once, at the fitted gap."""
         from repro.reliability import CompiledPassUnsupported
         circuit, weights = b9
         closure = CompiledCorrelatedPass(circuit, weights).n_pair_rows
+        gap0 = CompiledCorrelatedPass(circuit, weights,
+                                      max_level_gap=0).n_pair_rows
+        lower = CompiledCorrelatedPass._lower
+        lowered = []
 
-        def no_lowering(*args, **kwargs):
-            raise AssertionError("a refused plan must not be lowered")
+        def counted(plan, *args, **kwargs):
+            lowered.append(plan.n_rows)
+            return lower(plan, *args, **kwargs)
 
-        monkeypatch.setattr(CompiledCorrelatedPass, "_lower", no_lowering)
+        monkeypatch.setattr(CompiledCorrelatedPass, "_lower", counted)
         with pytest.raises(CompiledPassUnsupported,
-                           match=rf"budget \({closure - 1}\)"):
-            CompiledCorrelatedPass(circuit, weights, max_pairs=closure - 1)
+                           match=rf"budget \({gap0 - 1}\)"):
+            CompiledCorrelatedPass(circuit, weights, max_pairs=gap0 - 1)
+        assert lowered == []
+        fitted = CompiledCorrelatedPass(circuit, weights,
+                                        max_pairs=closure - 1)
+        assert fitted.level_gap is not None
+        assert fitted.n_pair_rows <= closure - 1
+        assert lowered == [fitted.n_rows]
 
 
 class TestCorrelationPlanCache:
@@ -245,6 +269,47 @@ class TestCorrelationPlanCache:
                 CompiledCorrelatedPass(reconvergent_circuit, weights,
                                        max_pairs=2, cache_dir=cache)
 
+    def test_fitted_gap_round_trips(self, reconvergent_circuit, tmp_path,
+                                    monkeypatch):
+        """A fitted plan's entry carries its gap: the second compile seeds
+        from it without a fit and gives the same plan."""
+        weights = compute_weights(reconvergent_circuit, method="exhaustive")
+        cache = str(tmp_path / "plans")
+        first = CompiledCorrelatedPass(reconvergent_circuit, weights,
+                                       max_pairs=4, cache_dir=cache)
+        assert first.level_gap == 0
+        monkeypatch.setattr(CompiledCorrelatedPass, "_fit", _no_fit)
+        again = CompiledCorrelatedPass(reconvergent_circuit, weights,
+                                       max_pairs=4, cache_dir=cache)
+        assert again.level_gap == 0
+        assert again.pair_keys == first.pair_keys
+        assert np.array_equal(first.run_sweep(EPS_POINTS).per_output,
+                              again.run_sweep(EPS_POINTS).per_output)
+
+    def test_old_unsupported_marker_is_refitted(self, reconvergent_circuit,
+                                                tmp_path, monkeypatch):
+        """A version-1 entry (a budget refusal from before plans were
+        fitted) is a miss: the plan fits and writes a fresh entry."""
+        from repro import store
+        from repro.circuit import structural_hash
+        weights = compute_weights(reconvergent_circuit, method="exhaustive")
+        cache = str(tmp_path / "plans")
+        plan_key = {"circuit_hash": structural_hash(reconvergent_circuit),
+                    "max_level_gap": None, "max_pairs": 4}
+        with monkeypatch.context() as m:
+            m.setitem(store.KINDS, "corrplan",
+                      store.KINDS["corrplan"]._replace(version=1))
+            store.save(cache, "corrplan", plan_key,
+                       {"unsupported": np.asarray(True),
+                        "pairs": np.empty((0, 4), dtype=np.int64)})
+        plan = CompiledCorrelatedPass(reconvergent_circuit, weights,
+                                      max_pairs=4, cache_dir=cache)
+        assert plan.level_gap == 0
+        monkeypatch.setattr(CompiledCorrelatedPass, "_fit", _no_fit)
+        again = CompiledCorrelatedPass(reconvergent_circuit, weights,
+                                       max_pairs=4, cache_dir=cache)
+        assert again.pair_keys == plan.pair_keys
+
     def test_analyzer_threads_cache_dir(self, reconvergent_circuit,
                                         tmp_path):
         import os
@@ -255,3 +320,125 @@ class TestCorrelationPlanCache:
                                       weights_cache_dir=cache)
         assert analyzer.uses_compiled
         assert any(e.startswith("corrplan-") for e in os.listdir(cache))
+
+
+def _no_fit(*args):
+    raise AssertionError("a cached plan must not be fitted again")
+
+
+class TestPlanFit:
+    """A closure over the pair budget is fitted to the widest level gap
+    that fits: c1908's full closure is ~190k rows, the budget 50k."""
+
+    BUDGET = 50_000
+
+    @pytest.fixture(scope="class")
+    def c1908(self):
+        circuit = get_benchmark("c1908")
+        return circuit, compute_weights(circuit, method="sampled",
+                                        n_patterns=1 << 10, seed=0)
+
+    @pytest.fixture(scope="class")
+    def fitted(self, c1908):
+        from repro import obs
+        circuit, weights = c1908
+        obs.reset()
+        obs.enable()
+        try:
+            plan = CompiledCorrelatedPass(circuit, weights,
+                                          max_pairs=self.BUDGET)
+            (span,) = obs.get_tracer().find(
+                "compiled_pass.compile_correlated")
+        finally:
+            obs.disable()
+            obs.reset()
+        return plan, span
+
+    def test_fitted_plan_equals_explicit_gap(self, c1908, fitted):
+        circuit, weights = c1908
+        plan, span = fitted
+        gap = plan.level_gap
+        assert plan.max_level_gap is None and gap is not None
+        assert span.attrs["level_gap"] == gap
+        explicit = CompiledCorrelatedPass(circuit, weights,
+                                          max_level_gap=gap)
+        assert explicit.level_gap == gap
+        assert plan.pair_keys == explicit.pair_keys
+        assert plan.num_corr_groups == explicit.num_corr_groups
+        specs = [0.0, 0.01, 0.05, 0.2]
+        a, b = plan.run_sweep(specs), explicit.run_sweep(specs)
+        for field in ("per_output", "p01", "p10",
+                      "correlation_coefficients"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+    def test_next_gap_is_over_budget(self, c1908, fitted):
+        circuit, weights = c1908
+        plan, _ = fitted
+        assert plan.n_pair_rows <= self.BUDGET
+        wider = CompiledCorrelatedPass(circuit, weights,
+                                       max_level_gap=plan.level_gap + 1)
+        assert wider.n_pair_rows > self.BUDGET
+
+    def test_fit_stays_below_the_callers_cap(self, c1908, fitted):
+        circuit, weights = c1908
+        gap = fitted[0].level_gap
+        capped = CompiledCorrelatedPass(circuit, weights,
+                                        max_pairs=self.BUDGET,
+                                        max_level_gap=gap + 3)
+        assert capped.max_level_gap == gap + 3
+        assert capped.level_gap == gap
+        assert capped.pair_keys == fitted[0].pair_keys
+
+    def test_seeded_engine_uses_the_fitted_gap(self, c1908, fitted):
+        """Lazy pairs of the consolidation engine stay inside the fitted
+        closure: the engine classifies under the plan's gap."""
+        circuit, weights = c1908
+        analyzer = SinglePassAnalyzer(circuit, weights=weights,
+                                      use_correlation=True,
+                                      max_correlation_pairs=self.BUDGET)
+        assert analyzer.plan.level_gap == fitted[0].level_gap
+        engine = analyzer.run(0.05).correlation_engine
+        assert engine.max_level_gap == fitted[0].level_gap
+
+
+class TestLazyEngineSeeding:
+    """A compiled run builds its correlation engine only when read."""
+
+    def test_run_builds_no_engine_until_read(self, monkeypatch):
+        circuit = get_benchmark("c432")
+        weights = compute_weights(circuit, method="sampled",
+                                  n_patterns=1 << 10, seed=0)
+        analyzer = SinglePassAnalyzer(circuit, weights=weights)
+        seed = SinglePassAnalyzer._seed_engine
+        built = []
+
+        def spy(self, *args):
+            built.append(args[3])  # (plan, sweep, result, eps, eps10)
+            return seed(self, *args)
+
+        monkeypatch.setattr(SinglePassAnalyzer, "_seed_engine", spy)
+        first = analyzer.run(0.01)
+        analyzer.run(0.2)
+        assert built == []
+        engine = first.correlation_engine
+        assert built == [0.01]
+        assert first.correlation_engine is engine
+        assert built == [0.01]
+
+    def test_consolidation_reads_the_runs_own_engine(self):
+        """An engine read after later runs still answers for its own
+        eps: consolidation equals a fresh analyzer's, bit for bit."""
+        from repro.reliability.consolidated import ConsolidatedAnalyzer
+        circuit = get_benchmark("c432")
+        weights = compute_weights(circuit, method="sampled",
+                                  n_patterns=1 << 10, seed=0)
+        analyzer = SinglePassAnalyzer(circuit, weights=weights)
+        early = analyzer.run(0.01)
+        analyzer.run(0.3)
+        fresh = SinglePassAnalyzer(circuit, weights=weights).run(0.01)
+        cons = ConsolidatedAnalyzer(circuit, analyzer=analyzer,
+                                    n_patterns=1 << 10)
+        late = cons.consolidate(early)
+        ref = cons.consolidate(fresh)
+        assert late.pairwise_joint_error == ref.pairwise_joint_error
+        assert late.any_output == ref.any_output

@@ -260,22 +260,6 @@ class TestCorrelatedSweepDispatch:
                            - sweep.per_output[o, j]) <= TOL
 
 
-class TestParallelSweep:
-    def test_jobs_fanout_matches_serial(self):
-        circuit = get_benchmark("c17")
-        # Force the scalar path: with a compiled plan the sweep is one
-        # vectorized pass and the pool would never spin up.
-        analyzer = SinglePassAnalyzer(circuit, weight_method="exhaustive",
-                                      use_correlation=True, compiled="off")
-        eps = [0.01, 0.05, 0.1, 0.2]
-        serial = analyzer.sweep(eps)
-        parallel = analyzer.sweep(eps, jobs=2)
-        assert np.allclose(serial.per_output, parallel.per_output, atol=0.0)
-        assert np.allclose(serial.p01, parallel.p01, atol=0.0)
-        assert list(parallel.correlation_pairs) == \
-            list(serial.correlation_pairs)
-
-
 # -- dtype threading (no silent float64 up-cast) -------------------------
 def test_float32_plan_stays_float32(reconvergent_circuit):
     analyzer = SinglePassAnalyzer(reconvergent_circuit,

@@ -177,25 +177,26 @@ class TestTimeoutLadder:
                 assert 0.0 <= delta <= 1.0
 
     def test_refused_plan_reports_its_reason(self, engine):
-        """A pair budget below c432's closure refuses the compiled plan;
-        the envelope names the budget, not a generic message."""
+        """A pair budget below c432's level-gap-0 closure (89 rows)
+        refuses the compiled plan; the envelope names the budget, not a
+        generic message."""
         env = engine.submit({"op": "analyze", "circuit": "c432",
                              "eps": 0.05,
                              "options": {**OPTS,
-                                         "max_correlation_pairs": 100}}
+                                         "max_correlation_pairs": 50}}
                             ).to_dict()
         assert env["ok"]
         assert env["method"] == "single-pass-scalar"
         assert env["fallbacks"][0] == {
             "from": "single-pass-compiled", "to": "single-pass-scalar",
-            "reason": "correlated pair budget (100) exceeded while "
+            "reason": "correlated pair budget (50) exceeded while "
                       "lowering 'c432'; use the scalar pass"}
 
     def test_scalar_budget_degradation_is_reported(self, engine):
         """The scalar fallback with the same low budget answers the pairs
         beyond it as independent; the envelope says how many, and the
         answer equals a direct scalar run under that budget."""
-        options = {**OPTS, "max_correlation_pairs": 100}
+        options = {**OPTS, "max_correlation_pairs": 50}
         env = engine.submit({"op": "analyze", "circuit": "c432",
                              "eps": [0.01, 0.05], "options": options}
                             ).to_dict()
@@ -204,7 +205,7 @@ class TestTimeoutLadder:
         degraded = env["fallbacks"][1]
         assert degraded["from"] == "correlated-pairs"
         assert degraded["to"] == "independent-pairs"
-        assert degraded["budget"] == 100
+        assert degraded["budget"] == 50
         session = engine.session("c432", **options)
         analyzer = session.analyzer(True)
         direct = [analyzer.run(e) for e in (0.01, 0.05)]
@@ -217,7 +218,7 @@ class TestTimeoutLadder:
     def test_coalesced_budget_degradation_is_per_request(self, engine):
         """Two requests coalesced into one scalar sweep each report only
         the pair lookups their own points dropped."""
-        options = {**OPTS, "max_correlation_pairs": 100}
+        options = {**OPTS, "max_correlation_pairs": 50}
         eps_sets = ([0.01], [0.05, 0.1])
         envs = [r.to_dict() for r in engine.submit_many([
             {"op": "analyze", "circuit": "c432", "eps": eps,
@@ -244,6 +245,56 @@ class TestTimeoutLadder:
         assert env["method"] == "single-pass-compiled"
         assert not env["timed_out"]
 
+
+
+class TestFittedLevelGap:
+    """A budget between c432's gap-0 closure and its full closure fits
+    the plan to a level gap; every path's envelope names it."""
+
+    OPTIONS = {**OPTS, "max_correlation_pairs": 1000}
+
+    def _expected(self, engine):
+        plan = engine.session("c432", **self.OPTIONS).analyzer(True).plan
+        assert plan.max_level_gap is None
+        assert plan.level_gap is not None
+        return {"from": "correlated-pairs", "to": "level-gap",
+                "max_level_gap": plan.level_gap, "budget": 1000,
+                "reason": "correlation pair budget (1000) exceeded by the "
+                          "full closure: pairs more than "
+                          f"{plan.level_gap} levels apart read as "
+                          "independent"}
+
+    def test_solo_envelope_names_the_gap(self, engine):
+        env = engine.submit({"op": "analyze", "circuit": "c432",
+                             "eps": [0.01, 0.05],
+                             "options": self.OPTIONS}).to_dict()
+        assert env["method"] == "single-pass-compiled"
+        entry = self._expected(engine)
+        assert env["fallbacks"] == [entry]
+        explicit = engine.submit({
+            "op": "analyze", "circuit": "c432", "eps": [0.01, 0.05],
+            "options": {**OPTS, "max_correlation_level_gap":
+                        entry["max_level_gap"]}}).to_dict()
+        assert explicit["fallbacks"] == []
+        assert explicit["result"] == env["result"]
+
+    def test_coalesced_envelopes_name_the_gap(self, engine):
+        envs = [r.to_dict() for r in engine.submit_many([
+            {"op": "analyze", "circuit": "c432", "eps": eps,
+             "options": self.OPTIONS} for eps in ([0.01], [0.05, 0.1])])]
+        entry = self._expected(engine)
+        for env in envs:
+            assert env["ok"] and env["coalesced"] == 2
+            assert env["fallbacks"] == [entry]
+
+    def test_serve_envelope_names_the_gap(self, engine):
+        out = io.StringIO()
+        serve_stream(engine, io.StringIO(json.dumps(
+            {"op": "analyze", "circuit": "c432", "eps": 0.05,
+             "options": self.OPTIONS}) + "\n"), out)
+        (env,) = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert env["ok"]
+        assert env["fallbacks"] == [self._expected(engine)]
 
 class TestWeightFallback:
     """An ``auto`` session whose BDD weight attempt was abandoned says so

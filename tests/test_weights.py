@@ -111,3 +111,32 @@ class TestDispatch:
         data = compute_weights(b.build())
         assert len(data.weights["y"]) == 8
         assert data.weights["y"].sum() == pytest.approx(1.0)
+
+
+def test_pack_counting_never_copies_all_packs():
+    """Weight counting works tile by tile: on a ~2k-node netlist its own
+    traced peak stays below two tiles, far below one copy of the packs."""
+    import tracemalloc
+
+    from repro.probability import weights as weights_mod
+    from repro.sim import patterns
+    from repro.sim.simulator import simulate
+
+    circuit = random_circuit(n_inputs=64, n_gates=2000, n_outputs=8, seed=1)
+    n_patterns = (1 << 16) - 5  # a partly used tail word
+    n_words = patterns.words_for_patterns(n_patterns)
+    values = simulate(circuit, patterns.random_pack(
+        circuit.inputs, n_words, np.random.default_rng(0), None))
+    packs = sum(v.nbytes for v in values.values())
+    tile = weights_mod._PACK_CHUNK_ELEMENTS * 8
+    assert 2 * tile < packs
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        data = weights_mod._weights_from_packs(circuit, values, n_patterns,
+                                               "sampled")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * tile
+    assert len(data.weights) == circuit.num_gates
