@@ -19,10 +19,11 @@ log (:mod:`repro.incremental.edits`).  Each edit computes its *dirty cone*
   circuit;
 * the compiled plans, along a patch-vs-relower ladder: ``set_eps``
   invalidates nothing (eps enters at run time), a type-only ``swap_gate``
-  patches the plain plan's arrays in place and re-lowers the correlated
-  plan against the retained ``PairStructure``, and node-set-changing edits
-  (rewires, add/remove, triplicate) drop the plans for lazy re-lowering
-  over the incrementally maintained weights.
+  patches both plans in place (the correlated one re-lowers against the
+  retained ``PairStructure`` when its patch cannot prove the pair
+  closure unchanged), and node-set-changing edits (rewires, add/remove,
+  triplicate) drop the plans for lazy re-lowering over the
+  incrementally maintained weights.
 
 The weight maintenance deliberately resolves ``weight_method="auto"`` to
 ``"exhaustive"`` (≤ 20 uniform inputs) or ``"sampled"`` — never ``"bdd"``,
@@ -317,23 +318,19 @@ class CircuitWorkspace:
         self._reweight(reweight)
 
         plans: Dict[str, str] = {}
-        plain = self._plans.get(False, _UNBUILT)
-        if type_only and plain is not _UNBUILT and plain is not None:
-            patched = plain.patch_weights(
-                self.circuit, self._weights,
-                changed_gates=sorted(reweight),
-                retruthed_gates=[edit.gate])
-            if patched:
-                plans["plain"] = "patched"
+        for mode in (False, True):
+            if not self._built(mode):
+                decision = "unbuilt"
+            elif type_only and self._plans[mode].patch_weights(
+                    self.circuit, self._weights,
+                    changed_gates=sorted(reweight),
+                    retruthed_gates=[edit.gate]):
+                decision = "patched"
             else:
-                self._plans[False] = _UNBUILT
-                plans["plain"] = "relowered"
-        else:
-            plans["plain"] = "relowered" if self._built(False) else "unbuilt"
-            self._plans[False] = _UNBUILT
-        plans["correlated"] = ("relowered" if self._built(True)
-                               else "unbuilt")
-        self._plans[True] = _UNBUILT
+                decision = "relowered"
+            if decision != "patched":
+                self._plans[mode] = _UNBUILT
+            plans[_PLAN_NAMES[mode]] = decision
         if not type_only:
             self._pair_structure = None  # supports changed with the rewire
         return EditReport(kind=edit.kind, dirty_nodes=len(dirty),

@@ -74,7 +74,7 @@ from __future__ import annotations
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -353,6 +353,37 @@ def _gate_columns(circuit: Circuit, weights: WeightData,
     return tables[0][0], flip_mask, w_masked, w_side
 
 
+def _rewrite_columns(groups: Iterable["_OpGroup"], circuit: Circuit,
+                     weights: WeightData, targets: np.ndarray,
+                     names: Sequence[str], dtype: np.dtype) -> int:
+    """Rewrite in place the columns of ``groups`` whose slots are marked
+    in the boolean ``targets`` (the gates' new weights and, per gate,
+    mask), through one :func:`_gate_columns` call per group key; returns
+    the number of columns rewritten."""
+    batches: Dict[tuple, List[tuple]] = {}
+    for group in groups:
+        cols = np.flatnonzero(targets[group.slots])
+        if len(cols):
+            batches.setdefault((group.arity, group.truth), []).append(
+                (group, cols))
+    rewritten = 0
+    for hits in batches.values():
+        _, flip_mask, w_masked, w_side = _gate_columns(
+            circuit, weights,
+            [names[s] for group, cols in hits for s in group.slots[cols]],
+            dtype)
+        at = 0
+        for group, cols in hits:
+            part = slice(at, at + len(cols))
+            at += len(cols)
+            if group.truth is None:
+                group.flip_mask[cols] = flip_mask[part]
+            group.w_masked[:, :, cols] = w_masked[:, :, part]
+            group.w_side[:, cols] = w_side[:, part]
+        rewritten += at
+    return rewritten
+
+
 def _lower_plain_groups(circuit: Circuit, weights: WeightData,
                         index: Mapping[str, int],
                         gate_row: Mapping[str, int],
@@ -525,19 +556,11 @@ class CompiledSinglePass:
                 for lv, groups in lowered.items():
                     self.levels[self.level_values.index(lv)] = groups
             if rewrite:
-                targets = np.fromiter(rewrite, dtype=np.intp)
-                for group in chain.from_iterable(self.levels):
-                    cols = np.flatnonzero(np.isin(group.slots, targets))
-                    if not len(cols):
-                        continue
-                    _, flip_mask, w_masked, w_side = _gate_columns(
-                        circuit, weights,
-                        [self.node_names[s] for s in group.slots[cols]],
-                        self.dtype)
-                    if group.truth is None:
-                        group.flip_mask[cols] = flip_mask
-                    group.w_masked[:, :, cols] = w_masked
-                    group.w_side[:, cols] = w_side
+                targets = np.zeros(self.state_rows, dtype=bool)
+                targets[list(rewrite)] = True
+                _rewrite_columns(chain.from_iterable(self.levels), circuit,
+                                 weights, targets, self.node_names,
+                                 self.dtype)
             self.circuit = circuit
             self.weights = weights
             self.output_prob1 = np.asarray(
@@ -861,6 +884,12 @@ class _Step:
     #: reads of the marginal of ``a`` and the probability of ``b`` (2, R).
     ea1: Optional[np.ndarray] = None
     marginals: Optional[np.ndarray] = None
+    #: Steps laid out by a patch only (see :class:`~repro.reliability.
+    #: plan_patch.PatchIndex`): where each program weight and each side
+    #: total comes from, shaped like ``weights[:, 0]`` and ``den`` — an
+    #: offset into the flat weight vectors, and ``2 wire + side``.
+    w_src: Optional[np.ndarray] = None
+    d_src: Optional[np.ndarray] = None
 
     @property
     def n_operands(self) -> int:
@@ -1011,10 +1040,7 @@ class _LoweringTemplate:
                                  dtype=np.intp)
         #: Active input vectors per error-free output value, ascending —
         #: the scalar accumulation order of the side weight totals.
-        self.side_vectors = [
-            np.asarray([v for v in range(1 << k)
-                        if (active >> v) & 1 and truth[v] == val],
-                       dtype=np.intp) for val in (0, 1)]
+        self.side_vectors = _side_vectors(truth, k, active)
 
     def forms(self, keep: np.ndarray) -> Dict[tuple, tuple]:
         """The terms under one keep pattern, split by :class:`_Form` key.
@@ -1049,6 +1075,21 @@ class _LoweringTemplate:
             entry[2].append(scols)
             entry[3].append(cols)
         return forms
+
+
+def _side_vectors(truth: Tuple[int, ...], k: int,
+                  active: int) -> List[np.ndarray]:
+    """Active input vectors per error-free output value, ascending."""
+    return [np.asarray([v for v in range(1 << k)
+                        if (active >> v) & 1 and truth[v] == val],
+                       dtype=np.intp) for val in (0, 1)]
+
+
+def _active_masks(w: np.ndarray) -> List[int]:
+    """Bit ``v`` set iff vector ``v`` has nonzero weight, per row of the
+    ``(gates, 2**k)`` weights."""
+    return [int.from_bytes(row, "little") for row in
+            map(bytes, np.packbits(w != 0.0, axis=1, bitorder="little"))]
 
 
 def _side_total(w: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -1126,8 +1167,12 @@ class _RowTable:
         ka, kb = np.divmod(keys, 2 * self.n)
         return ka >> 1, ka & 1, kb >> 1, kb & 1
 
-    def resolve(self, ka: np.ndarray, kb: np.ndarray) -> np.ndarray:
-        """Row of every query: flat arrays of ``2 slot + event`` halves."""
+    def resolve(self, ka: np.ndarray, kb: np.ndarray,
+                create: bool = True) -> Optional[np.ndarray]:
+        """Row of every query: flat arrays of ``2 slot + event`` halves.
+
+        With ``create`` off the numbering is read only: None when some
+        query needs a row the table does not have."""
         out = np.full(ka.shape, ROW_ONE, dtype=np.intp)
         same = (ka >> 1) == (kb >> 1)
         if same.any():
@@ -1137,6 +1182,8 @@ class _RowTable:
             same_ev = np.flatnonzero(same & (ka == kb))
             flat = (ka[same_ev] & 1) * (self.n + 1) + (ka[same_ev] >> 1)
             fresh = np.unique(flat[self.same_row[flat] < 0])
+            if len(fresh) and not create:
+                return None
             self.same_row[fresh] = np.arange(
                 self.n_rows, self.n_rows + len(fresh))
             self.n_rows += len(fresh)
@@ -1162,6 +1209,8 @@ class _RowTable:
         rows = np.empty(len(keys), dtype=np.intp)
         rows[known] = self.rows[at[known]]
         if not known.all():
+            if not create:
+                return None
             rows[~known] = self._add_pairs(keys[~known])
         key_rows = np.full(len(valid), ROW_ONE, dtype=np.intp)
         key_rows[valid] = rows
@@ -1205,6 +1254,11 @@ class _GateBucket:
             tl = self.templates[side] = _LoweringTemplate(
                 self.truth, self.k, self.active, self.errfree, side)
         return tl
+
+
+#: The :meth:`CompiledCorrelatedPass._lay_out` entry of a level with
+#: nothing laid out.
+_NO_STEPS = ((), None, ())
 
 
 def _starts(counts) -> np.ndarray:
@@ -1380,6 +1434,11 @@ class CompiledCorrelatedPass:
     (:attr:`level_gap`); when not even gap 0 fits the plan refuses with
     :class:`CompiledPassUnsupported`, and the analyzer falls back to the
     scalar engine's per-query budget degradation.
+
+    After a type-only edit, :meth:`patch_weights` updates the plan in
+    place: it keeps the pair closure and row numbering, rewrites the
+    values of members whose lowering template is unchanged, and lays out
+    again only the steps of members whose template changed.
     """
 
     def __init__(self, circuit: Circuit,
@@ -1402,6 +1461,12 @@ class CompiledCorrelatedPass:
         self.n_rows = 2
         #: Lowering batches: the plan's (template, side) buckets.
         self.num_batches = 0
+        #: Bumped by every in-place :meth:`patch_weights`.
+        self.revision = 0
+        #: What :meth:`patch_weights` needs beyond the schedule
+        #: (a :class:`~repro.reliability.plan_patch.PatchIndex`), built
+        #: on its first call: a plan never patched pays nothing for it.
+        self._patch_index = None
         with trace_span("compiled_pass.compile_correlated",
                         circuit=circuit.name) as span:
             try:
@@ -1434,6 +1499,7 @@ class CompiledCorrelatedPass:
         gates = circuit.topological_gates()
         self.gate_names: List[str] = gates
         self._gate_row = {g: i for i, g in enumerate(gates)}
+        self.max_arity = max_arity
         self.input_error_rows: List[Tuple[int, ErrorProbability]] = [
             (self.index[name], ep) for name, ep in input_errors.items()]
         for gate in gates:
@@ -1442,6 +1508,52 @@ class CompiledCorrelatedPass:
                 raise CompiledPassUnsupported(
                     f"gate {gate!r} has arity {arity} > {max_arity};"
                     " use the scalar pass")
+        with trace_span("compiled_pass.compile_correlated.discover",
+                        circuit=circuit.name) as span:
+            found, table, is_logic, buckets, plan_store, cached = \
+                self._discover_closure(input_errors, cache_dir, structure)
+            span.set(rows=self.n_rows, over_budget=found is None)
+        if found is None:
+            with trace_span("compiled_pass.compile_correlated.fit",
+                            circuit=circuit.name) as span:
+                try:
+                    table = _RowTable(self.structure, is_logic,
+                                      self._fit(is_logic, buckets))
+                except CompiledPassUnsupported:
+                    if plan_store is not None:
+                        plan_store.save(unsupported=True)
+                    raise
+                found = self._discover(table, buckets)
+                span.set(level_gap=table.gap, rows=self.n_rows)
+        self.level_gap = table.gap
+        with trace_span("compiled_pass.compile_correlated.lower",
+                        circuit=circuit.name):
+            self._name_pairs(table, None if cached else plan_store)
+            laid = self._lay_out(found, buckets, circuit, self.weights)
+            same = self._same_by_level(table)
+            #: Per level, in order: (plain groups, gate step, same-wire
+            #: batch, expansion waves); ``_level_pos`` maps a level to its
+            #: entry.
+            self._schedule: List[tuple] = []
+            self._level_pos: Dict[int, int] = {}
+            for lv in sorted(set(laid) | set(same)):
+                plain, gate_step, waves = laid.get(lv, _NO_STEPS)
+                self._level_pos[lv] = len(self._schedule)
+                self._schedule.append((plain, gate_step, same.get(lv), waves))
+            self._count_schedule()
+        self.output_slots = np.asarray(
+            [self.index[o] for o in circuit.outputs], dtype=np.intp)
+        self.output_prob1 = np.asarray(
+            [self.weights.signal_prob[o] for o in circuit.outputs],
+            dtype=np.float64)
+
+    def _discover_closure(self, input_errors, cache_dir, structure):
+        """Bucket the gates and discover the closure at ``max_level_gap``
+        (or the cached plan's gap).  Returns ``(found, table, is_logic,
+        buckets, plan_store, cached)``; ``found`` is None when the closure
+        passed ``max_pairs`` (the plan is then fitted)."""
+        circuit = self.circuit
+        order = self.node_names
         # A caller holding a still-valid PairStructure (same circuit
         # structure — e.g. an incremental workspace re-lowering after a
         # type-only swap) can pass it in to skip the support-bitset
@@ -1467,7 +1579,7 @@ class CompiledCorrelatedPass:
             (len(order), max([1] + [node.arity for node in nodes])),
             dtype=np.intp)
         self._eps_row = np.full(len(order), -1, dtype=np.intp)
-        for row, gate in enumerate(gates):
+        for row, gate in enumerate(self.gate_names):
             slot = self.index[gate]
             self._eps_row[slot] = row
             self._fanin[slot, :nodes[slot].arity] = [
@@ -1493,25 +1605,24 @@ class CompiledCorrelatedPass:
         try:
             found = self._discover(table, buckets)
         except CompiledPassUnsupported:  # never for a cached plan
-            try:
-                table = _RowTable(self.structure, is_logic,
-                                  self._fit(is_logic, buckets))
-            except CompiledPassUnsupported:
-                if plan_store is not None:
-                    plan_store.save(unsupported=True)
-                raise
-            found = self._discover(table, buckets)
-        self.level_gap = table.gap
+            found = None
+        return (found, table, is_logic, buckets, plan_store,
+                cached_plan is not None)
 
-        # Canonical pair keys, sorted by wire names (the deterministic
-        # iteration contract of ErrorCorrelationEngine.coefficient_items).
+    def _name_pairs(self, table: _RowTable,
+                    plan_store: Optional[_PlanStore]) -> None:
+        """Name the expansion rows' canonical pair keys, sorted by wire
+        names (the deterministic iteration contract of
+        ``ErrorCorrelationEngine.coefficient_items``), and store the pair
+        table when ``plan_store`` is given."""
+        order = self.node_names
         pa, pea, pb, peb = table.decode(table.keys)
         name_rank = np.empty(len(order), dtype=np.intp)
         name_rank[sorted(range(len(order)), key=order.__getitem__)] = \
             np.arange(len(order))
         by_name = np.lexsort((peb, name_rank[pb], pea, name_rank[pa]))
         pa, pea, pb, peb = pa[by_name], pea[by_name], pb[by_name], peb[by_name]
-        if plan_store is not None and cached_plan is None:
+        if plan_store is not None:
             plan_store.save(pairs=np.stack([pa, pea, pb, peb], axis=1),
                             level_gap=table.gap)
         names = np.asarray(order, dtype=object)
@@ -1521,17 +1632,12 @@ class CompiledCorrelatedPass:
             peb.tolist()))
         self._pair_rows_order = table.rows[by_name]
 
-        self._build_schedule(found, buckets, table, max_arity)
-        self.output_slots = np.asarray(
-            [self.index[o] for o in circuit.outputs], dtype=np.intp)
-        self.output_prob1 = np.asarray(
-            [self.weights.signal_prob[o] for o in circuit.outputs],
-            dtype=np.float64)
-
     def _gate_buckets(self, nodes, error_free: np.ndarray
                       ) -> List[_GateBucket]:
-        """Bucket the gates by (truth, arity, active vectors, error-free
-        fanins); records each gate slot's bucket and position in it."""
+        """Bucket the gates by their lowering template key (truth, arity,
+        active vectors, error-free fanins); records each gate slot's
+        bucket in ``_bucket_of`` and each bucket's key in
+        ``_bucket_keys``."""
         by_class: Dict[Tuple[Tuple[int, ...], int], List[int]] = {}
         for gate in self.gate_names:
             slot = self.index[gate]
@@ -1540,25 +1646,22 @@ class CompiledCorrelatedPass:
                                  node.arity), []).append(slot)
         buckets: List[_GateBucket] = []
         self._bucket_of = np.full(len(nodes), -1, dtype=np.intp)
-        self._bucket_pos = np.zeros(len(nodes), dtype=np.intp)
         for (truth, k), slots in by_class.items():
             slots = np.asarray(slots, dtype=np.intp)
             w = np.stack([np.asarray(self.weights.weights[nodes[s].name],
                                      dtype=np.float64) for s in slots])
-            active = np.packbits(w != 0.0, axis=1, bitorder="little")
             errfree = (error_free[self._fanin[slots, :k]]
                        << np.arange(k)).sum(axis=1)
             split: Dict[tuple, List[int]] = {}
-            for i, key in enumerate(zip(map(bytes, active),
-                                        errfree.tolist())):
+            for i, key in enumerate(zip(_active_masks(w), errfree.tolist())):
                 split.setdefault(key, []).append(i)
-            for (act, ef), members in split.items():
+            for (active, ef), members in split.items():
                 sel = slots[members]
                 self._bucket_of[sel] = len(buckets)
-                self._bucket_pos[sel] = np.arange(len(sel))
-                buckets.append(_GateBucket(
-                    truth, k, int.from_bytes(act, "little"), ef, sel,
-                    w[members]))
+                buckets.append(_GateBucket(truth, k, active, ef, sel,
+                                           w[members]))
+        self._bucket_keys = [(b.truth, b.k, b.active, b.errfree)
+                             for b in buckets]
         return buckets
 
     def _fit(self, is_logic: np.ndarray, buckets: List[_GateBucket]
@@ -1586,29 +1689,12 @@ class CompiledCorrelatedPass:
         shape (members, specs).  Raises :class:`CompiledPassUnsupported`
         as soon as a round takes the closure past ``max_pairs``.
         """
-        fanin = self._fanin
         found: Dict[tuple, List[tuple]] = {}
         frontier = [(i, None, bucket.slots, None, None, None)
                     for i, bucket in enumerate(buckets)]
         while frontier:
-            queries = []
-            for bid, side, a, b, eb, _ in frontier:
-                tl = buckets[bid].template(side)
-                f = fanin[a]
-                ka = 2 * f[:, tl.spec_a] + tl.spec_ea
-                kb = 2 * f[:, np.maximum(tl.spec_b, 0)] + tl.spec_eb
-                if side is not None:
-                    # Conditioning queries (spec_b < 0) read (b, eb).
-                    kb = np.where(tl.spec_b < 0, (2 * b + eb)[:, None], kb)
-                queries.append((ka.ravel(), kb.ravel()))
-            resolved = np.split(
-                table.resolve(np.concatenate([q[0] for q in queries]),
-                              np.concatenate([q[1] for q in queries])),
-                np.cumsum([len(q[0]) for q in queries])[:-1])
-            for (bid, side, a, b, eb, rows), res in zip(frontier, resolved):
-                n_specs = len(buckets[bid].template(side).spec_a)
-                found.setdefault((bid, side), []).append(
-                    (a, b, eb, rows, res.reshape(len(a), n_specs)))
+            for key, member in self._resolve(table, buckets, frontier):
+                found.setdefault(key, []).append(member)
             self.n_rows = table.n_rows
             self.num_batches = len(found)
             if len(table.keys) > self.max_pairs:
@@ -1623,8 +1709,43 @@ class CompiledCorrelatedPass:
                         for sel in _split_by(key)]
         return found
 
+    def _resolve(self, table: _RowTable, buckets: List[_GateBucket],
+                 batches: List[tuple], create: bool = True):
+        """Resolve every batch's row queries in one :meth:`_RowTable.
+        resolve` call.
+
+        A batch is ``(bucket, side, a, b, eb, rows)``: gates ``a`` of a
+        bucket (side None), or expansion rows ``(a, side | b, eb)``.
+        Returns ``[((bucket, side), (a, b, eb, rows, resolved))]`` with
+        ``resolved`` shaped (members, specs), or None when ``create`` is
+        off and a query needs a row the table does not have.
+        """
+        if not batches:
+            return []
+        fanin = self._fanin
+        queries = []
+        for bid, side, a, b, eb, _ in batches:
+            tl = buckets[bid].template(side)
+            f = fanin[a]
+            ka = 2 * f[:, tl.spec_a] + tl.spec_ea
+            kb = 2 * f[:, np.maximum(tl.spec_b, 0)] + tl.spec_eb
+            if side is not None:
+                # Conditioning queries (spec_b < 0) read (b, eb).
+                kb = np.where(tl.spec_b < 0, (2 * b + eb)[:, None], kb)
+            queries.append((ka.ravel(), kb.ravel(), ka.shape))
+        resolved = table.resolve(np.concatenate([q[0] for q in queries]),
+                                 np.concatenate([q[1] for q in queries]),
+                                 create)
+        if resolved is None:
+            return None
+        resolved = np.split(resolved,
+                            np.cumsum([len(q[0]) for q in queries])[:-1])
+        return [((bid, side), (a, b, eb, rows, res.reshape(q[2])))
+                for (bid, side, a, b, eb, rows), q, res
+                in zip(batches, queries, resolved)]
+
     def _lower(self, found: Dict[tuple, List[tuple]],
-               buckets: List[_GateBucket]):
+               buckets: List[_GateBucket], sources: bool = False):
         """Lower every (bucket, side) batch to member, program and term
         arrays.
 
@@ -1634,9 +1755,10 @@ class CompiledCorrelatedPass:
           marginals)``: a corrected gate (``ea = -1``, side totals W(0),
           W(1)) or an expansion row (its side ``ea``, W(ea) twice, and the
           flat state reads of the marginal of ``a`` and of ``b``);
-        * ``programs`` — ``(member, side, terms, weight)`` per active input
-          vector, member-major in ascending-vector order (the scalar
-          accumulation order);
+        * ``programs`` — ``(member, side, terms, weight, vector)`` per
+          active input vector, member-major in ascending-vector order (the
+          scalar accumulation order); ``vector`` is None unless
+          ``sources``;
         * ``terms`` — per form id, ``(program, rank, state, rows)`` of its
           perturbation terms, operands laid out as :class:`_Form` says;
         * ``forms`` — the :class:`_Form` of each id; ``reads`` — the
@@ -1671,7 +1793,7 @@ class CompiledCorrelatedPass:
                     if not len(a):
                         continue
                 b, eb, rows = a, np.zeros_like(a), np.full_like(a, -1)
-            w = bucket.weights[self._bucket_pos[a]]
+            w = bucket.weights[np.searchsorted(bucket.slots, a)]
             if side is None:
                 totals = np.stack([_side_total(w, tl.side_vectors[0]),
                                    _side_total(w, tl.side_vectors[1])],
@@ -1719,7 +1841,9 @@ class CompiledCorrelatedPass:
         programs = (p_member,
                     np.concatenate([tl.sides for tl in templates])[table],
                     np.concatenate([tl.counts for tl in templates])[table],
-                    np.concatenate([x.ravel() for x in weights]))
+                    np.concatenate([x.ravel() for x in weights]),
+                    np.concatenate([tl.vectors for tl in templates])[table]
+                    if sources else None)
 
         # Terms: each part's members crossed with its term table, operands
         # read from the members' rows of the flattened state / spec rows.
@@ -1762,27 +1886,44 @@ class CompiledCorrelatedPass:
         reads = (np.repeat(members[0], m_specs)[read], spec_rows[read])
         return members, programs, terms, forms, reads, plain
 
-    def _build_schedule(self, found, buckets, table: _RowTable,
-                        max_arity: int) -> None:
-        """Lower the discovered plan and lay its steps out by level.
+    def _lay_out(self, found, buckets, circuit: Circuit,
+                 weights: WeightData, w_off: Optional[np.ndarray] = None,
+                 wave: Optional[np.ndarray] = None) -> Dict[int, tuple]:
+        """Lower discovered members and lay their steps out by level.
 
-        Per level: plain groups, then the corrected-gate step (state of
-        level L is final after it), then the level's same-wire rows as
-        one batch (state reads only), then one step per expansion wave.
-        An expansion row reads rows of lower levels, or rows of its own
-        level whose canonical later wire is strictly topologically
-        earlier; its wave is one past the deepest same-level row it reads.
+        Returns ``{level: (plain groups, gate step, expansion waves)}``.
+        Per level the schedule runs the plain groups, then the
+        corrected-gate step (state of level L is final after it), then the
+        level's same-wire rows as one batch (state reads only, see
+        :meth:`_same_by_level`), then one step per expansion wave.  An
+        expansion row reads rows of lower levels, or rows of its own level
+        whose canonical later wire is strictly topologically earlier; its
+        wave is one past the deepest same-level row it reads.  ``w_off``
+        (a patch's flat weight offsets) makes every step record where its
+        weights and side totals come from; ``wave`` (per row) sets the
+        least wave of each row.
         """
         members, programs, terms, forms, reads, plain = self._lower(
-            found, buckets)
+            found, buckets, sources=w_off is not None)
         steps: List[Tuple[int, _Step]] = []
         if members is not None:
-            steps = self._steps(members, programs, terms, forms, reads)
+            steps = self._steps(members, programs, terms, forms, reads,
+                                w_off, wave)
         plain_levels = _lower_plain_groups(
-            self.circuit, self.weights, self.index, self._gate_row,
+            circuit, weights, self.index, self._gate_row,
             [self.node_names[s]
              for s in np.sort(np.concatenate(plain)).tolist()]
-            if plain else [], max_arity)
+            if plain else [], self.max_arity)
+        laid = {lv: (tuple(groups), None, ())
+                for lv, groups in plain_levels.items()}
+        for level, st in steps:
+            groups, gate_step, waves = laid.get(level, _NO_STEPS)
+            laid[level] = ((groups, st, waves) if st.kind == "gate"
+                           else (groups, gate_step, waves + (st,)))
+        return laid
+
+    def _same_by_level(self, table: _RowTable) -> Dict[int, tuple]:
+        """``{level: (rows, flat state reads)}`` of the same-wire rows."""
         same_flat = np.flatnonzero(table.same_row >= 0)
         same_level = self.structure.slot_levels[same_flat % self.state_rows]
         same_by_level = {}
@@ -1790,41 +1931,43 @@ class CompiledCorrelatedPass:
             flat = same_flat[sel]
             same_by_level[int(same_level[sel[0]])] = (table.same_row[flat],
                                                       flat)
-        gate_steps: Dict[int, _Step] = {}
-        waves: Dict[int, List[_Step]] = {}
-        for level, st in steps:
-            if st.kind == "gate":
-                gate_steps[level] = st
-            else:
-                waves.setdefault(level, []).append(st)
-        self._schedule: List[tuple] = []
-        for lv in sorted(set(plain_levels) | set(gate_steps)
-                         | set(same_by_level) | set(waves)):
-            self._schedule.append((
-                tuple(plain_levels.get(lv, ())),
-                gate_steps.get(lv),
-                same_by_level.get(lv),
-                tuple(waves.get(lv, ())),
-            ))
+        return same_by_level
+
+    def _schedule_steps(self, levels=None):
+        """The steps of the schedule (of ``levels`` only, if given)."""
+        for _, gate_step, _, waves in (
+                self._schedule if levels is None
+                else [self._schedule[self._level_pos[lv]] for lv in levels]):
+            if gate_step is not None:
+                yield gate_step
+            yield from waves
+
+    def _count_schedule(self) -> None:
+        steps = list(self._schedule_steps())
         #: Batched correlated ops per sweep: one per perturbation form of
         #: each step, one per step tail, one per same-wire level batch.
-        self.num_corr_groups = (sum(len(st.forms) + 1 for _, st in steps)
-                                + len(same_by_level))
+        self.num_corr_groups = (
+            sum(len(st.forms) + 1 for st in steps)
+            + sum(entry[2] is not None for entry in self._schedule))
         #: Largest per-column operand count of a step (sizes the sweep's
         #: column blocks).
-        self._step_operands = max((st.n_operands for _, st in steps),
+        self._step_operands = max((st.n_operands for st in steps),
                                   default=0)
 
-    def _steps(self, members, programs, terms, forms, reads
+    def _steps(self, members, programs, terms, forms, reads,
+               w_off: Optional[np.ndarray] = None,
+               wave: Optional[np.ndarray] = None
                ) -> List[Tuple[int, _Step]]:
-        """``(level, step)`` in execution order, built as array ops."""
+        """``(level, step)`` in execution order, built as array ops (with
+        each step's weight and total sources when ``w_off`` is given)."""
         target, eps_row, level, ea, totals, marginals = members
-        p_member, p_side, p_count, p_weight = programs
+        p_member, p_side, p_count, p_weight, p_vector = programs
         n_members = len(target)
         expand = ea >= 0
         # Waves: longest same-level read chain, relaxed until nothing
         # deepens.
-        wave = np.zeros(self.n_rows, dtype=np.intp)
+        wave = (np.zeros(self.n_rows, dtype=np.intp) if wave is None
+                else wave.copy())
         parent, child = reads
         if len(parent):
             row_level = np.full(self.n_rows, -1, dtype=np.intp)
@@ -1868,12 +2011,18 @@ class CompiledCorrelatedPass:
         to_side[at] = v_pos
         weights = np.empty((len(p_step), 1), dtype=np.float64)
         weights[at, 0] = p_weight
+        if w_off is not None:
+            # A member's wire: the gate itself, or an expansion's ``a``.
+            wire = marginals[:, 0] % self.state_rows
+            w_src = np.empty(len(p_step), dtype=np.intp)
+            w_src[at] = w_off[wire[p_member]] + p_vector
 
         # Terms: form blocks per step (T), and their rank-major order.
         n_forms = len(forms)
         t_step = [p_step[prog] for prog, _, _, _ in terms]
-        n_block = np.stack([np.bincount(ts, minlength=n_steps)
-                            for ts in t_step], axis=1)
+        n_block = np.zeros((n_steps, n_forms), dtype=np.intp)
+        for f, ts in enumerate(t_step):
+            n_block[:, f] = np.bincount(ts, minlength=n_steps)
         t_block = np.cumsum(n_block, axis=1) - n_block
         t_start = _starts(n_block.sum(axis=1))
         to_rank = np.empty(int(n_block.sum()), dtype=np.intp)
@@ -1906,6 +2055,8 @@ class CompiledCorrelatedPass:
         m_slot = np.where(exists, s_pos[slot], 0).T
         m_mask = (exists & (totals[order] > 0.0)).T[:, :, None]
         m_den = np.where(m_mask, totals[order].T[:, :, None], 1.0)
+        if w_off is not None:
+            d_src = (2 * wire[:, None] + side)[order].T[:, :, None]
         target, eps_row, ea = target[order], eps_row[order], ea[order]
         ea1 = (ea == 1)[:, None]
         marginals = marginals[order].T
@@ -1955,8 +2106,47 @@ class CompiledCorrelatedPass:
                 mask=m_mask[sides, lo:hi],
                 den=m_den[sides, lo:hi],
                 ea1=None if gate else ea1[lo:hi],
-                marginals=None if gate else marginals[:, lo:hi])))
+                marginals=None if gate else marginals[:, lo:hi],
+                w_src=(None if w_off is None
+                       else w_src[p_start[s]:p_start[s + 1]]),
+                d_src=None if w_off is None else d_src[sides, lo:hi])))
         return steps
+
+    # -- in-place patching ---------------------------------------------
+    def patch_weights(self, circuit: Circuit, weights: WeightData,
+                      changed_gates: Sequence[str] = (),
+                      retruthed_gates: Sequence[str] = ()) -> bool:
+        """Update the plan in place after a type-only edit.
+
+        The contract of :meth:`CompiledSinglePass.patch_weights`:
+        ``changed_gates`` have new weight vectors, ``retruthed_gates`` a
+        new truth table.  A member whose lowering template is unchanged —
+        a dirty gate, or an expansion row whose later wire is one — keeps
+        its programs and rows, so only its values are rewritten: program
+        weights, side totals and plain-group columns.  A gate whose
+        template changed (a retruthed gate, or one whose active vectors
+        changed) re-resolves its queries and its expansion rows' against
+        the plan's row numbering, and only the steps holding them are
+        laid out again (see :mod:`repro.reliability.plan_patch`).  The
+        patched plan answers as a fresh compile does, byte for byte.
+
+        Returns False when the patch cannot prove the pair closure
+        unchanged: the node set or order differs, the plan was fitted to
+        a level gap (an edit can move the fit), a query needs a row the
+        plan does not have, or a row is read by nothing any more.  The
+        plan is then left as it was, and the caller re-lowers it.
+        """
+        with trace_span("compiled_pass.patch_correlated",
+                        circuit=circuit.name) as span:
+            from .plan_patch import patch
+            fallback, members, levels = patch(
+                self, circuit, weights, changed_gates, retruthed_gates)
+            span.set(members=members, levels=levels,
+                     fallback=fallback or "none")
+        if fallback is None and obs_metrics.is_enabled():
+            obs_metrics.inc("compiled_pass.correlated_patches",
+                            circuit=circuit.name)
+        return fallback is None
 
     # -- execution ------------------------------------------------------
     def _run_schedule(self, P: np.ndarray, C: np.ndarray,

@@ -409,3 +409,63 @@ def test_patch_weights_equals_fresh_compile(swap, dtype):
     for attr in ("p01", "p10", "per_output"):
         assert np.array_equal(getattr(plan.run_sweep(EPS_POINTS), attr),
                               getattr(fresh.run_sweep(EPS_POINTS), attr))
+
+
+_SWAPS = [None, {"g2": "xor"}, {"g2": "and"}, {"g0": "buf"}, {"g7": "buf"},
+          {"w0": "nor"}]
+_SWAP_IDS = ["weights-only", "two-input", "complement", "not-to-buf",
+             "not-to-buf-deep", "wide-retruth"]
+
+
+def assert_same_correlated(plan, fresh):
+    """Same pair closure, and byte-equal sweep answers."""
+    from repro.reliability.compiled_pass import CompiledCorrelatedPass
+    assert isinstance(plan, CompiledCorrelatedPass)
+    assert plan.pair_keys == fresh.pair_keys
+    assert (plan.n_pair_rows, plan.level_gap) == (fresh.n_pair_rows,
+                                                  fresh.level_gap)
+    assert plan.num_corr_groups == fresh.num_corr_groups
+    got, want = plan.run_sweep(EPS_POINTS), fresh.run_sweep(EPS_POINTS)
+    for attr in ("p01", "p10", "per_output", "correlation_coefficients"):
+        assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+
+
+def _changed_gates(circuit, old, new):
+    return [g for g in circuit.topological_gates()
+            if not np.array_equal(old.weights[g], new.weights[g])]
+
+
+@pytest.mark.parametrize("swap", _SWAPS, ids=_SWAP_IDS)
+@pytest.mark.parametrize("later", [False, True],
+                         ids=["first-patch", "later-patch"])
+def test_correlated_patch_equals_fresh_compile(swap, later):
+    """A correlated plan patched in place answers as a fresh compile, byte
+    for byte; a patch that declines leaves the plan as it was, and then
+    the fresh closure really differs.  The first patch of a plan lays it
+    out whole; ``later`` runs the swap as the plan's second patch."""
+    from repro.circuit import GateType
+    from repro.reliability.compiled_pass import CompiledCorrelatedPass
+
+    before = _mixed_circuit()
+    plan = CompiledCorrelatedPass(before, _bdd_weights(before))
+    if later:
+        warm = _bdd_weights(before, base=0.25)
+        assert plan.patch_weights(
+            before, warm, _changed_gates(before, plan.weights, warm))
+    revision = plan.revision
+    untouched = plan.run_sweep(EPS_POINTS)
+    types = {g: GateType(t) for g, t in (swap or {}).items()}
+    after = _mixed_circuit(types)
+    weights = _bdd_weights(after, base=0.3 if swap else 0.21)
+    patched = plan.patch_weights(
+        after, weights, _changed_gates(after, plan.weights, weights),
+        retruthed_gates=list(types))
+    fresh = CompiledCorrelatedPass(after, weights)
+    if patched:
+        assert plan.revision == revision + 1
+        assert_same_correlated(plan, fresh)
+    else:
+        assert plan.revision == revision
+        assert plan.pair_keys != fresh.pair_keys
+        assert plan.run_sweep(EPS_POINTS).per_output.tobytes() == \
+            untouched.per_output.tobytes()

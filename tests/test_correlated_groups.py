@@ -68,9 +68,10 @@ def _check_wave_placement(circuit, weights, monkeypatch):
     lowered = {}
     build_steps = CompiledCorrelatedPass._steps
 
-    def spy(self, members, programs, terms, forms, reads):
+    def spy(self, members, programs, terms, forms, reads, *layout):
         lowered.update(members=members, reads=reads)
-        return build_steps(self, members, programs, terms, forms, reads)
+        return build_steps(self, members, programs, terms, forms, reads,
+                           *layout)
 
     monkeypatch.setattr(CompiledCorrelatedPass, "_steps", spy)
     plan = CompiledCorrelatedPass(circuit, weights)

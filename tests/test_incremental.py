@@ -29,7 +29,10 @@ from repro.probability.weights import (
     exhaustive_weight_vectors,
     sampled_weight_vectors,
 )
+from repro import obs
 from repro.reliability import SinglePassAnalyzer
+from repro.reliability.compiled_pass import CompiledCorrelatedPass
+from tests.test_compiled_pass import assert_same_correlated
 
 OPTS = {"weights": "sampled", "n_patterns": 1 << 10}
 
@@ -236,6 +239,173 @@ class TestEpsState:
         eps = ws.current_eps()
         assert eps["default"] == 0.01 and eps["top"] == 0.3
         assert_parity(ws)
+
+
+#: Same-arity replacement of each swappable two-input gate type.
+_SWAP_PAIR = {GateType.AND: GateType.OR, GateType.OR: GateType.AND,
+              GateType.NAND: GateType.NOR, GateType.NOR: GateType.NAND,
+              GateType.XOR: GateType.XNOR, GateType.XNOR: GateType.XOR}
+
+
+def _c499_edit_gates(circuit):
+    """The edit_loop workload's 16 swap gates: every 13th two-input gate
+    of c499."""
+    return [g for g in circuit.topological_gates()
+            if circuit.node(g).arity == 2][::13][:16]
+
+
+def _counter(name, **labels):
+    return sum(entry["value"] for entry in obs.metrics.snapshot()
+               if entry["name"] == name
+               and all(entry["labels"].get(k) == v
+                       for k, v in labels.items()))
+
+
+class TestCorrelatedPatch:
+    """A type-only swap patches the correlated plan in place; the patch
+    answers as a fresh compile, and falls back to a re-lower when it
+    cannot prove the pair closure unchanged."""
+
+    def test_type_only_swap_patches_both_plans(self, reconvergent_circuit):
+        ws = CircuitWorkspace(reconvergent_circuit)
+        ws.analyze(use_correlation=False)
+        ws.analyze(use_correlation=True)
+        plan = ws._plans[True]
+        obs.reset()
+        obs.enable()
+        try:
+            report = ws.apply(SwapGate("g2", "nor"))
+            patched = _counter("incremental.plan_decisions",
+                               plan="correlated", decision="patched")
+        finally:
+            obs.disable()
+            obs.reset()
+        assert report.plans == {"plain": "patched", "correlated": "patched"}
+        assert patched == 1
+        assert ws._plans[True] is plan and plan.revision == 1
+        assert_parity(ws)
+
+    @pytest.fixture(scope="class")
+    def c499_workspace(self):
+        ws = CircuitWorkspace(get_benchmark("c499"))
+        ws.analyze()
+        return ws
+
+    def test_c499_swaps_equal_fresh_compiles(self, c499_workspace):
+        """Swap and unswap each edit_loop gate: one plan, patched 32
+        times, answers as a fresh compile after every patch."""
+        ws = c499_workspace
+        plan = ws._plans[True]
+        for gate in _c499_edit_gates(ws.circuit):
+            original = ws.circuit.node(gate).gate_type
+            for gate_type in (_SWAP_PAIR[original], original):
+                report = ws.apply(SwapGate(gate, gate_type))
+                assert report.plans["correlated"] == "patched"
+                assert ws._plans[True] is plan
+                assert_same_correlated(
+                    plan, CompiledCorrelatedPass(ws.circuit, ws.weights))
+
+    def test_moved_waves_lay_out_their_level_again(self, monkeypatch):
+        """When a changed expansion row now reads rows of its level from
+        another wave, its level's waves are laid out again (here on c432:
+        undoing a swap, then a second swap)."""
+        from repro.reliability import plan_patch
+
+        moved = []
+        waves_of = plan_patch._waves_of
+
+        def spy(plan, idx, key_id, w_flat, rows):
+            waves = waves_of(plan, idx, key_id, w_flat, rows)
+            moved.append(bool((waves != idx.row_wave[rows]).any()))
+            return waves
+
+        monkeypatch.setattr(plan_patch, "_waves_of", spy)
+        ws = CircuitWorkspace(get_benchmark("c432"), weight_method="sampled",
+                              n_patterns=1 << 10, seed=7)
+        ws.analyze()
+        plan = ws._plans[True]
+        for gate, gate_type in (("g59", "or"), ("g59", "and"),
+                                ("g26", "and")):
+            report = ws.apply(SwapGate(gate, gate_type))
+            assert report.plans["correlated"] == "patched"
+            assert_same_correlated(
+                plan, CompiledCorrelatedPass(ws.circuit, ws.weights))
+        assert moved == [True, True]
+
+    def test_patch_skips_discovery_and_bucketing(self, c499_workspace,
+                                                 monkeypatch):
+        ws = c499_workspace.fork()
+        ws.analyze()  # a fresh plan, never patched
+
+        def spy(*args, **kwargs):
+            raise AssertionError("a type-only swap re-ran plan discovery")
+
+        monkeypatch.setattr(CompiledCorrelatedPass, "_discover", spy)
+        monkeypatch.setattr(CompiledCorrelatedPass, "_gate_buckets", spy)
+        for gate in _c499_edit_gates(ws.circuit)[2:4]:
+            original = ws.circuit.node(gate).gate_type
+            for gate_type in (_SWAP_PAIR[original], original):
+                report = ws.apply(SwapGate(gate, gate_type))
+                assert report.plans["correlated"] == "patched"
+                ws.analyze()
+
+    def test_fitted_plan_falls_back(self):
+        """c1908's closure passes a 50k-row budget and is fitted to a
+        level gap, which a swap can move: the patch declines with a
+        reason, the plan re-lowers, and answers as a fresh compile."""
+        ws = CircuitWorkspace(get_benchmark("c1908"),
+                              weight_method="sampled", n_patterns=1 << 10,
+                              max_correlation_pairs=50_000)
+        ws.analyze()
+        assert ws._plans[True].level_gap is not None
+        gate = next(g for g in ws.circuit.topological_gates()
+                    if ws.circuit.node(g).gate_type in _SWAP_PAIR)
+        obs.reset()
+        obs.enable()
+        try:
+            report = ws.apply(SwapGate(
+                gate, _SWAP_PAIR[ws.circuit.node(gate).gate_type]))
+            (span,) = obs.get_tracer().find("compiled_pass.patch_correlated")
+        finally:
+            obs.disable()
+            obs.reset()
+        assert report.plans["correlated"] == "relowered"
+        assert span.attrs["fallback"] == "fitted"
+        got = ws.analyze()
+        fresh = CompiledCorrelatedPass(ws.circuit, ws.weights,
+                                       max_pairs=50_000)
+        assert_same_correlated(ws._plans[True], fresh)
+        want = fresh.run(ws.current_eps()["default"])
+        assert [got.per_output[o] for o in ws.circuit.outputs] == \
+            want.per_output[:, 0].tolist()
+
+    def test_results_taken_before_a_patch_keep_their_values(
+            self, reconvergent_circuit):
+        ws = CircuitWorkspace(reconvergent_circuit, eps=0.1)
+        before = ws.analyze()
+        per_output = dict(before.per_output)
+        node_errors = dict(before.node_errors)
+        # An engine seeded before the patch, to compare the lazily seeded
+        # one of ``before`` against.
+        seeded = list(ws.analyze().correlation_engine.coefficient_items())
+        report = ws.apply(SwapGate("g2", "nor"))
+        assert report.plans["correlated"] == "patched"
+        assert dict(ws.analyze().per_output) != per_output
+        assert dict(before.per_output) == per_output
+        assert dict(before.node_errors) == node_errors
+        assert list(before.correlation_engine.coefficient_items()) == seeded
+
+    def test_patching_one_fork_leaves_the_other(self, reconvergent_circuit):
+        ws = CircuitWorkspace(reconvergent_circuit, eps=0.1)
+        fork = ws.fork()
+        want = dict(ws.analyze().per_output)
+        fork.analyze()
+        report = fork.apply(SwapGate("g2", "nor"))
+        assert report.plans["correlated"] == "patched"
+        assert dict(fork.analyze().per_output) != want
+        assert dict(ws.analyze().per_output) == want
+        assert ws._plans[True].revision == 0
+        assert_parity(fork)
 
 
 class TestFork:
