@@ -39,6 +39,21 @@ class Node:
         return len(self.fanins)
 
 
+def _check_gate(name: str, gate_type: GateType, arity: int) -> None:
+    """Raise unless a combinational gate of ``gate_type`` takes ``arity``
+    fanins."""
+    if isinstance(gate_type, str):
+        raise TypeError("gate_type must be a GateType, not str")
+    if gate_type.is_state:
+        raise CircuitError(
+            f"gate {name!r}: {gate_type.value} is a state element; "
+            "Circuit is combinational — build a SequentialCircuit "
+            "(repro.circuit.sequential) and unroll it for analysis")
+    low, high = gate_type.fanin_bounds
+    if not low <= arity <= high:
+        check_arity(gate_type, arity)  # raises with the message
+
+
 class Circuit:
     """A combinational logic circuit represented as a named-node DAG.
 
@@ -87,19 +102,23 @@ class Circuit:
         trivial and matches how netlist files are parsed (forward references
         are resolved by the parsers before calling this).
         """
-        if isinstance(gate_type, str):
-            raise TypeError("gate_type must be a GateType, not str")
-        if gate_type.is_state:
-            raise CircuitError(
-                f"gate {name!r}: {gate_type.value} is a state element; "
-                "Circuit is combinational — build a SequentialCircuit "
-                "(repro.circuit.sequential) and unroll it for analysis")
         fanins = tuple(fanins)
-        low, high = gate_type.fanin_bounds
-        if not low <= len(fanins) <= high:
-            check_arity(gate_type, len(fanins))  # raises with the message
+        _check_gate(name, gate_type, len(fanins))
         self._add_node(Node(name, gate_type, fanins))
         return name
+
+    def retyped(self, name: str, gate_type: GateType) -> "Circuit":
+        """A copy with gate ``name``'s type replaced and its fanins kept.
+
+        The new type passes :meth:`add_gate`'s checks (same errors) before
+        anything is copied; node order, levels and fanouts carry over, as
+        one changed type cannot move them.
+        """
+        node = self.node(name)
+        _check_gate(name, gate_type, node.arity)
+        dup = self.copy()
+        dup._nodes[name] = Node(name, gate_type, node.fanins)
+        return dup
 
     def set_output(self, name: str) -> None:
         """Mark an existing node as a primary output.

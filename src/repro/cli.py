@@ -757,13 +757,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                               circuit=circuit.name)
         groups = registry.value("compiled_pass.correlated_groups",
                                 circuit=circuit.name)
+        steps = registry.value("compiled_pass.correlated_steps",
+                               circuit=circuit.name)
         batches = registry.value("compiled_pass.lowering_batches",
                                  circuit=circuit.name)
     except KeyError:  # no correlated plan was compiled in this process
         pass
     else:
         print(f"correlated plan: {rows} coefficient rows in {groups} "
-              f"batched groups, lowered in {batches} batches")
+              f"batched groups over {steps} steps, lowered in {batches} "
+              "batches")
     print()
     for response in responses:
         telemetry = response.telemetry or {}

@@ -306,8 +306,12 @@ class CircuitWorkspace:
                      for m in (False, True)}
             return EditReport(kind=edit.kind, dirty_nodes=0,
                               reweighted_gates=0, plans=plans)
-        replacement = Node(edit.gate, edit.gate_type, fanins)
-        new_circuit = self._rebuild(replace={edit.gate: replacement})
+        # A type-only swap moves no node, level or fanout: one node of a
+        # copy changes, and only a rewire re-enters the netlist.
+        new_circuit = (self.circuit.retyped(edit.gate, edit.gate_type)
+                       if type_only else self._rebuild(replace={
+                           edit.gate: Node(edit.gate, edit.gate_type,
+                                           fanins)}))
         dirty = self._transitive_fanout(new_circuit, [edit.gate])
 
         self._commit(new_circuit)

@@ -49,12 +49,15 @@ per-pair coefficient state into an integer-indexed *coefficient row table*:
   and each lowering template's programs are built once per batch;
 * at run time the rows live in one dense ``(rows, E)`` matrix ``C`` —
   same-wire rows read a wire's propagated state, expansion rows run a
-  pre-lowered Fig. 4 program — evaluated in a level schedule that
-  guarantees every child row and every fanin state is final before use;
+  pre-lowered Fig. 4 program — evaluated in a schedule that guarantees
+  every child row and every fanin state is final before use;
 * gates whose transitions reference only the constant-1 row run as
   plain groups (the state keeps their zero row); the remaining gates and
-  all expansion rows run in dependency *steps* — one level's corrected gates,
-  or one *wave* (dependency depth) of its expansion rows.  A step gathers
+  all expansion rows run in dependency *steps* of corrected gates or of
+  expansion rows.  Every member sinks from its level-major place into
+  the latest step of its kind before its first reader
+  (:mod:`repro.reliability.plan_order`), so a sweep dispatches few,
+  fat steps and plain groups.  A step gathers
   all its members' operands at once, evaluates each perturbation *form*
   (the op sequence of one term of the scalar ``_correlated_transition``,
   clamp for clamp) once over every term of that form, reduces the terms
@@ -390,29 +393,32 @@ def _lower_plain_groups(circuit: Circuit, weights: WeightData,
                         gates: Sequence[str],
                         max_arity: int,
                         dtype: np.dtype = np.float64,
+                        steps: Optional[Sequence[int]] = None,
                         ) -> Dict[int, List["_OpGroup"]]:
-    """Lower ``gates`` into the plain level schedule ``{level: [group]}``.
+    """Lower ``gates`` into the plain schedule ``{step: [group]}``.
 
     The one builder of :class:`_OpGroup` s: the independence kernel
     lowers every gate, the correlated kernel the gates that read no
-    nontrivial coefficient row.  Per level, one group per lowered arity
-    (:func:`_group_key`); arity-1 gates read the zero row ``len(index)``.
-    Groups come in key order and keep the order of ``gates``, so
-    re-lowering one level reproduces a fresh compile's groups.  Every
-    float array is materialized in ``dtype``, the sweep's precision.
+    nontrivial coefficient row.  A gate runs in its circuit level, or in
+    ``steps[i]`` when given (the correlated plan's sink placement); per
+    step, one group per lowered arity (:func:`_group_key`); arity-1
+    gates read the zero row ``len(index)``.  Groups come in key order
+    and keep the order of ``gates``, so re-lowering one step reproduces
+    a fresh compile's groups.  Every float array is materialized in
+    ``dtype``, the sweep's precision.
     """
     dtype = np.dtype(dtype)
     zero_row = len(index)
     grouped: Dict[tuple, List[str]] = {}
-    for gate in gates:
+    for i, gate in enumerate(gates):
         node = circuit.node(gate)
         if node.arity > max_arity:
             raise CompiledPassUnsupported(
                 f"gate {gate!r} has arity {node.arity} > {max_arity}; "
                 "use the scalar pass")
         truth, k = _lowered_truth(node)
-        grouped.setdefault((circuit.level(gate),) + _group_key(k, truth),
-                           []).append(gate)
+        step = circuit.level(gate) if steps is None else int(steps[i])
+        grouped.setdefault((step,) + _group_key(k, truth), []).append(gate)
 
     levels: Dict[int, List[_OpGroup]] = {}
     for key, members in sorted(grouped.items()):
@@ -832,9 +838,10 @@ def _form_terms(form: _Form, S: np.ndarray, Cg: np.ndarray,
 class _Step:
     """One dependency step of the correlated schedule, run as one batch.
 
-    A step is one level's corrected gates (``gate`` tail) or one wave of
-    that level's expansion rows (``expand`` tail).  Its members never read
-    each other's outputs, so the step gathers all their state and
+    A step holds corrected gates (``gate`` tail) or expansion rows
+    (``expand`` tail), placed by :func:`repro.reliability.plan_order.
+    place`.  Its members never read each other's outputs, so the step
+    gathers all their state and
     coefficient operands at once, evaluates each perturbation form once
     over every term of that form, and reduces the terms in rank-ordered
     rounds that keep each element's scalar addition order:
@@ -1256,11 +1263,6 @@ class _GateBucket:
         return tl
 
 
-#: The :meth:`CompiledCorrelatedPass._lay_out` entry of a level with
-#: nothing laid out.
-_NO_STEPS = ((), None, ())
-
-
 def _starts(counts) -> np.ndarray:
     """Exclusive prefix sums: where each of ``counts`` consecutive blocks
     begins."""
@@ -1482,6 +1484,8 @@ class CompiledCorrelatedPass:
                                   self.n_rows, **labels)
             obs_metrics.set_gauge("compiled_pass.correlated_groups",
                                   self.num_corr_groups, **labels)
+            obs_metrics.set_gauge("compiled_pass.correlated_steps",
+                                  self.num_steps, **labels)
             obs_metrics.set_gauge("compiled_pass.lowering_batches",
                                   self.num_batches, **labels)
 
@@ -1528,18 +1532,22 @@ class CompiledCorrelatedPass:
         self.level_gap = table.gap
         with trace_span("compiled_pass.compile_correlated.lower",
                         circuit=circuit.name):
+            from . import plan_order
             self._name_pairs(table, None if cached else plan_store)
-            laid = self._lay_out(found, buckets, circuit, self.weights)
-            same = self._same_by_level(table)
-            #: Per level, in order: (plain groups, gate step, same-wire
-            #: batch, expansion waves); ``_level_pos`` maps a level to its
-            #: entry.
-            self._schedule: List[tuple] = []
-            self._level_pos: Dict[int, int] = {}
-            for lv in sorted(set(laid) | set(same)):
-                plain, gate_step, waves = laid.get(lv, _NO_STEPS)
-                self._level_pos[lv] = len(self._schedule)
-                self._schedule.append((plain, gate_step, same.get(lv), waves))
+            same = self._same_rows(table)
+            members, programs, terms, forms, reads, plain = self._lower(
+                found, buckets)
+            placement = plan_order.empty(self, circuit)
+            plan_order.add(placement, self, circuit, (
+                members, programs, terms, forms, reads, plain), same)
+            del reads
+            step_of = plan_order.place(placement)
+            del placement
+            #: ``{step name: plain group, step or same-wire batch}``;
+            #: ``_schedule`` holds them in run order.
+            self._layout = self._lay_out(
+                (members, programs, terms, forms, plain), same, step_of,
+                circuit, self.weights)
             self._count_schedule()
         self.output_slots = np.asarray(
             [self.index[o] for o in circuit.outputs], dtype=np.intp)
@@ -1761,9 +1769,10 @@ class CompiledCorrelatedPass:
           ``sources``;
         * ``terms`` — per form id, ``(program, rank, state, rows)`` of its
           perturbation terms, operands laid out as :class:`_Form` says;
-        * ``forms`` — the :class:`_Form` of each id; ``reads`` — the
-          ``(expansion row, row read)`` edges; ``plain`` — slots of gates
-          that read no nontrivial row (the plain kernel's share).
+        * ``forms`` — the :class:`_Form` of each id; ``reads`` — every
+          ``(member, nonconstant row read)`` pair; ``plain`` — sorted
+          slots of the gates that read no nontrivial row (the plain
+          kernel's share).
 
         The loop over batches only resolves operands and records each
         keep pattern's term tables; members, programs and terms are then
@@ -1814,6 +1823,8 @@ class CompiledCorrelatedPass:
             spec_rows.append(resolved)
             weights.append(w[:, tl.vectors])
             templates.append(tl)
+        plain = (np.sort(np.concatenate(plain)) if plain
+                 else np.empty(0, dtype=np.intp))
         if not batches:
             return None, None, None, None, None, plain
         a, b, eb, rows, ea, totals = _concat_columns(batches)
@@ -1882,111 +1893,78 @@ class CompiledCorrelatedPass:
                            + scols.take(row, axis=0)),
                 spec_rows.take(m_spec.take(m)[:, None]
                                + rcols.take(row, axis=0))))
-        read = np.repeat(expand, m_specs)
-        reads = (np.repeat(members[0], m_specs)[read], spec_rows[read])
+        read = spec_rows > ROW_ZERO
+        reads = (np.repeat(np.arange(len(a)), m_specs)[read], spec_rows[read])
         return members, programs, terms, forms, reads, plain
 
-    def _lay_out(self, found, buckets, circuit: Circuit,
-                 weights: WeightData, w_off: Optional[np.ndarray] = None,
-                 wave: Optional[np.ndarray] = None) -> Dict[int, tuple]:
-        """Lower discovered members and lay their steps out by level.
+    def _lay_out(self, lowered, same, step_of: np.ndarray, circuit: Circuit,
+                 weights: WeightData, w_off: Optional[np.ndarray] = None
+                 ) -> Dict[int, object]:
+        """Lay lowered members and same-wire rows out as steps.
 
-        Returns ``{level: (plain groups, gate step, expansion waves)}``.
-        Per level the schedule runs the plain groups, then the
-        corrected-gate step (state of level L is final after it), then the
-        level's same-wire rows as one batch (state reads only, see
-        :meth:`_same_by_level`), then one step per expansion wave.  An
-        expansion row reads rows of lower levels, or rows of its own level
-        whose canonical later wire is strictly topologically earlier; its
-        wave is one past the deepest same-level row it reads.  ``w_off``
-        (a patch's flat weight offsets) makes every step record where its
-        weights and side totals come from; ``wave`` (per row) sets the
-        least wave of each row.
+        ``lowered`` is :meth:`_lower`'s result without its reads, ``same``
+        the same-wire ``(rows, flat state reads)``, and ``step_of`` names
+        the step of every member id (see :mod:`repro.reliability.
+        plan_order`).  Returns ``{step name: plain group, step or
+        same-wire batch}``; names sort in run order.  ``w_off`` (a
+        patch's flat weight offsets) makes every step record where its
+        weights and side totals come from.
         """
-        members, programs, terms, forms, reads, plain = self._lower(
-            found, buckets, sources=w_off is not None)
-        steps: List[Tuple[int, _Step]] = []
+        members, programs, terms, forms, plain = lowered
+        layout: Dict[int, object] = {}
         if members is not None:
-            steps = self._steps(members, programs, terms, forms, reads,
-                                w_off, wave)
-        plain_levels = _lower_plain_groups(
-            circuit, weights, self.index, self._gate_row,
-            [self.node_names[s]
-             for s in np.sort(np.concatenate(plain)).tolist()]
-            if plain else [], self.max_arity)
-        laid = {lv: (tuple(groups), None, ())
-                for lv, groups in plain_levels.items()}
-        for level, st in steps:
-            groups, gate_step, waves = laid.get(level, _NO_STEPS)
-            laid[level] = ((groups, st, waves) if st.kind == "gate"
-                           else (groups, gate_step, waves + (st,)))
-        return laid
+            target, ea = members[0], members[3]
+            ids = np.where(ea < 0, target, self.state_rows + target)
+            layout.update(self._steps(members, programs, terms, forms,
+                                      step_of[ids], w_off))
+        for name, (group,) in _lower_plain_groups(
+                circuit, weights, self.index, self._gate_row,
+                [self.node_names[s] for s in plain.tolist()], self.max_arity,
+                steps=step_of[plain]).items():
+            layout[name] = group
+        rows, flat = same
+        names = step_of[self.state_rows + rows]
+        for sel in _split_by(np.unique(names, return_inverse=True)[1]):
+            layout[int(names[sel[0]])] = (rows[sel], flat[sel])
+        return layout
 
-    def _same_by_level(self, table: _RowTable) -> Dict[int, tuple]:
-        """``{level: (rows, flat state reads)}`` of the same-wire rows."""
-        same_flat = np.flatnonzero(table.same_row >= 0)
-        same_level = self.structure.slot_levels[same_flat % self.state_rows]
-        same_by_level = {}
-        for sel in _split_by(same_level):
-            flat = same_flat[sel]
-            same_by_level[int(same_level[sel[0]])] = (table.same_row[flat],
-                                                      flat)
-        return same_by_level
-
-    def _schedule_steps(self, levels=None):
-        """The steps of the schedule (of ``levels`` only, if given)."""
-        for _, gate_step, _, waves in (
-                self._schedule if levels is None
-                else [self._schedule[self._level_pos[lv]] for lv in levels]):
-            if gate_step is not None:
-                yield gate_step
-            yield from waves
+    def _same_rows(self, table: _RowTable) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, flat state reads)`` of the same-wire rows."""
+        flat = np.flatnonzero(table.same_row >= 0)
+        return table.same_row[flat], flat
 
     def _count_schedule(self) -> None:
-        steps = list(self._schedule_steps())
+        """Put the layout in run order and count its dispatches."""
+        self._schedule = [self._layout[name] for name in sorted(self._layout)]
+        steps = [item for item in self._schedule if isinstance(item, _Step)]
+        #: Dispatches per sweep: correlated steps and plain groups (the
+        #: rest of the schedule is same-wire batches).
+        self.num_steps = len(steps)
+        self.num_plain_groups = sum(isinstance(item, _OpGroup)
+                                    for item in self._schedule)
         #: Batched correlated ops per sweep: one per perturbation form of
-        #: each step, one per step tail, one per same-wire level batch.
+        #: each step, one per step tail, one per same-wire batch.
         self.num_corr_groups = (
             sum(len(st.forms) + 1 for st in steps)
-            + sum(entry[2] is not None for entry in self._schedule))
+            + len(self._schedule) - self.num_steps - self.num_plain_groups)
         #: Largest per-column operand count of a step (sizes the sweep's
         #: column blocks).
         self._step_operands = max((st.n_operands for st in steps),
                                   default=0)
 
-    def _steps(self, members, programs, terms, forms, reads,
-               w_off: Optional[np.ndarray] = None,
-               wave: Optional[np.ndarray] = None
+    def _steps(self, members, programs, terms, forms, step: np.ndarray,
+               w_off: Optional[np.ndarray] = None
                ) -> List[Tuple[int, _Step]]:
-        """``(level, step)`` in execution order, built as array ops (with
-        each step's weight and total sources when ``w_off`` is given)."""
-        target, eps_row, level, ea, totals, marginals = members
+        """``(name, step)`` in run order, each member in the step its
+        ``step`` entry names, built as array ops (with each step's weight
+        and total sources when ``w_off`` is given)."""
+        target, eps_row, _, ea, totals, marginals = members
         p_member, p_side, p_count, p_weight, p_vector = programs
         n_members = len(target)
         expand = ea >= 0
-        # Waves: longest same-level read chain, relaxed until nothing
-        # deepens.
-        wave = (np.zeros(self.n_rows, dtype=np.intp) if wave is None
-                else wave.copy())
-        parent, child = reads
-        if len(parent):
-            row_level = np.full(self.n_rows, -1, dtype=np.intp)
-            row_level[target[expand]] = level[expand]
-            link = row_level[child] == row_level[parent]
-            parent, child = parent[link], child[link]
-            while True:
-                deeper = wave[child] + 1 > wave[parent]
-                if not deeper.any():
-                    break
-                np.maximum.at(wave, parent[deeper], wave[child[deeper]] + 1)
-        phase = np.zeros(n_members, dtype=np.intp)
-        phase[expand] = 1 + wave[target[expand]]
-        n_phases = int(phase.max()) + 1
-        key = level * n_phases + phase
-        present = np.bincount(key) > 0
-        keys = np.flatnonzero(present)
-        m_step = (np.cumsum(present) - 1)[key]
-        n_steps = len(keys)
+        names, m_step = np.unique(step, return_inverse=True)
+        m_step = m_step.ravel()
+        n_steps = len(names)
 
         # Programs, rank-major by term count: pert rounds.
         p_step = m_step[p_member]
@@ -2083,13 +2061,13 @@ class CompiledCorrelatedPass:
                                                      s_off.tolist())]
         t_start = t_start.tolist() + [len(to_rank)]
         p_start = p_start.tolist() + [len(to_side)]
-        levels = (keys // n_phases).tolist()
+        names = names.tolist()
         steps = []
         for s in range(n_steps):
             lo, hi = m_start[s], m_start[s + 1]
             gate = ea[lo] < 0
             sides = slice(None) if gate else slice(0, 1)
-            steps.append((levels[s], _Step(
+            steps.append((names[s], _Step(
                 kind="gate" if gate else "expand",
                 state=state[step_state[s]:step_state[s + 1]],
                 rows=rows[step_rows[s]:step_rows[s + 1]],
@@ -2126,9 +2104,11 @@ class CompiledCorrelatedPass:
         weights, side totals and plain-group columns.  A gate whose
         template changed (a retruthed gate, or one whose active vectors
         changed) re-resolves its queries and its expansion rows' against
-        the plan's row numbering, and only the steps holding them are
-        laid out again (see :mod:`repro.reliability.plan_patch`).  The
-        patched plan answers as a fresh compile does, byte for byte.
+        the plan's row numbering; every member is placed again by the
+        compile's sink rule, and only the steps whose membership changed
+        or that hold a changed member are laid out again (see
+        :mod:`repro.reliability.plan_patch`).  The patched plan answers
+        as a fresh compile does, byte for byte.
 
         Returns False when the patch cannot prove the pair closure
         unchanged: the node set or order differs, the plan was fitted to
@@ -2139,9 +2119,9 @@ class CompiledCorrelatedPass:
         with trace_span("compiled_pass.patch_correlated",
                         circuit=circuit.name) as span:
             from .plan_patch import patch
-            fallback, members, levels = patch(
+            fallback, members, steps = patch(
                 self, circuit, weights, changed_gates, retruthed_gates)
-            span.set(members=members, levels=levels,
+            span.set(members=members, steps=steps,
                      fallback=fallback or "none")
         if fallback is None and obs_metrics.is_enabled():
             obs_metrics.inc("compiled_pass.correlated_patches",
@@ -2151,24 +2131,22 @@ class CompiledCorrelatedPass:
     # -- execution ------------------------------------------------------
     def _run_schedule(self, P: np.ndarray, C: np.ndarray,
                       Eps: np.ndarray) -> None:
-        """Run every level's plain groups, gate step, same-wire batch and
-        expansion waves over the columns of ``P`` / ``C`` / ``Eps``."""
+        """Run the plain groups, steps and same-wire batches in order over
+        the columns of ``P`` / ``C`` / ``Eps``."""
         flat = P.reshape(-1, P.shape[-1])
-        for plain_groups, gate_step, same, waves in self._schedule:
-            for group in plain_groups:
-                _eval_group(group, P, Eps)
-            if gate_step is not None:
-                _run_step(gate_step, flat, P, C, Eps)
-            if same is not None:
-                rows, state = same
+        for item in self._schedule:
+            if type(item) is _Step:
+                _run_step(item, flat, P, C, Eps)
+            elif type(item) is _OpGroup:
+                _eval_group(item, P, Eps)
+            else:
+                rows, state = item
                 pval = flat.take(state, axis=0)
                 big = pval > 1e-9
                 C[rows] = np.where(
                     big,
                     np.minimum(1.0 / np.where(big, pval, 1.0), 1e9),
                     np.where(pval > 0.0, 1e9, 1.0))
-            for st in waves:
-                _run_step(st, flat, P, C, Eps)
 
     def run(self, eps: EpsilonSpec,
             eps10: Optional[EpsilonSpec] = None) -> SweepResult:
@@ -2184,7 +2162,8 @@ class CompiledCorrelatedPass:
         n_points = len(specs)
         with trace_span("compiled_pass.run_sweep_correlated",
                         circuit=self.circuit.name, points=n_points,
-                        groups=self.num_corr_groups):
+                        groups=self.num_corr_groups, steps=self.num_steps,
+                        plain_groups=self.num_plain_groups):
             P, Eps, _ = _packed_state([self], [(specs, eps10_list)],
                                       np.float64)
             width = P.shape[2]

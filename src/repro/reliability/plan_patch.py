@@ -11,21 +11,26 @@ patch instead keeps the row numbering and:
   unchanged — program weights and side totals gathered again through
   each step's ``w_src`` / ``d_src``, and plain-group columns;
 * resolves the queries of members whose template changed, read only,
-  against the row numbering, and lays out again only the steps holding
-  them: the gate's level, and the expansion waves holding its rows (all
-  of a level's waves when one of those rows changes wave).
+  against the row numbering, and enters their kinds, forms and row
+  reads into the plan's :class:`~repro.reliability.plan_order.
+  Placement`.  A changed member can move, and so can every member whose
+  first reader or whose steps' forms moved with it, so every member is
+  placed again by the compile's own rule (:func:`~repro.reliability.
+  plan_order.place`), and only the steps whose membership changed or
+  that hold a changed member are laid out again.
 
 It declines — and the caller re-lowers — when it cannot prove the
 closure unchanged: the node set moved, the plan was fitted to a level
 gap, a query needs a row the plan lacks, or a row is read by nothing any
 more.  Everything the patch needs beyond the schedule (:class:`PatchIndex`)
-is built on a plan's first patch, so a plan never patched pays nothing,
-and this module is imported only when a plan is patched.
+is built on a plan's first patch, which lays the whole plan out once, so
+a plan never patched pays nothing, and this module is imported only when
+a plan is patched.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,17 +38,20 @@ import numpy as np
 
 from ..circuit import Circuit, truth_table
 from ..probability.weights import WeightData
+from . import plan_order
 from .compiled_pass import (
     ROW_ZERO,
     _active_masks,
     _GateBucket,
     _LoweringTemplate,
+    _OpGroup,
     _rewrite_columns,
     _RowTable,
     _side_total,
     _side_vectors,
     _split_by,
     _starts,
+    _Step,
 )
 
 
@@ -54,16 +62,17 @@ class PatchIndex:
 
     * ``table`` — the plan's row numbering, read only (a patch never
       numbers a row);
-    * ``row_a`` … ``row_eb`` — each expansion row's canonical pair,
-      ``row_level`` the level of its step and ``row_wave`` the step's
-      place among the level's waves (-1 on other rows);
-    * ``refs`` — reads of each row by the schedule's terms;
+    * ``row_a`` … ``row_eb`` — each expansion row's canonical pair (-1 on
+      other rows), ``same_flat`` each same-wire row's flat state read
+      (-1 on other rows);
     * ``key_id`` — each gate slot's lowering template key, an index into
       ``keys`` (-1 on other nodes); ``key_ids`` inverts ``keys`` and
       ``templates`` caches the templates per key and side;
     * ``w_flat`` — every gate's weight vector, from ``w_off[slot]``, and
       ``totals`` its side totals at ``2 slot + side``: what the ``w_src``
-      and ``d_src`` of a patched step read.
+      and ``d_src`` of a patched step read;
+    * ``placement`` — the plan's placed :class:`~repro.reliability.
+      plan_order.Placement`, and ``row_wave`` its rows' base waves.
     """
 
     table: _RowTable
@@ -71,9 +80,7 @@ class PatchIndex:
     row_ea: np.ndarray
     row_b: np.ndarray
     row_eb: np.ndarray
-    row_level: np.ndarray
-    row_wave: np.ndarray
-    refs: np.ndarray
+    same_flat: np.ndarray
     key_id: np.ndarray
     keys: List[tuple]
     key_ids: Dict[tuple, int]
@@ -82,12 +89,8 @@ class PatchIndex:
     w_off: np.ndarray
     w_flat: np.ndarray
     totals: np.ndarray
-
-
-def _row_counts(rows: List[np.ndarray], n_rows: int) -> np.ndarray:
-    """How often each of ``n_rows`` coefficient rows occurs in ``rows``."""
-    return np.bincount(np.concatenate([np.empty(0, dtype=np.intp)] + rows),
-                       minlength=n_rows)
+    placement: Optional[plan_order.Placement] = None
+    row_wave: Optional[np.ndarray] = None
 
 
 def patch(plan, circuit: Circuit, weights: WeightData,
@@ -96,7 +99,7 @@ def patch(plan, circuit: Circuit, weights: WeightData,
     """Patch ``plan`` in place after a type-only edit (see
     :meth:`~repro.reliability.compiled_pass.CompiledCorrelatedPass.
     patch_weights`).  Returns ``(fallback reason or None, members
-    rewritten, levels laid out again)``; on a fallback the plan is left
+    rewritten, steps laid out again)``; on a fallback the plan is left
     as it was."""
     if (circuit.topological_order() != plan.node_names
             or circuit.topological_gates() != plan.gate_names):
@@ -115,149 +118,105 @@ def patch(plan, circuit: Circuit, weights: WeightData,
         np.flatnonzero(idx.key_id >= 0) if first else dirty,
         None if first else np.asarray(
             [plan.index[g] for g in retruthed_gates], dtype=np.intp))
-    scope = (_whole_plan(plan, idx) if first
-             else _changed_scope(plan, idx, key_id, w_flat))
-    if scope is None:
-        return "missing-row", 0, 0
-    gates, rows, wave, gate_levels, full_levels = scope
-    # The first patch lays the plan out one level at a time: its peak
-    # is then the plan twice over, not that plus a whole compile's
-    # lowering arrays.
-    slot_levels = plan.structure.slot_levels
-    parts = ([(gates[slot_levels[gates] == lv],
-               rows[idx.row_level[rows] == lv]) for lv in plan._level_pos]
-             if first else [(gates, rows)])
-    laid: Dict[int, tuple] = {}
-    for part_gates, part_rows in parts:
-        if len(part_gates) or len(part_rows):
-            part = _relayout(plan, idx, key_id, w_flat, part_gates,
-                             part_rows, wave, circuit, weights)
-            if part is None:
-                return "missing-row", 0, 0
-            laid.update(part)
-    entries, old, new = _splice(plan, laid, gate_levels, full_levels, wave)
-    refs = (idx.refs + _row_counts([st.rows for st in new], plan.n_rows)
-            - _row_counts([st.rows for st in old], plan.n_rows))
-    if not refs[ROW_ZERO + 1:].all():
-        return "unreferenced-row", 0, 0
+    S = plan.state_rows
+    placement, layout, gone = idx.placement, {}, []
+    if first:
+        # The first patch lays the whole plan out and places it.
+        rows = np.flatnonzero((idx.row_a >= 0) | (idx.same_flat >= 0))
+        moved = np.concatenate([np.flatnonzero(key_id >= 0), S + rows])
+        relay, gone = moved, list(plan._layout)
+        placement = plan_order.empty(plan, circuit)
+    else:
+        # Gates whose template changed, and their expansion rows; unless
+        # a member moves, the steps to lay out again are theirs.
+        gates = np.flatnonzero(key_id != idx.key_id)
+        moved = np.concatenate([gates, S + _rows_of(idx, gates)])
+        old = placement.step
+        relay = np.flatnonzero(np.isin(old, old[moved]))
+        if len(relay):
+            placement = placement.copy()
+    if len(relay):
+        lowered, same = _lower_ids(plan, idx, key_id, w_flat, relay)
+        if lowered is None:
+            return "missing-row", 0, 0
+        plan_order.add(placement, plan, circuit, lowered, same)
+        if plan_order.unread_rows(placement, plan.n_rows):
+            return "unreferenced-row", 0, 0
+        if first:
+            plan_order.place(placement)
+        elif plan_order.same_inputs(idx.placement, placement, relay):
+            # Nothing :func:`plan_order.place` reads has changed.
+            placement.step, placement.wave = old, idx.row_wave
+            gone = np.unique(old[moved]).tolist()
+        else:
+            expansion = np.flatnonzero(idx.row_a >= 0)
+            wave = np.zeros(plan.n_rows, dtype=np.intp)
+            wave[expansion] = _waves_of(plan, idx, key_id, w_flat, expansion)
+            plan_order.place(placement, wave)
+            changed = np.union1d(moved, np.flatnonzero(placement.step != old))
+            gone = np.union1d(old[changed], placement.step[changed])
+            # Every member of ``relay`` is in one of these steps.
+            wider = np.flatnonzero(np.isin(placement.step, gone))
+            if len(wider) > len(relay):
+                lowered, same = _lower_ids(plan, idx, key_id, w_flat, wider)
+            gone = gone.tolist()
+        layout = _own_arrays(plan._lay_out(
+            lowered[:4] + lowered[5:], same, placement.step, circuit,
+            weights, idx.w_off))
 
     # Committed from here on.
-    for lv, entry in entries.items():
-        plan._schedule[plan._level_pos[lv]] = entry
-        if lv in full_levels:
-            for w, st in enumerate(entry[3]):
-                idx.row_wave[st.targets] = w
-    idx.key_id, idx.w_flat, idx.totals, idx.refs = (key_id, w_flat,
-                                                    totals, refs)
-    plan._patch_index = idx
-    members = _rewrite_values(plan, circuit, weights, dirty, gate_levels,
-                              set(map(id, new)), w_flat, totals)
+    for name in gone:
+        plan._layout.pop(name, None)
+    plan._layout.update(layout)
     plan._count_schedule()
+    idx.key_id, idx.w_flat, idx.totals = key_id, w_flat, totals
+    idx.placement, idx.row_wave = placement, placement.wave
+    plan._patch_index = idx
+    members = _rewrite_values(plan, circuit, weights, dirty,
+                              set(map(id, layout.values())), w_flat, totals)
     plan.circuit = circuit
     plan.weights = weights
     plan.output_prob1 = np.asarray(
         [weights.signal_prob[o] for o in circuit.outputs],
         dtype=np.float64)
     plan.revision += 1
-    return None, members, len(entries)
+    return None, members, len(layout)
 
 
-def _whole_plan(plan, idx: PatchIndex) -> tuple:
-    """The first patch's scope: every gate and every row, waves from 0
-    (see :func:`_changed_scope`)."""
-    levels = set(plan._level_pos)
-    return (np.flatnonzero(idx.key_id >= 0),
-            np.flatnonzero(idx.row_level >= 0),
-            np.zeros(plan.n_rows, dtype=np.intp), levels, levels)
+def _rows_of(idx: PatchIndex, gates: np.ndarray) -> np.ndarray:
+    """The expansion rows of ``gates`` (rows whose ``a`` is one)."""
+    marked = plan_order._marked(len(idx.arity), gates)
+    return np.flatnonzero((idx.row_a >= 0) & marked[idx.row_a])
 
 
-def _changed_scope(plan, idx: PatchIndex, key_id: np.ndarray,
-                   w_flat: np.ndarray) -> Optional[tuple]:
-    """What a patch lays out again: ``(gates, rows, wave, gate levels,
-    full levels)``.
-
-    A gate whose template changed takes its level's gates along (their
-    plain groups and gate step are laid out again).  Its expansion rows
-    take along the waves that hold them while each keeps its wave, or
-    else all the waves of its level (a full level).  ``wave`` is each
-    row's least wave: its current one, 0 in a full level.  None when a
-    query needs a row the plan does not have.
-    """
-    moved = np.flatnonzero(key_id != idx.key_id)
-    moved_rows = np.flatnonzero(np.isin(idx.row_a, moved))
-    new_wave = _waves_of(plan, idx, key_id, w_flat, moved_rows)
-    if new_wave is None:
-        return None
-    kept = new_wave == idx.row_wave[moved_rows]
-    full_levels = set(idx.row_level[moved_rows[~kept]].tolist())
-    in_full = np.isin(idx.row_level, list(full_levels))
-    # Rows by (level, wave), as one integer.
-    row_step = idx.row_level * plan.n_rows + idx.row_wave
-    rows = np.flatnonzero((idx.row_level >= 0) & (
-        in_full | np.isin(row_step, row_step[moved_rows[kept]])))
-    wave = np.where(in_full, 0, idx.row_wave)
-    slot_levels = plan.structure.slot_levels
-    gate_levels = set(slot_levels[moved].tolist())
-    gates = np.flatnonzero((idx.key_id >= 0)
-                           & np.isin(slot_levels, list(gate_levels)))
-    return gates, rows, wave, gate_levels, full_levels
-
-
-def _splice(plan, laid: Dict[int, tuple], gate_levels, full_levels,
-            wave: np.ndarray) -> tuple:
-    """``(entries, old, new)``: the schedule entries of the levels in
-    ``laid`` with its steps put in place — a level's gate part when in
-    ``gate_levels``, all of its waves when in ``full_levels``, else the
-    waves ``wave`` places them at — and the steps taken out and put in.
-    """
-    entries, old, new = {}, [], []
-    for lv, (new_plain, new_gate, new_waves) in laid.items():
-        plain, gate_step, same, waves = plan._schedule[plan._level_pos[lv]]
-        if lv in gate_levels:
-            old.append(gate_step)
-            new.append(new_gate)
-            plain, gate_step = new_plain, new_gate
-        if lv in full_levels:
-            old += waves
-            new += new_waves
-            waves = new_waves
-        elif new_waves:
-            waves = list(waves)
-            for st in new_waves:
-                at = int(wave[st.targets[0]])
-                old.append(waves[at])
-                new.append(st)
-                waves[at] = st
-            waves = tuple(waves)
-        entries[lv] = (plain, gate_step, same, waves)
-    return entries, [st for st in old if st], [st for st in new if st]
+def _same(idx: PatchIndex, rows: np.ndarray) -> tuple:
+    """``(rows, flat state reads)`` of same-wire ``rows``."""
+    return rows, idx.same_flat[rows]
 
 
 def _rewrite_values(plan, circuit: Circuit, weights: WeightData,
-                    dirty: np.ndarray, gate_levels, fresh,
-                    w_flat: np.ndarray, totals: np.ndarray) -> int:
+                    dirty: np.ndarray, fresh, w_flat: np.ndarray,
+                    totals: np.ndarray) -> int:
     """Rewrite in place the values of the ``dirty`` gates' members in the
-    steps not laid out again (ids not in ``fresh``) and in the plain
-    groups of levels outside ``gate_levels``; returns the members
-    rewritten."""
+    steps and plain groups not laid out again (ids not in ``fresh``);
+    returns the members rewritten."""
     is_dirty = np.zeros(plan.state_rows, dtype=bool)
     is_dirty[dirty] = True
     # Indexed like ``totals``: by ``2 wire + side``.
     dirty_sides = np.repeat(is_dirty, 2)
-    dirty_levels = set(plan.structure.slot_levels[dirty].tolist())
     members = 0
-    # A dirty wire's rows sit at its level or above.
-    for st in plan._schedule_steps(
-            lv for lv in plan._level_pos
-            if lv >= min(dirty_levels, default=float("inf"))):
-        if id(st) not in fresh and dirty_sides[st.d_src].any():
-            st.weights[:, 0] = w_flat.take(st.w_src)
-            st.den[...] = np.where(st.mask, totals.take(st.d_src), 1.0)
-            members += int(dirty_sides[st.d_src[0]].sum())
-    return members + _rewrite_columns(
-        chain.from_iterable(plan._schedule[plan._level_pos[lv]][0]
-                            for lv in dirty_levels - gate_levels),
-        circuit, weights, is_dirty, plan.node_names, np.float64)
+    groups = []
+    for item in plan._schedule:
+        if id(item) in fresh:
+            continue
+        if type(item) is _Step and dirty_sides[item.d_src].any():
+            item.weights[:, 0] = w_flat.take(item.w_src)
+            item.den[...] = np.where(item.mask, totals.take(item.d_src), 1.0)
+            members += int(dirty_sides[item.d_src[0]].sum())
+        elif type(item) is _OpGroup:
+            groups.append(item)
+    return members + _rewrite_columns(groups, circuit, weights, is_dirty,
+                                      plan.node_names, np.float64)
 
 
 def _build_index(plan) -> PatchIndex:
@@ -270,16 +229,17 @@ def _build_index(plan) -> PatchIndex:
         [node.gate_type.is_logic for node in nodes], dtype=bool),
         plan.level_gap)
     table.n_rows = plan.n_rows
+    same_flat = np.full(plan.n_rows, -1, dtype=np.intp)
     targets = [np.empty(0, dtype=np.intp)]
     marginals = [np.empty((2, 0), dtype=np.intp)]
-    row_wave = np.full(plan.n_rows, -1, dtype=np.intp)
-    for _, _, same, waves in plan._schedule:
-        if same is not None:
-            table.same_row[same[1]] = same[0]
-        for w, st in enumerate(waves):
-            targets.append(st.targets)
-            marginals.append(st.marginals)
-            row_wave[st.targets] = w
+    for item in plan._schedule:
+        if type(item) is tuple:
+            rows, flat = item
+            table.same_row[flat] = rows
+            same_flat[rows] = flat
+        elif type(item) is _Step and item.kind == "expand":
+            targets.append(item.targets)
+            marginals.append(item.marginals)
     rows = np.concatenate(targets)
     ma, mb = np.concatenate(marginals, axis=1)
     pair = (ma % stride, ma // stride, mb % stride, mb // stride)
@@ -287,19 +247,16 @@ def _build_index(plan) -> PatchIndex:
     keys = ((2 * a + ea) * (2 * n) + 2 * b + eb).astype(np.int64)
     by_key = np.argsort(keys)
     table.keys, table.rows = keys[by_key], rows[by_key]
-    levels = plan.structure.slot_levels
     by_row = []
-    for col in pair + (np.maximum(levels[a], levels[b]),):
+    for col in pair:
         full = np.full(plan.n_rows, -1, dtype=np.intp)
         full[rows] = col
         by_row.append(full)
-    refs = _row_counts([st.rows for st in plan._schedule_steps()],
-                       plan.n_rows)
     arity = np.asarray([node.arity if node.gate_type.is_logic else 0
                         for node in nodes], dtype=np.intp)
     sizes = np.where(plan._bucket_of >= 0, 1 << arity, 0)
     return PatchIndex(
-        table, *by_row, row_wave, refs, plan._bucket_of.copy(),
+        table, *by_row, same_flat, plan._bucket_of.copy(),
         list(plan._bucket_keys),
         {key: i for i, key in enumerate(plan._bucket_keys)}, {},
         arity, _starts(sizes), np.zeros(int(sizes.sum())),
@@ -380,46 +337,62 @@ def _members(plan, idx: PatchIndex, key_id: np.ndarray,
                                   create=False)
 
 
-def _waves_of(plan, idx: PatchIndex, key_id: np.ndarray,
-              w_flat: np.ndarray, rows: np.ndarray
-              ) -> Optional[np.ndarray]:
-    """The wave each of ``rows`` would take under the templates of
-    ``key_id``: one past the deepest row of its own level it reads
-    (None when a query needs a row the plan does not have)."""
-    if not len(rows):
-        return rows
-    _, resolved = _members(plan, idx, key_id, w_flat,
-                           np.empty(0, dtype=np.intp), rows)
-    if resolved is None:
-        return None
-    wave = np.zeros(plan.n_rows, dtype=np.intp)
-    for _, (_, _, _, r, res) in resolved:
-        same = idx.row_level[res] == idx.row_level[r][:, None]
-        wave[r] = np.where(same, idx.row_wave[res] + 1, 0).max(
-            axis=1, initial=0)
-    return wave[rows]
-
-
-def _relayout(plan, idx: PatchIndex, key_id: np.ndarray,
-              w_flat: np.ndarray, gates: np.ndarray, rows: np.ndarray,
-              wave: np.ndarray, circuit: Circuit, weights: WeightData
-              ) -> Optional[Dict[int, tuple]]:
-    """Lower and lay out again ``gates`` and expansion ``rows`` (see
-    :func:`_members`), each row at least at its ``wave``.  Returns the
-    :meth:`CompiledCorrelatedPass._lay_out` entries, or None when a
-    query needs a row the plan does not have."""
+def _lower(plan, idx: PatchIndex, key_id: np.ndarray, w_flat: np.ndarray,
+           gates: np.ndarray, rows: np.ndarray, sources: bool):
+    """:meth:`CompiledCorrelatedPass._lower` of ``gates`` and expansion
+    ``rows`` (see :func:`_members`), or None when a query needs a row
+    the plan does not have."""
     buckets, resolved = _members(plan, idx, key_id, w_flat, gates, rows)
     if resolved is None:
         return None
-    laid = plan._lay_out({key: [member] for key, member in resolved},
-                         buckets, circuit, weights, idx.w_off, wave)
-    # A step's arrays are slices of arrays shared by every step laid
-    # out with it.  A later patch may replace some of those steps and
-    # not the others, so each step takes its own copies: what a patch
-    # replaces is freed.
-    for _, gate_step, waves in laid.values():
-        for st in ((gate_step,) if gate_step else ()) + waves:
-            for name, value in vars(st).items():
+    return plan._lower({key: [member] for key, member in resolved},
+                       buckets, sources=sources)
+
+
+def _waves_of(plan, idx: PatchIndex, key_id: np.ndarray,
+              w_flat: np.ndarray, rows: np.ndarray
+              ) -> Optional[np.ndarray]:
+    """The base wave each of ``rows`` takes once the expansion rows of
+    the gates whose template changed under ``key_id`` read their new
+    rows (None when a query needs a row the plan does not have)."""
+    moved = _rows_of(idx, np.flatnonzero(key_id != idx.key_id))
+    _, resolved = _members(plan, idx, key_id, w_flat,
+                           np.empty(0, dtype=np.intp), moved)
+    if resolved is None:
+        return None
+    p = idx.placement
+    child, reader = [], []
+    for _, (_, _, _, r, res) in resolved:
+        read = res > ROW_ZERO
+        child.append(res[read])
+        reader.append(np.repeat(p.n_slots + r, read.sum(axis=1)))
+    keep = ~plan_order._marked(len(p.kind), p.n_slots + moved)[p.reader]
+    return plan_order.waves(replace(
+        p, child=np.concatenate([p.child[keep]] + child),
+        reader=np.concatenate([p.reader[keep]] + reader)))[rows]
+
+
+def _lower_ids(plan, idx: PatchIndex, key_id: np.ndarray,
+               w_flat: np.ndarray, ids: np.ndarray) -> tuple:
+    """``(lowered, same)``: :func:`_lower` of the gates and expansion rows
+    among member ids ``ids``, with step sources, and the same-wire
+    ``(rows, flat state reads)`` among them."""
+    S = plan.state_rows
+    rows = ids[ids >= S] - S
+    expansion = idx.row_a[rows] >= 0
+    return (_lower(plan, idx, key_id, w_flat, ids[ids < S], rows[expansion],
+                   True),
+            _same(idx, rows[~expansion]))
+
+
+def _own_arrays(layout: Dict[int, object]) -> Dict[int, object]:
+    """``layout`` with every step holding its own arrays.  A step's
+    arrays are slices of arrays shared by every step laid out with it; a
+    later patch may replace some of those steps and not the others, so
+    each step takes its own copies: what a patch replaces is freed."""
+    for item in layout.values():
+        if type(item) is _Step:
+            for name, value in vars(item).items():
                 if isinstance(value, np.ndarray) and value.base is not None:
-                    setattr(st, name, value.copy())
-    return laid
+                    setattr(item, name, value.copy())
+    return layout

@@ -3,9 +3,10 @@
 `CompiledCorrelatedPass` runs its corrected gates and coefficient rows in
 dependency steps, each gathered into ``(operands, E)`` arrays and
 evaluated once per perturbation form.  These tests pin the two properties
-that batching must not break — eps columns never couple, and a
-coefficient row that reads another row of its own level runs in a later
-wave — plus the batched-op telemetry.
+that batching must not break — eps columns never couple, and every member
+runs after what it reads and before its first reader, in the step the
+sink rule of ``repro.reliability.plan_order`` puts it in — plus the
+batched-op telemetry.
 """
 
 import re
@@ -19,6 +20,7 @@ from repro.circuits import get_benchmark
 from repro.obs import metrics as obs_metrics
 from repro.probability.weights import compute_weights
 from repro.reliability import CompiledCorrelatedPass, SinglePassAnalyzer
+from repro.reliability import compiled_pass, plan_order
 
 TOL = 1e-10
 
@@ -60,68 +62,153 @@ def same_level_circuit():
     return cb.build()
 
 
-def _check_wave_placement(circuit, weights, monkeypatch):
-    """Build a plan and assert its expansion waves follow the same-level
-    reads, per step and per member; returns the plan."""
-    # Capture the lowered members and (expansion row, row read) edges the
-    # schedule is built from.
-    lowered = {}
-    build_steps = CompiledCorrelatedPass._steps
+def _reference_steps(p):
+    """The sink rule of :mod:`repro.reliability.plan_order`, member by
+    member in plain Python: ``{member: (level, phase, kind)}`` of the step
+    each member runs in, and ``{member: (level, phase, kind)}`` of its
+    base (level-major) step."""
+    S = p.n_slots
+    members = [m for m in range(len(p.kind)) if p.kind[m] >= 0]
+    reads = {m: set() for m in members}
+    for fanin, gate in p.fan.T.tolist():
+        reads[gate].add(fanin)
+    for child, reader in zip(p.child.tolist(), p.reader.tolist()):
+        reads[reader].add(S + child)
+    for m in members:
+        if m >= S:
+            reads[m].update(w for w in p.wires[m - S].tolist()
+                            if w >= 0 and p.kind[w] >= 0)
+    expand = {m for m in members if p.kind[m] == plan_order.EXPAND}
+    wave = {}
 
-    def spy(self, members, programs, terms, forms, reads, *layout):
-        lowered.update(members=members, reads=reads)
-        return build_steps(self, members, programs, terms, forms, reads,
-                           *layout)
+    def wave_of(m):
+        if m not in wave:
+            wave[m] = max([wave_of(r) + 1 for r in reads[m] if r in expand
+                           and p.level[r] == p.level[m]], default=0)
+        return wave[m]
 
-    monkeypatch.setattr(CompiledCorrelatedPass, "_steps", spy)
-    plan = CompiledCorrelatedPass(circuit, weights)
+    def phase(m):
+        kind = int(p.kind[m])
+        if kind >= plan_order.PLAIN:
+            return 0
+        return 3 + wave_of(m) if kind == plan_order.EXPAND else kind + 1
 
-    # (level position, wave) of every expansion row, and its step.
+    base = {m: (int(p.level[m]), phase(m), int(p.kind[m])) for m in members}
+    forms = {m: {(w, b) for w in range(p.forms.shape[1]) for b in range(64)
+                 if int(p.forms[m, w]) >> b & 1} for m in members}
+    step_forms = {}
+    for m in members:
+        step_forms.setdefault(base[m], set()).update(forms[m])
+    readers = {m: [] for m in members}
+    for m in members:
+        for r in reads[m]:
+            readers[r].append(m)
     placed = {}
-    steps = []
-    for lv, (_, _, _, waves) in enumerate(plan._schedule):
-        for wave, st in enumerate(waves):
-            assert st.kind == "expand"
-            steps.append((lv, wave, st))
-            for row in st.targets:
-                placed[int(row)] = (lv, wave)
-    assert any(wave >= 1 for _, wave, _ in steps)
-    # Per step: a wave reads same-level rows of earlier waves only, and
-    # wave w >= 1 reads at least one row of wave w - 1.
-    for lv, wave, st in steps:
-        same_level = [placed[int(r)][1] for r in st.rows
-                      if placed.get(int(r), (None,))[0] == lv]
-        assert all(w < wave for w in same_level)
-        if wave:
-            assert max(same_level) == wave - 1
-    # Per member: every expansion row sits in its shallowest wave — one
-    # past the deepest same-level row it reads, or wave 0 if none.
-    target, ea = lowered["members"][0], lowered["members"][3]
-    expansion_rows = {int(r) for r in target[ea >= 0]}
-    assert expansion_rows == set(placed)
-    reads = {}
-    for row, read in zip(*(x.tolist() for x in lowered["reads"])):
-        reads.setdefault(row, []).append(read)
-    for row in expansion_rows:
-        lv, wave = placed[row]
-        same_level = [placed[r][1] for r in reads.get(row, ())
-                      if placed.get(r, (None,))[0] == lv]
-        assert wave == (max(same_level) + 1 if same_level else 0)
-    return plan
+    for m in sorted(members, key=lambda m: base[m], reverse=True):
+        limit = min((placed[r][:2] for r in readers[m]),
+                    default=(float("inf"),))
+        placed[m] = max(step for step in step_forms
+                        if step[2] == base[m][2]
+                        and base[m][:2] <= step[:2] < limit
+                        and forms[m] <= step_forms[step])
+    return placed, base
 
 
-def test_c432_waves_follow_same_level_reads(monkeypatch):
-    circuit = get_benchmark("c432")
+def _writes_and_reads(plan, item):
+    """``(state slots, rows)`` one schedule item writes, and reads."""
+    S = plan.state_rows
+    if isinstance(item, compiled_pass._OpGroup):
+        fanins = item.fanin_slots.ravel()
+        return ((set(item.slots.tolist()), set()),
+                (set(fanins[fanins < S - 1].tolist()), set()))
+    if isinstance(item, compiled_pass._Step):
+        state = set((item.state % S).tolist())
+        if item.kind == "gate":
+            return ((set(item.targets.tolist()), set()),
+                    (state, set(item.rows.tolist())))
+        state |= set((item.marginals % S).ravel().tolist())
+        return ((set(), set(item.targets.tolist())),
+                (state, set(item.rows.tolist())))
+    rows, flat = item
+    return (set(), set(rows.tolist())), (set((flat % S).tolist()), set())
+
+
+def check_placement(circuit, weights, **kwargs):
+    """Build a plan and check its schedule member by member: each member
+    runs after every step writing what it reads and before its first
+    reader, exactly where the sink rule puts it; returns ``(plan,
+    level-major correlated group count, level-major dispatch count)``."""
+    captured = {}
+    place = plan_order.place
+
+    def spy(p, wave=None):
+        captured["p"] = p
+        return place(p, wave)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plan_order, "place", spy)
+        plan = CompiledCorrelatedPass(circuit, weights, **kwargs)
+    p = captured["p"]
+
+    # Validity of the schedule itself: per written slot or row, its
+    # writer runs before every item reading it, and every read is
+    # written earlier (or is an input, a constant or the zero row).
+    writer = {}
+    for i, item in enumerate(plan._schedule):
+        (w_state, w_rows), _ = _writes_and_reads(plan, item)
+        for key in [("s", x) for x in w_state] + [("r", x) for x in w_rows]:
+            assert key not in writer
+            writer[key] = i
+    for i, item in enumerate(plan._schedule):
+        _, (r_state, r_rows) = _writes_and_reads(plan, item)
+        for key in [("s", x) for x in r_state] + [("r", x) for x in r_rows]:
+            assert writer.get(key, -1) < i
+
+    # Exactly where the rule puts each member, and in that step.
+    placed, base = _reference_steps(p)
+    stride = len(p.wires) + 4
+    for m, (level, phase, kind) in placed.items():
+        code, got_kind = divmod(int(p.step[m]), plan_order.KINDS)
+        assert (code // stride, code % stride, got_kind) == \
+            (level, phase, kind)
+        key = ("s", m) if m < p.n_slots else ("r", m - p.n_slots)
+        assert plan._schedule[writer[key]] is plan._layout[int(p.step[m])]
+
+    return plan, p
+
+
+def level_major_counts(p):
+    """``(correlated groups, dispatches)`` of the level-major schedule the
+    placement's members came from: one step per base step."""
+    _, base = _reference_steps(p)
+    base_steps = {}
+    for m, step in base.items():
+        base_steps.setdefault(step, set()).update(
+            (w, b) for w in range(p.forms.shape[1]) for b in range(64)
+            if int(p.forms[m, w]) >> b & 1)
+    groups = sum(len(forms) + 1 if kind in (plan_order.GATE, plan_order.EXPAND)
+                 else kind == plan_order.SAME
+                 for (_, _, kind), forms in base_steps.items())
+    return groups, len(base_steps)
+
+
+@pytest.mark.parametrize("name", ["c432", "c499"])
+def test_catalog_members_sink_by_the_rule(name):
+    circuit = get_benchmark(name)
     weights = compute_weights(circuit, method="sampled",
                               n_patterns=1 << 10, seed=0)
-    _check_wave_placement(circuit, weights, monkeypatch)
+    plan, p = check_placement(circuit, weights)
+    groups, dispatches = level_major_counts(p)
+    assert plan.num_corr_groups < groups
+    assert len(plan._schedule) < dispatches
 
 
-def test_expansion_waves_follow_same_level_reads(same_level_circuit,
-                                                 monkeypatch):
+def test_expansion_waves_follow_same_level_reads(same_level_circuit):
     circuit = same_level_circuit
     weights = compute_weights(circuit, method="exhaustive")
-    plan = _check_wave_placement(circuit, weights, monkeypatch)
+    plan, p = check_placement(circuit, weights)
+    # The output's pair row reads rows of its own level: a later wave.
+    assert p.wave.max() >= 1
 
     eps = [0.0, 0.03, 0.2]
     eps10 = [0.1, 0.0, 0.07]
@@ -156,6 +243,10 @@ def test_group_gauge_and_span_attribute(same_level_circuit):
                                       **labels)
         (span,) = obs.get_tracer().find("compiled_pass.run_sweep_correlated")
         assert span.attrs["groups"] == groups
+        assert span.attrs["steps"] == plan.num_steps > 0
+        assert reg.value("compiled_pass.correlated_steps",
+                         **labels) == plan.num_steps
+        assert span.attrs["plain_groups"] == plan.num_plain_groups
         (span,) = obs.get_tracer().find("compiled_pass.compile_correlated")
         assert span.attrs["rows"] == plan.n_rows
         assert span.attrs["batches"] == plan.num_batches > 0
@@ -175,4 +266,4 @@ def test_profile_prints_rows_and_groups(tmp_path, capsys):
         obs.reset()
     out = capsys.readouterr().out
     assert re.search(r"correlated plan: 20 coefficient rows in \d+ batched "
-                     r"groups, lowered in \d+ batches", out)
+                     r"groups over \d+ steps, lowered in \d+ batches", out)

@@ -12,7 +12,14 @@ import random
 
 import pytest
 
-from repro.circuit import Circuit, CircuitError, GateType
+from repro.circuit import (
+    Circuit,
+    CircuitError,
+    GateArityError,
+    GateType,
+    Node,
+    structural_hash,
+)
 from repro.circuits import get_benchmark, list_benchmarks
 from repro.engine import AnalysisEngine, serve_stream
 from repro.incremental import (
@@ -144,6 +151,44 @@ class TestWorkspaceValidation:
             # Forward reference: 'cout' is defined after 't'.
             ws.apply(SwapGate("t", "and", fanins=("cout", "a")))
         assert ws.edit_log == []
+        assert dict(ws.analyze().per_output) == before
+
+    def test_type_only_swap_equals_rebuilt_circuit(self):
+        """A type-only swap replaces one node of a copy; the circuit equals
+        the netlist re-entered through the public API, memoized hash
+        included."""
+        ws = CircuitWorkspace(get_benchmark("c499"))
+        for gate in _c499_edit_gates(ws.circuit):
+            original = ws.circuit.node(gate).gate_type
+            for gate_type in (_SWAP_PAIR[original], original):
+                fanins = ws.circuit.node(gate).fanins
+                want = ws._rebuild(replace={
+                    gate: Node(gate, gate_type, fanins)})
+                structural_hash(ws.circuit)  # memoized on the old circuit
+                ws.apply(SwapGate(gate, gate_type))
+                got = ws.circuit
+                names = got.topological_order()
+                assert names == want.topological_order()
+                assert [got.node(n) for n in names] == \
+                    [want.node(n) for n in names]
+                assert [got.level(n) for n in names] == \
+                    [want.level(n) for n in names]
+                assert [got.fanouts(n) for n in names] == \
+                    [want.fanouts(n) for n in names]
+                assert (got.inputs, got.gates, got.outputs) == \
+                    (want.inputs, want.gates, want.outputs)
+                assert structural_hash(got) == structural_hash(want)
+
+    def test_arity_invalid_swap_leaves_state_intact(self, full_adder_circuit):
+        ws = CircuitWorkspace(full_adder_circuit, eps=0.05)
+        before = dict(ws.analyze().per_output)
+        circuit = ws.circuit
+        with pytest.raises(GateArityError) as rebuilt:
+            ws._rebuild(replace={"t": Node("t", GateType.NOT, ("a", "b"))})
+        with pytest.raises(GateArityError) as swapped:
+            ws.apply(SwapGate("t", "not"))
+        assert str(swapped.value) == str(rebuilt.value)
+        assert ws.edit_log == [] and ws.circuit is circuit
         assert dict(ws.analyze().per_output) == before
 
 

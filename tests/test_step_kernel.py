@@ -1,9 +1,10 @@
 """Step-fused correlated kernel: column bit-identity and dispatch bound.
 
-`CompiledCorrelatedPass.run_sweep` evaluates each dependency step (one
-level's corrected gates, or one expansion wave) with one batched op per
-perturbation form.  Batching across program shapes must not change a
-value: column j of any sweep is byte-equal to the 1-point run at its eps,
+`CompiledCorrelatedPass.run_sweep` evaluates each dependency step
+(corrected gates, or expansion rows, sunk together by
+``repro.reliability.plan_order``) with one batched op per perturbation
+form.  Batching across program shapes must not change a value: column j
+of any sweep is byte-equal to the 1-point run at its eps,
 and every column stays within TOL of the scalar engine.  The number of
 batched ops per sweep is bounded by steps x forms, not by the number of
 distinct program shapes.
@@ -17,8 +18,14 @@ from repro.circuits import get_benchmark, random_circuit
 from repro.probability.weights import compute_weights
 from repro.reliability import CompiledCorrelatedPass, SinglePassAnalyzer
 from repro.reliability import compiled_pass
+from tests.test_correlated_groups import check_placement, level_major_counts
 
 TOL = 1e-10
+
+
+def _steps(plan):
+    """The plan's correlated steps, in run order."""
+    return [st for st in plan._schedule if isinstance(st, compiled_pass._Step)]
 
 
 def _specs(circuit, mode, width, rng):
@@ -67,13 +74,40 @@ def test_columns_match_point_runs_and_scalar(seed, n_gates, width, mode):
         assert abs(ref.node_errors[node].p10 - sweep.p10[i, j]) <= TOL
 
 
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10 ** 6),
+       n_gates=st.integers(30, 200),
+       width=st.integers(2, 9))
+def test_random_netlists_sink_into_fewer_groups(seed, n_gates, width):
+    """On random netlists the sunk schedule is valid member by member, no
+    wider in correlated groups than the level-major one, and its columns
+    equal 1-point runs byte for byte."""
+    circuit = random_circuit(n_inputs=8 + seed % 8, n_gates=n_gates,
+                             n_outputs=2 + seed % 3, seed=seed)
+    weights = compute_weights(circuit, method="sampled",
+                              n_patterns=1 << 10, seed=0)
+    plan, placement = check_placement(circuit, weights)
+    groups, dispatches = level_major_counts(placement)
+    assert plan.num_corr_groups <= groups
+    assert len(plan._schedule) <= dispatches
+    eps = [float(e) for e in np.random.default_rng(seed).uniform(
+        0.0, 0.4, width)]
+    sweep = plan.run_sweep(eps)
+    for j in range(width):
+        solo = plan.run(eps[j])
+        for got, want in ((sweep.per_output, solo.per_output),
+                          (sweep.p01, solo.p01), (sweep.p10, solo.p10),
+                          (sweep.correlation_coefficients,
+                           solo.correlation_coefficients)):
+            assert got[:, j].tobytes() == want[:, 0].tobytes()
+
+
 def test_c432_batched_ops_bounded_by_steps_times_forms(monkeypatch):
     circuit = get_benchmark("c432")
     weights = compute_weights(circuit, method="sampled",
                               n_patterns=1 << 10, seed=0)
     plan = CompiledCorrelatedPass(circuit, weights)
-    steps = [st for _, gate_step, _, waves in plan._schedule
-             for st in ((gate_step,) if gate_step else ()) + waves]
+    steps = _steps(plan)
     forms = {form for st in steps for form, *_ in st.forms}
     # One block per form in every step.
     for st in steps:
@@ -118,11 +152,8 @@ def test_every_member_lands_in_exactly_one_step(name):
                               n_patterns=1 << 10, seed=0)
     plan = CompiledCorrelatedPass(circuit, weights)
     gates, rows = [], []
-    for _, gate_step, _, waves in plan._schedule:
-        if gate_step is not None:
-            gates += gate_step.targets.tolist()
-        for st in waves:
-            rows += st.targets.tolist()
+    for st in _steps(plan):
+        (gates if st.kind == "gate" else rows).extend(st.targets.tolist())
     assert len(gates) == len(set(gates))
     assert len(rows) == len(set(rows))
     assert set(rows) == set(plan._pair_rows_order.tolist())
