@@ -7,7 +7,6 @@ __all__, __getattr__, __dir__ = attach(__name__, {
              "uniform_ser_model"],
     ".redundancy": ["HardeningOutcome", "asymmetric_targets",
                     "hardening_sweep", "selective_tmr"],
-    ".explorer": ["CandidateScore", "explain_ranking", "score_candidates"],
     ".sequential": ["SequentialSerReport", "SequentialSerRow",
                     "sequential_ser_row", "sequential_ser_table"],
     ".optimize": ["DEFAULT_LADDER", "AllocationResult", "HardeningOption",

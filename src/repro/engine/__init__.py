@@ -5,8 +5,9 @@ The library's long-lived service layer (see ``docs/engine.md``):
 * :class:`CircuitSession` — one circuit's eps-independent state (weights,
   compiled plans, closed-form models), kept hot;
 * :class:`AnalysisEngine` — an LRU registry of sessions plus a request
-  scheduler with coalescing, cross-circuit tensor batching, and a
-  cooperative compiled → scalar → closed-form timeout ladder;
+  scheduler with coalescing, cross-circuit tensor batching, and
+  cooperative deadlines that fall from the correlated plan to the plain
+  one when the correlated plan is not compiled yet;
 * :class:`AnalysisRequest` / :class:`AnalysisResponse` — the declarative
   request objects and result envelopes shared by ``engine.submit``,
   ``repro serve`` and ``repro batch``;

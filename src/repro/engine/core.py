@@ -17,11 +17,10 @@ On top of the registry sits a small request scheduler:
   plain-mode requests for **different** sessions into one cross-circuit
   :class:`~repro.reliability.tensor_pass.TensorBatch` pass, and runs
   the rest one by one — everything in this process;
-* per-request ``timeout_s`` deadlines are enforced cooperatively along
-  the fallback ladder **compiled → scalar → closed-form**: a request
-  whose deadline has passed before the pass starts is answered by the
-  session's closed-form model instead, and every downgrade is recorded in
-  the envelope's ``fallbacks`` list.
+* per-request ``timeout_s`` deadlines are cooperative and only choose
+  between compiled plans: past its deadline, a correlated request whose
+  plan is not compiled yet runs on the session's plain plan instead,
+  and every downgrade is recorded in the envelope's ``fallbacks`` list.
 """
 
 from __future__ import annotations
@@ -449,34 +448,38 @@ class AnalysisEngine:
                                  specs: List[EpsilonSpec],
                                  eps10_specs: Optional[List[EpsilonSpec]],
                                  deadline: Optional[float]):
-        """Run eps points down the compiled → scalar → closed-form ladder.
+        """Run eps points on the session's plan for the correlation mode.
 
         Returns ``(results, method_used, fallbacks, timed_out)`` where
         ``results`` has one protocol result object per point.  Deadlines
-        are cooperative: they are checked *between* rungs, never mid-pass,
-        so a pass that started in time runs to completion (and is merely
-        flagged ``timed_out`` if it overran).
+        are cooperative: a pass that started runs to completion (and is
+        merely flagged ``timed_out`` if it overran).  A deadline only
+        chooses between compiled plans: once it has passed, a correlated
+        request whose plan is not compiled yet runs on the plain plan
+        (Sec. 4 without the Sec. 4.1 coefficients, same weights), and a
+        compiled correlated plan is never thrown away.
         """
         fallbacks: List[Dict[str, Any]] = []
+        compiled = session.config.compiled == "auto"
+        # Checked before session.analyzer(), which compiles an edit
+        # session's plan eagerly.
+        plain_rung = (deadline is not None and correlation and compiled
+                      and time.monotonic() >= deadline
+                      and not session.plan_ready(True))
+        if plain_rung:
+            correlation = False
+            fallbacks.append({"from": "single-pass-compiled",
+                              "to": "single-pass-plain",
+                              "reason": "timeout"})
         analyzer = session.analyzer(correlation)
-        rung = ("single-pass-compiled" if analyzer.uses_compiled
-                else "single-pass-scalar")
-        if session.config.compiled == "auto" and not analyzer.uses_compiled:
+        rung = ("single-pass-scalar" if not analyzer.uses_compiled
+                else "single-pass-plain" if plain_rung
+                else "single-pass-compiled")
+        if compiled and not analyzer.uses_compiled:
             fallbacks.append({"from": "single-pass-compiled",
                               "to": "single-pass-scalar",
                               "reason": analyzer.plan_unsupported_reason
                               or "no compiled plan for this circuit"})
-        if (deadline is not None and time.monotonic() >= deadline
-                and not session.config.outputs):
-            # The closed-form rung models the full circuit, so a
-            # restricted session skips it (its pass runs flagged late).
-            fallbacks.append({"from": rung, "to": "closed-form",
-                              "reason": "timeout"})
-            k0 = time.perf_counter()
-            model = session.closed_form(None)
-            results = [model.analyze(spec) for spec in specs]
-            self._scratch.kernel_s = time.perf_counter() - k0
-            return results, "closed-form", fallbacks, True
         k0 = time.perf_counter()
         sweep = analyzer.sweep(specs, eps10_specs)
         self._scratch.kernel_s = time.perf_counter() - k0
@@ -490,7 +493,7 @@ class AnalysisEngine:
                           f"the full closure: pairs more than {gap} levels "
                           f"apart read as independent"})
         results = [sweep.point(j) for j in range(len(specs))]
-        timed_out = deadline is not None and time.monotonic() > deadline
+        timed_out = deadline is not None and time.monotonic() >= deadline
         return results, rung, fallbacks, timed_out
 
     # -- request scheduler ---------------------------------------------
@@ -871,30 +874,16 @@ class AnalysisEngine:
         with trace_span("engine.request", op=op, circuit=name):
             if op == "edit":
                 return self._execute_edit(request, session)
-            if op in ("analyze", "sweep", "reanalyze"):
+            if op in ("analyze", "sweep", "reanalyze", "curve"):
                 return self._execute_analyze(request, session, deadline)
-            if op == "curve":
-                eps_points = [float(e) for e in request.eps_points()]
-                analyzer = session.analyzer(request.correlation)
-                # The analyzer's circuit is the restricted cone when the
-                # session carries outputs=, so its first output is always
-                # a valid default.
-                output = request.output or analyzer.circuit.outputs[0]
-                sweep = analyzer.sweep(eps_points)
-                deltas = sweep.delta(output)
-                return AnalysisResponse(
-                    ok=True, op=op, circuit=name, id=request.id,
-                    method="single-pass",
-                    outputs=(list(session.config.outputs)
-                             if session.config.outputs else None),
-                    result=curve_payload(name, output, eps_points, deltas))
             if op == "closed-form":
                 _check_outputs_method(session, "closed-form")
-                result = session.closed_form(request.output).analyze(
-                    request.eps_points()[0])
+                model = session.closed_form(request.output)
+                result = model.analyze(request.eps_points()[0])
                 return AnalysisResponse(
                     ok=True, op=op, circuit=name, id=request.id,
                     method="closed-form",
+                    fallbacks=list(getattr(model, "fallbacks", ())),
                     result=result_payload(name, "closed-form", result))
             if op == "mc":
                 _check_outputs_method(session, "mc")
@@ -933,31 +922,40 @@ class AnalysisEngine:
                          deadline: Optional[float]) -> AnalysisResponse:
         name = session.circuit.name
         specs = _request_points(request, session)
-        method = request.method
+        method = "single-pass" if request.op == "curve" else request.method
         frames = session.config.frames
         outputs = (list(session.config.outputs)
                    if session.config.outputs else None)
-        if method != "single-pass":
-            _check_outputs_method(session, method)
+        _check_outputs_method(session, method)
         if method == "single-pass":
             results, used, fallbacks, timed_out = \
                 self._single_pass_with_ladder(
                     session, request.correlation, specs,
                     request.eps10_points(), deadline)
+            if request.op == "curve":
+                # A restricted session answers for its cone's outputs, so
+                # the answer's first output is always a valid default.
+                output = request.output or next(iter(results[0].per_output))
+                payload = curve_payload(
+                    name, output, specs,
+                    [r.per_output[output] for r in results])
+            else:
+                payload = analyze_payload(name, specs, results)
             return AnalysisResponse(
                 ok=True, op=request.op, circuit=name, id=request.id,
                 method=used,
                 fallbacks=fallbacks + _accuracy_fallbacks(session,
                                                           results),
                 timed_out=timed_out,
-                frames=frames, outputs=outputs,
-                result=analyze_payload(name, specs, results))
+                frames=frames, outputs=outputs, result=payload)
         if method == "closed-form":
             model = session.closed_form(request.output)
             results = [model.analyze(spec) for spec in specs]
             return AnalysisResponse(
                 ok=True, op=request.op, circuit=name, id=request.id,
-                method="closed-form", frames=frames,
+                method="closed-form",
+                fallbacks=list(getattr(model, "fallbacks", ())),
+                frames=frames,
                 result=analyze_payload(name, specs, results))
         if method == "mc":
             results = [monte_carlo_reliability(

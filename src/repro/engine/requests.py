@@ -153,8 +153,9 @@ class AnalysisResponse:
     #: Method that actually produced the payload (may differ from the
     #: requested one after a fallback).
     method: Optional[str] = None
-    #: Ladder steps taken, e.g. ``[{"from": "single-pass-compiled",
-    #: "to": "closed-form", "reason": "timeout"}]``.
+    #: Ladder steps taken and accuracy given up, e.g.
+    #: ``[{"from": "single-pass-compiled", "to": "single-pass-plain",
+    #: "reason": "timeout"}]``.
     fallbacks: List[Dict[str, Any]] = field(default_factory=list)
     timed_out: bool = False
     elapsed_s: float = 0.0

@@ -185,10 +185,16 @@ class CircuitSession:
                 or "weights" in self.extra_analyzer_kwargs)
 
     def plan_ready(self, use_correlation: bool = True) -> bool:
-        """True once an analyzer (and its plan) exists for this mode."""
+        """True once this mode's compiled plan object exists.
+
+        O(1) and side-effect free: it never compiles and never hashes.
+        A refused plan (the scalar pass answers) is not ready.
+        """
+        mode = bool(use_correlation)
         if self._workspace is not None:
-            return True
-        return bool(self._analyzers.get(bool(use_correlation)))
+            return self._workspace.plan_built(mode)
+        analyzer = self._analyzers.get(mode)
+        return analyzer is not None and analyzer._plan is not None
 
     @property
     def workspace_ready(self) -> bool:

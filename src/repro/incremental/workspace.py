@@ -289,7 +289,8 @@ class CircuitWorkspace:
         self._check_eps_entry(edit.gate, edit.eps)
         self._eps[edit.gate if edit.gate is not None
                   else DEFAULT_KEY] = float(edit.eps)
-        plans = {_PLAN_NAMES[m]: ("reused" if self._built(m) else "unbuilt")
+        plans = {_PLAN_NAMES[m]:
+                 ("reused" if self.plan_built(m) else "unbuilt")
                  for m in (False, True)}
         return EditReport(kind=edit.kind, dirty_nodes=0, reweighted_gates=0,
                           plans=plans)
@@ -302,7 +303,7 @@ class CircuitWorkspace:
         type_only = fanins == node.fanins
         if type_only and edit.gate_type is node.gate_type:
             plans = {_PLAN_NAMES[m]:
-                     ("reused" if self._built(m) else "unbuilt")
+                     ("reused" if self.plan_built(m) else "unbuilt")
                      for m in (False, True)}
             return EditReport(kind=edit.kind, dirty_nodes=0,
                               reweighted_gates=0, plans=plans)
@@ -323,7 +324,7 @@ class CircuitWorkspace:
 
         plans: Dict[str, str] = {}
         for mode in (False, True):
-            if not self._built(mode):
+            if not self.plan_built(mode):
                 decision = "unbuilt"
             elif type_only and self._plans[mode].patch_weights(
                     self.circuit, self._weights,
@@ -498,14 +499,15 @@ class CircuitWorkspace:
                     self._weights.weights[gate] = fresh[gate]
 
     # -- plan maintenance ----------------------------------------------
-    def _built(self, mode: bool) -> bool:
+    def plan_built(self, mode: bool) -> bool:
+        """True while one mode's lowered plan exists (never builds one)."""
         plan = self._plans.get(mode, _UNBUILT)
         return plan is not _UNBUILT and plan is not None
 
     def _drop_plans_structural(self) -> Dict[str, str]:
         """Node-set-changing edit: both plans re-lower, structure drops."""
         plans = {_PLAN_NAMES[m]:
-                 ("relowered" if self._built(m) else "unbuilt")
+                 ("relowered" if self.plan_built(m) else "unbuilt")
                  for m in (False, True)}
         self._plans = {}
         self._pair_structure = None

@@ -17,11 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..circuit import Circuit
 from ..spec import EpsilonSpec, epsilon_of, validate_epsilon
 from .observability import compute_observabilities
+
+#: Node limit of the multi-output model's ``auto`` BDD attempt.  c432
+#: needs 1,038,831 nodes, so a lower limit would change its answer.
+OBSERVABILITY_NODE_LIMIT = 2_000_000
 
 
 @dataclass
@@ -180,6 +184,10 @@ class MultiOutputObservabilityModel:
     -output case, carries no parity argument beyond that — use
     :class:`~repro.reliability.consolidated.ConsolidatedAnalyzer` or Monte
     Carlo when multi-failure consolidation accuracy matters.
+
+    ``method="auto"`` builds BDDs for circuits of at most 400 gates and
+    samples beyond that, or when the BDDs pass
+    :data:`OBSERVABILITY_NODE_LIMIT` (recorded in :attr:`fallbacks`).
     """
 
     def __init__(self, circuit: Circuit,
@@ -188,19 +196,35 @@ class MultiOutputObservabilityModel:
                  seed: int = 0):
         self.circuit = circuit
         self.per_output_models: Dict[str, ObservabilityModel] = {}
-        use_bdd = method == "bdd" or (method == "auto"
-                                      and circuit.num_gates <= 400)
-        if use_bdd:
-            from ..bdd import build_node_bdds
+        #: Envelope entries naming an exact estimate asked for and not
+        #: given: an ``auto`` BDD attempt abandoned at its node limit.
+        self.fallbacks: List[Dict[str, Any]] = []
+        any_obs = None
+        if method == "bdd" or (method == "auto" and circuit.num_gates <= 400):
+            from ..bdd import BddManager, BddSizeLimitError, build_node_bdds
             from .observability import bdd_observabilities
-            bdds = build_node_bdds(circuit)
-            for out in circuit.outputs:
-                self.per_output_models[out] = ObservabilityModel(
+            try:
+                bdds = build_node_bdds(
+                    circuit, BddManager(node_limit=OBSERVABILITY_NODE_LIMIT))
+                models = {out: ObservabilityModel(
                     circuit, output=out,
                     observabilities=bdd_observabilities(circuit, output=out,
                                                         bdds=bdds))
-            any_obs = _any_output_from_bdds(circuit, bdds)
-        else:
+                    for out in circuit.outputs}
+                any_obs = _any_output_from_bdds(circuit, bdds)
+                self.per_output_models = models
+            except BddSizeLimitError:
+                if method == "bdd":
+                    raise
+                self.fallbacks.append({
+                    "from": "bdd-observabilities",
+                    "to": "sampled-observabilities",
+                    "reason": f"exact BDD observabilities passed the "
+                              f"{OBSERVABILITY_NODE_LIMIT}-node limit; "
+                              f"observabilities estimated from "
+                              f"{n_patterns} random patterns",
+                    "node_limit": OBSERVABILITY_NODE_LIMIT})
+        if any_obs is None:
             for out in circuit.outputs:
                 self.per_output_models[out] = ObservabilityModel(
                     circuit, output=out, method="sampled",

@@ -162,19 +162,79 @@ class TestCoalescing:
 
 
 class TestTimeoutLadder:
-    def test_expired_deadline_falls_back_to_closed_form(self, engine):
-        env = engine.submit({"op": "analyze", "circuit": "c17",
-                             "eps": 0.05, "timeout_s": 0,
-                             "options": OPTS}).to_dict()
-        assert env["ok"]
+    PLAIN_RUNG = {"from": "single-pass-compiled", "to": "single-pass-plain",
+                  "reason": "timeout"}
+
+    @pytest.fixture()
+    def constructed(self, monkeypatch):
+        """Names of the costly models and plans built during the test."""
+        from repro.reliability.closed_form import (
+            MultiOutputObservabilityModel, ObservabilityModel)
+        from repro.reliability.compiled_pass import CompiledCorrelatedPass
+        built = []
+        for cls in (ObservabilityModel, MultiOutputObservabilityModel,
+                    CompiledCorrelatedPass):
+            def spy(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", spy)
+        return built
+
+    @pytest.mark.parametrize("options", [{}, {"outputs": ["g104", "g145"]}])
+    def test_expired_deadline_runs_the_plain_plan(self, constructed,
+                                                  options):
+        """A cold session compiles no correlated plan and builds no
+        closed-form model past its deadline: the plain plan answers."""
+        request = {"op": "analyze", "circuit": "c432", "eps": [0.01, 0.05],
+                   "options": options}
+        with AnalysisEngine() as engine:
+            env = engine.submit({**request, "timeout_s": 0}).to_dict()
+        assert constructed == []
+        assert env["ok"], env.get("error")
         assert env["timed_out"]
-        assert env["method"] == "closed-form"
-        assert env["fallbacks"] == [{"from": "single-pass-compiled",
-                                     "to": "closed-form",
-                                     "reason": "timeout"}]
-        for point in env["result"]["points"]:
-            for delta in point["per_output"].values():
-                assert 0.0 <= delta <= 1.0
+        assert env["method"] == "single-pass-plain"
+        assert env["fallbacks"] == [self.PLAIN_RUNG]
+        with AnalysisEngine() as engine:
+            plain = engine.submit({**request, "correlation": False}).to_dict()
+        assert env["result"] == plain["result"]
+
+    @pytest.mark.parametrize("circuit", ["b9", "c880"])
+    def test_expired_deadline_answers_past_the_bdd_limit(self, engine,
+                                                         circuit):
+        """Circuits whose closed-form BDDs pass their node limit."""
+        env = engine.submit({"op": "analyze", "circuit": circuit,
+                             "eps": 0.05, "timeout_s": 0}).to_dict()
+        assert env["ok"], env.get("error")
+        assert env["method"] == "single-pass-plain"
+
+    def test_expired_deadline_keeps_a_compiled_plan(self, engine):
+        request = {"op": "analyze", "circuit": "c17", "eps": [0.01, 0.05],
+                   "options": OPTS}
+        untimed = engine.submit(request).to_dict()
+        late = engine.submit({**request, "timeout_s": 0}).to_dict()
+        assert late["ok"] and late["timed_out"]
+        assert late["method"] == "single-pass-compiled"
+        assert late["fallbacks"] == []
+        assert late["result"] == untimed["result"]
+
+    def test_expired_deadline_on_a_refused_plan_runs_plain(self, engine):
+        """A refused correlated plan would run the scalar pass, so it
+        counts as not compiled."""
+        request = {"op": "analyze", "circuit": "c432", "eps": 0.05,
+                   "options": {**OPTS, "max_correlation_pairs": 50}}
+        assert engine.submit(request).method == "single-pass-scalar"
+        env = engine.submit({**request, "timeout_s": 0}).to_dict()
+        assert env["method"] == "single-pass-plain"
+        assert env["fallbacks"] == [self.PLAIN_RUNG]
+
+    def test_curve_honours_the_deadline(self, engine):
+        request = {"op": "curve", "circuit": "c17", "eps": [0.01, 0.05],
+                   "options": OPTS}
+        env = engine.submit({**request, "timeout_s": 0}).to_dict()
+        assert env["ok"] and env["timed_out"]
+        assert env["fallbacks"] == [self.PLAIN_RUNG]
+        plain = engine.submit({**request, "correlation": False}).to_dict()
+        assert env["result"] == plain["result"]
 
     def test_refused_plan_reports_its_reason(self, engine):
         """A pair budget below c432's level-gap-0 closure (89 rows)
@@ -286,6 +346,13 @@ class TestFittedLevelGap:
         for env in envs:
             assert env["ok"] and env["coalesced"] == 2
             assert env["fallbacks"] == [entry]
+
+    def test_curve_envelope_names_the_gap(self, engine):
+        env = engine.submit({"op": "curve", "circuit": "c432",
+                             "eps": [0.01, 0.05],
+                             "options": self.OPTIONS}).to_dict()
+        assert env["method"] == "single-pass-compiled"
+        assert env["fallbacks"] == [self._expected(engine)]
 
     def test_serve_envelope_names_the_gap(self, engine):
         out = io.StringIO()

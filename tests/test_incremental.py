@@ -633,6 +633,27 @@ class TestEngineEditSessions:
         point = env["result"]["points"][0]
         assert point["eps"]["default"] == 0.07
 
+    def test_plan_warmth_follows_the_compiled_plan(self, engine):
+        """The cache probe reports a plan warm only once it is compiled:
+        a new session's first reanalyze and the first one after a
+        structural edit find none."""
+        def plan_warmth(request):
+            response = engine.submit(request)
+            assert response.ok, response.error
+            return response.telemetry["cache"]["plan"]
+
+        reanalyze = {"op": "reanalyze", "session": "s5"}
+        plan_warmth({"op": "edit", "session": "s5", "circuit": "c17",
+                     "edits": [{"kind": "set_eps", "eps": 0.05}],
+                     "options": OPTS})
+        assert plan_warmth(reanalyze) == "cold"
+        assert plan_warmth(reanalyze) == "warm"
+        plan_warmth({"op": "edit", "session": "s5",
+                     "edits": [{"kind": "add_gate", "name": "g9",
+                                "gate_type": "nand",
+                                "fanins": ["10", "11"]}]})
+        assert plan_warmth(reanalyze) == "cold"
+
     def test_edit_requires_session(self, engine):
         env = engine.submit({"op": "edit", "circuit": "c17",
                              "edits": [{"kind": "set_eps", "eps": 0.1}]

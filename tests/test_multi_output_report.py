@@ -51,6 +51,43 @@ class TestMultiOutputModel:
         assert set(deltas) == set(circuit.outputs)
         assert all(0 <= v <= 0.5 for v in deltas.values())
 
+    def test_abandoned_bdd_attempt_falls_back_to_sampling(self,
+                                                          monkeypatch):
+        """An ``auto`` model whose BDDs pass the node limit answers from
+        the sampled estimator and names the abandoned attempt."""
+        from repro.bdd import BddSizeLimitError
+        from repro.reliability import closed_form
+        circuit = c17()
+        assert MultiOutputObservabilityModel(circuit).fallbacks == []
+        monkeypatch.setattr(closed_form, "OBSERVABILITY_NODE_LIMIT", 8)
+        auto = MultiOutputObservabilityModel(circuit, n_patterns=1 << 10)
+        sampled = MultiOutputObservabilityModel(circuit, method="sampled",
+                                                n_patterns=1 << 10)
+        assert auto.delta(0.05) == sampled.delta(0.05)
+        assert auto.any_output_delta(0.05) == sampled.any_output_delta(0.05)
+        assert auto.fallbacks == [{
+            "from": "bdd-observabilities",
+            "to": "sampled-observabilities",
+            "reason": "exact BDD observabilities passed the 8-node limit; "
+                      "observabilities estimated from 1024 random patterns",
+            "node_limit": 8}]
+        with pytest.raises(BddSizeLimitError):
+            MultiOutputObservabilityModel(circuit, method="bdd")
+
+    def test_engine_envelope_names_the_sampled_fallback(self, monkeypatch):
+        from repro.engine import AnalysisEngine
+        from repro.reliability import closed_form
+        monkeypatch.setattr(closed_form, "OBSERVABILITY_NODE_LIMIT", 8)
+        with AnalysisEngine() as engine:
+            envs = [engine.submit({"op": op, "circuit": "c17", "eps": 0.05,
+                                   "method": method}).to_dict()
+                    for op, method in (("closed-form", "single-pass"),
+                                       ("analyze", "closed-form"))]
+        for env in envs:
+            assert env["ok"], env.get("error")
+            (entry,) = env["fallbacks"]
+            assert entry["from"] == "bdd-observabilities"
+
 
 class TestReport:
     @pytest.fixture(scope="class")

@@ -6,13 +6,11 @@ from repro.apps import (
     GateSerModel,
     asymmetric_targets,
     estimate_ser,
-    explain_ranking,
     hardening_sweep,
-    score_candidates,
     selective_tmr,
     uniform_ser_model,
 )
-from repro.circuits import get_benchmark, parity_tree, ripple_carry_adder
+from repro.circuits import parity_tree, ripple_carry_adder
 from repro.reliability import (
     ObservabilityModel,
     SinglePassAnalyzer,
@@ -161,26 +159,3 @@ class TestRedundancy:
         assert len(up) == 3 and len(down) == 3
         with pytest.raises(ValueError):
             asymmetric_targets(full_adder_circuit, 0.1, "sideways")
-
-
-class TestExplorer:
-    def test_shallow_variant_wins(self):
-        low = get_benchmark("b9_low_fanout")
-        high = get_benchmark("b9_high_fanout")
-        scores = score_candidates([high, low], [0.0, 0.01, 0.02], seed=0,
-                                  max_correlation_level_gap=6)
-        assert scores[0].name == "b9_shallow"
-        assert scores[0].area < scores[1].area
-
-    def test_explain_ranking_mentions_levels(self):
-        low = get_benchmark("b9_low_fanout")
-        high = get_benchmark("b9_high_fanout")
-        scores = score_candidates([high, low], [0.0, 0.01], seed=0,
-                                  max_correlation_level_gap=6)
-        text = explain_ranking(scores)
-        assert "b9_shallow" in text
-        assert "fewer total logic" in text
-
-    def test_curve_area_of_zero_noise(self, two_output_circuit):
-        scores = score_candidates([two_output_circuit], [0.0], seed=0)
-        assert scores[0].area == 0.0
